@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import keyforge
 from keyforge.cli import main
 
 TINY_CONFIG = {
@@ -228,3 +234,35 @@ def test_run_all_is_deterministic(tmp_path, tiny_config, capsys):
         assert (out1 / name).exists()
     out = capsys.readouterr().out
     assert "condition" in out
+
+
+# sha256 of every run-all artifact at TINY_CONFIG. The generator's float bits
+# depend on the BLAS thread count, so the run below pins one thread.
+GOLDEN_SHA256 = {
+    "attack_ordered_a.tsv": "000852dc0850560a166a76ff5b2e99183b604ddb2a6139efc8a6d4d99d471217",
+    "attack_ordered_a.tsv.meta.json": "7dba715673b1fe2f9ea2da0bae3d6ed68b9b708dfc19f995942228ddee5416ea",
+    "attack_ordered_b.tsv": "a7cdcfb2c3cc4c37b20ae605a1b14cc1c2bdb6db93e74f08ad485523fb100edf",
+    "attack_ordered_b.tsv.meta.json": "b8b966b7eacff66dd756e6df4b868ef5df4cf459255ca8f65687529b1cb1b5fc",
+    "attack_random_a.tsv": "2efa566607bf74073eb080c42757a7e40e9106ff4a98166a9031501fa83a1ca5",
+    "attack_random_a.tsv.meta.json": "e967abf92e4bb1f4644f6ccc76a9178ecf1239907e7e09477dc2c17db8d74c53",
+    "attack_random_b.tsv": "85946609ba316a814b5939b095790fbc474ded141414038a1b7e3254a4d71f28",
+    "attack_random_b.tsv.meta.json": "bce6e4fadc0dc539cf16ff24dc7e59782fb9e90cfc292964848531bf1676af82",
+    "corpus.tsv": "d1c702dba63f6431c0778a1bc55d0403b624d2ecf62404da75101632411fa64a",
+    "discriminator.json": "db0db2018fabd1f95b5c563a2ce9b00aa8963c1f2a299fe95027c35f9a524808",
+    "gan_history.json": "27e3b856f47dd57f5837c62d04fa90ad291a84f3a0fd1ef9c0da0f24ab8b3f9b",
+    "generator.json": "62415cc3fa9f6515ac1bdf8f1582740d09ed28dec85c546c86ed790043707b2b",
+    "report.json": "58003b346aa939685eeada1fd28e2c04e8ad25593f5e2c6fbac3bc5da037db5a",
+    "report.txt": "37037af609411af5e563af95f43cc49938a20a7bca0754f9f732a028e838fb83",
+    "verifier.json": "fa526a5019453627fcfeb99d9d8c983bcae60e115de499aeb4ad61af9cbaf094",
+}
+
+
+def test_run_all_golden_digests(tmp_path, tiny_config):
+    out_dir = tmp_path / "run"
+    src = str(Path(keyforge.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "keyforge", "run-all", "--out-dir", str(out_dir),
+                    "--config", str(tiny_config)], env=env, check=True, capture_output=True)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert digests == GOLDEN_SHA256
