@@ -16,22 +16,24 @@ identical per-word cells and differ only in arrangement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import (
-    CharSequenceSample,
-    FeatureRow,
+    COL_HL,
+    COL_KEYCODE,
+    COL_PL,
     KeyEvent,
     SPACE_KEYCODE,
+    T_MAX_SECONDS,
     WORD_LEN,
     WordSample,
-    denormalize,
-    extract_features,
-    normalize,
-    slice_windows,
 )
 from .gan import GanBundle, generate_word
+
+if TYPE_CHECKING:
+    from .config import AttackSection
 
 CONDITIONS = ("ordered", "random")
 
@@ -44,32 +46,17 @@ _MIN_GAP_MS = 1.0
 class SpaceModel:
     """Gaussian timing model for synthesized space keys, in seconds."""
 
-    hold_mean: float = 0.080
-    hold_std: float = 0.015
-    gap_mean: float = 0.110
-    gap_std: float = 0.030
+    hold_mean: float
+    hold_std: float
+    gap_mean: float
+    gap_std: float
 
 
-@dataclass(frozen=True)
-class AttackConfig:
-    condition: str = "ordered"
-    n_sequences: int = 20
-    seed: int = 0
-    space_model: SpaceModel = SpaceModel()
-    allow_regenerate: bool = True
-
-    def __post_init__(self):
-        if self.condition not in CONDITIONS:
-            raise ValueError(f"condition must be one of {CONDITIONS}, got {self.condition!r}")
-        if self.n_sequences < 1:
-            raise ValueError("n_sequences must be >= 1")
-
-
-def fit_space_model(sentences: list[list[KeyEvent]]) -> SpaceModel:
+def fit_space_model(sentences: list[list[KeyEvent]], fallback: SpaceModel) -> SpaceModel:
     """Estimate space-key hold and surrounding-gap statistics from real typing.
 
-    Pre- and post-space gaps are pooled into one distribution. Falls back to
-    the documented defaults when the sentences contain no space keys.
+    Pre- and post-space gaps are pooled into one distribution. Returns
+    fallback when the sentences contain no space keys.
     """
     holds, gaps = [], []
     for sentence in sentences:
@@ -82,7 +69,7 @@ def fit_space_model(sentences: list[list[KeyEvent]]) -> SpaceModel:
             if i + 1 < len(sentence):
                 gaps.append((sentence[i + 1].press_time - ev.release_time) / 1000.0)
     if not holds or not gaps:
-        return SpaceModel()
+        return fallback
     return SpaceModel(
         hold_mean=float(np.mean(holds)),
         hold_std=float(np.std(holds)),
@@ -91,13 +78,13 @@ def fit_space_model(sentences: list[list[KeyEvent]]) -> SpaceModel:
     )
 
 
-def plan_words(
-    corpus_words: list[str], config: AttackConfig, rng: np.random.Generator
-) -> list[str]:
+def plan_words(corpus_words: list[str], condition: str, rng: np.random.Generator) -> list[str]:
     """Word order for one reconstruction pass: identity or a seeded permutation."""
+    if condition not in CONDITIONS:
+        raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
     if not corpus_words:
         raise ValueError("cannot plan an attack over an empty word list")
-    if config.condition == "ordered":
+    if condition == "ordered":
         return list(corpus_words)
     return [corpus_words[i] for i in rng.permutation(len(corpus_words))]
 
@@ -114,7 +101,7 @@ def stitch_events(
     Within a word, presses advance by the press-to-press latency (floored at
     1ms so the stream stays strictly press-monotone even for degenerate
     generator output); between words a space key is inserted with sampled
-    hold and pre/post gaps.
+    hold and pre/post gaps. Keycode cells round to the nearest code in 0..255.
     """
     if not words:
         raise ValueError("stitch needs at least one word sample")
@@ -128,20 +115,16 @@ def stitch_events(
             press = events[-1].release_time + pre_gap
             events.append(KeyEvent(SPACE_KEYCODE, press, press + hold))
             clock = press + hold + post_gap
-        rows = denormalize(word)
+        cells = word.matrix[: word.valid_len]
+        holds = ((cells[:, COL_HL] * T_MAX_SECONDS) * 1000.0).tolist()
+        steps = ((cells[:, COL_PL] * T_MAX_SECONDS) * 1000.0).tolist()
+        keycodes = np.clip(np.rint(cells[:, COL_KEYCODE] * 255.0), 0, 255).astype(int).tolist()
         press = clock
-        for i, row in enumerate(rows):
-            events.append(KeyEvent(row.keycode, press, press + row.hl * 1000.0))
-            if i + 1 < len(rows):
-                press += max(row.pl * 1000.0, _MIN_GAP_MS)
+        for i, (keycode, hold_ms) in enumerate(zip(keycodes, holds)):
+            events.append(KeyEvent(keycode, press, press + hold_ms))
+            if i + 1 < len(holds):
+                press += max(steps[i], _MIN_GAP_MS)
     return events
-
-
-def stitch(
-    words: list[WordSample], space_model: SpaceModel, rng: np.random.Generator
-) -> np.ndarray:
-    """Normalized feature rows of the stitched stream, one row per key event."""
-    return normalize(extract_features(stitch_events(words, space_model, rng)))
 
 
 def _generate_plan_samples(
@@ -162,43 +145,19 @@ def _generate_plan_samples(
 def build_attack_stream(
     bundle: GanBundle,
     word_plan: list[str],
-    config: AttackConfig,
+    config: AttackSection,
+    space_model: SpaceModel,
     rng: np.random.Generator,
 ) -> list[KeyEvent]:
-    """Generate and stitch enough events to window n_sequences full sequences.
+    """Generate and stitch enough events to window config.n_sequences full sequences.
 
-    The plan repeats (with fresh latents per pass) until the stream is long
-    enough; with regeneration disabled a too-short plan is an error.
+    The plan repeats, with fresh latents per pass, until the stream is long
+    enough.
     """
     if not word_plan:
         raise ValueError("empty word plan")
     needed_rows = config.n_sequences * WORD_LEN
     words: list[WordSample] = []
-    while True:
+    while sum(w.valid_len for w in words) + len(words) - 1 < needed_rows:
         words.extend(_generate_plan_samples(bundle, word_plan, rng))
-        total_rows = sum(w.valid_len for w in words) + (len(words) - 1)
-        if total_rows >= needed_rows:
-            break
-        if not config.allow_regenerate:
-            raise ValueError(
-                f"word plan yields only {total_rows} rows, need {needed_rows} "
-                "and regeneration is disabled"
-            )
-    return stitch_events(words, config.space_model, rng)
-
-
-def build_attack_sequences(
-    bundle: GanBundle,
-    word_plan: list[str],
-    config: AttackConfig,
-    rng: np.random.Generator,
-    user_id: str = ATTACKER_ID,
-) -> list[CharSequenceSample]:
-    """Verifier-ready synthetic sequences: generate, stitch, window, take n."""
-    events = build_attack_stream(bundle, word_plan, config, rng)
-    rows = normalize(extract_features(events))
-    windows = slice_windows(rows, WORD_LEN)
-    return [
-        CharSequenceSample(matrix=w, source="synthetic", user_id=user_id)
-        for w in windows[: config.n_sequences]
-    ]
+    return stitch_events(words, space_model, rng)

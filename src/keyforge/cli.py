@@ -18,7 +18,7 @@ from . import gan as gan_mod
 from . import pipeline
 from . import verifier as verifier_mod
 from .attack import CONDITIONS
-from .config import ConfigError, RunConfig, config_hash, load_config
+from .config import ConfigError, RunConfig, check_n_sequences, load_config
 from .data import ParseError, ValidationError, export_log, ingest_log, synth_corpus
 from .evaluation import render_table, report_to_dict
 from .nn import CheckpointError, TrainingError
@@ -89,14 +89,7 @@ def cmd_train_cgan(args) -> int:
     corpus = ingest_log(args.corpus)
     bundle = pipeline.train_user_gan(corpus, args.user, cfg)
     out_dir = Path(args.out_dir)
-    gan_mod.save_bundle(bundle, out_dir)
-    history_path = out_dir / "gan_history.json"
-    history_path.write_text(
-        json.dumps({"history": bundle.history, "epochs_trained": bundle.epochs_trained,
-                    "converged": bundle.converged, "config_hash": config_hash(cfg)},
-                   sort_keys=True, indent=2),
-        encoding="utf-8",
-    )
+    pipeline.save_gan(bundle, out_dir, cfg)
     print(f"generator/discriminator checkpoints -> {out_dir} "
           f"({bundle.epochs_trained} epochs, {len(bundle.history)} stop checks)")
     if not bundle.converged:
@@ -107,17 +100,13 @@ def cmd_train_cgan(args) -> int:
 def cmd_attack(args) -> int:
     cfg = _base_config(args)
     if args.n_sequences is not None:
+        check_n_sequences(args.n_sequences, "--n-sequences")
         cfg.attack.n_sequences = args.n_sequences
     seed = args.seed if args.seed is not None else cfg.seeds.resolved().attack
     corpus = ingest_log(args.corpus)
     bundle = gan_mod.load_bundle(args.gan_dir)
     events = pipeline.make_attack_events(corpus, args.user, bundle, args.condition, seed, cfg)
-    export_log(pipeline.attack_events_to_corpus(events), args.out)
-    meta = {"condition": args.condition, "seed": seed, "config_hash": config_hash(cfg),
-            "n_sequences": cfg.attack.n_sequences, "target_user": args.user}
-    Path(f"{args.out}.meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2), encoding="utf-8"
-    )
+    pipeline.write_attack(events, args.out, args.condition, seed, args.user, cfg)
     n_windows = len(events) // 15
     print(f"attack [{args.condition}] seed={seed}: {len(events)} events "
           f"({n_windows} windows available, {cfg.attack.n_sequences} requested) -> {args.out}")
@@ -168,7 +157,9 @@ def cmd_run_all(args) -> int:
     cfg = _base_config(args)
     if args.seed is not None:
         cfg.seeds.global_seed = args.seed
-    pipeline.run_all(cfg, args.out_dir)
+    _, artifacts = pipeline.run_all(cfg, args.out_dir)
+    print("phase timings (s): "
+          + ", ".join(f"{phase}={seconds:.1f}" for phase, seconds in artifacts["timings"].items()))
     return EXIT_OK
 
 
@@ -266,10 +257,6 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-
-
-def run(argv=None) -> int:
-    return main(argv)
 
 
 if __name__ == "__main__":

@@ -124,7 +124,15 @@ def config_from_dict(doc: dict) -> RunConfig:
     for condition in cfg.conditions:
         if condition not in ("ordered", "random"):
             raise ConfigError(f"config.conditions: unknown condition {condition!r}")
+    check_n_sequences(cfg.attack.n_sequences, "config.attack.n_sequences")
+    check_n_sequences(cfg.eval.n_sequences, "config.eval.n_sequences")
     return cfg
+
+
+def check_n_sequences(value, name: str) -> None:
+    """Reject a sequence count that is not an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def load_config(path: str | Path) -> RunConfig:

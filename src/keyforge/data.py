@@ -9,8 +9,9 @@ without any per-dataset statistics.
 
 from __future__ import annotations
 
+import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,11 @@ class KeyEvent:
     def __post_init__(self):
         if not 0 <= self.keycode <= 255:
             raise ValidationError(f"keycode {self.keycode} outside 0..255")
+        if not (math.isfinite(self.press_time) and math.isfinite(self.release_time)):
+            raise ValidationError(
+                f"non-finite timestamp on keycode {self.keycode}: "
+                f"press={self.press_time}, release={self.release_time}"
+            )
         if self.press_time < 0 or self.release_time < 0:
             raise ValidationError(
                 f"negative timestamp on keycode {self.keycode}: "
@@ -57,32 +63,15 @@ class KeyEvent:
 
 
 @dataclass(frozen=True)
-class FeatureRow:
-    """Per-key latency tuple in seconds; the last key of a stream has il=pl=rl=0."""
-
-    hl: float
-    il: float
-    pl: float
-    rl: float
-    keycode: int
-
-
-@dataclass(frozen=True)
 class WordSample:
-    """A single word as a 15x5 normalized matrix, zero-padded past valid_len rows."""
+    """A single word as a 15x5 normalized matrix, zero-padded past its text's length."""
 
     text: str
     matrix: np.ndarray
-    valid_len: int
 
-
-@dataclass(frozen=True)
-class CharSequenceSample:
-    """A full 15-row normalized sequence (no padding) attributed to one user."""
-
-    matrix: np.ndarray
-    source: str  # "real" | "synthetic"
-    user_id: str
+    @property
+    def valid_len(self) -> int:
+        return len(self.text)
 
 
 @dataclass
@@ -108,8 +97,8 @@ class Corpus:
         return sum(len(s) for u in self.users for s in u.sentences)
 
 
-def extract_features(events: list[KeyEvent]) -> list[FeatureRow]:
-    """Derive HL/IL/PL/RL rows (seconds) from press-sorted events.
+def extract_features(events: list[KeyEvent]) -> np.ndarray:
+    """Derive the (n, 5) [hl, il, pl, rl, keycode] array (seconds) from press-sorted events.
 
     Row i uses events i and i+1: hl = release-press of the same key, il = next
     press minus current release (negative under rollover), pl = press-to-press,
@@ -118,62 +107,30 @@ def extract_features(events: list[KeyEvent]) -> list[FeatureRow]:
     """
     if not events:
         raise ValueError("extract_features requires at least one event")
-    rows = []
-    for i, ev in enumerate(events):
-        hl = (ev.release_time - ev.press_time) / 1000.0
-        if i + 1 < len(events):
-            nxt = events[i + 1]
-            il = (nxt.press_time - ev.release_time) / 1000.0
-            pl = (nxt.press_time - ev.press_time) / 1000.0
-            rl = (nxt.release_time - ev.release_time) / 1000.0
-        else:
-            il = pl = rl = 0.0
-        rows.append(FeatureRow(hl=hl, il=il, pl=pl, rl=rl, keycode=ev.keycode))
-    return rows
+    raw = np.array([(ev.press_time, ev.release_time, ev.keycode) for ev in events], dtype=np.float64)
+    press, release = raw[:, 0], raw[:, 1]
+    out = np.zeros((len(events), N_FEATURES), dtype=np.float64)
+    out[:, COL_HL] = (release - press) / 1000.0
+    out[:-1, COL_IL] = (press[1:] - release[:-1]) / 1000.0
+    out[:-1, COL_PL] = (press[1:] - press[:-1]) / 1000.0
+    out[:-1, COL_RL] = (release[1:] - release[:-1]) / 1000.0
+    out[:, COL_KEYCODE] = raw[:, 2]
+    return out
 
 
-def rows_to_array(rows: list[FeatureRow]) -> np.ndarray:
-    return np.array(
-        [[r.hl, r.il, r.pl, r.rl, float(r.keycode)] for r in rows], dtype=np.float64
-    ).reshape(len(rows), N_FEATURES)
-
-
-def normalize(rows: list[FeatureRow]) -> np.ndarray:
-    """Scale feature rows into an (n, 5) matrix of unit-range cells.
+def normalize(features: np.ndarray) -> np.ndarray:
+    """Scale an extract_features array into an (n, 5) matrix of unit-range cells.
 
     HL/PL/RL are clamped to [0, T_max] then divided by T_max; IL is clamped to
     [-T_max, T_max] then divided; keycodes divide by 255. Clamping makes the
     map total, at the cost of saturating pathological latencies.
     """
-    a = rows_to_array(rows)
-    out = np.empty_like(a)
+    out = np.empty_like(features)
     for col in (COL_HL, COL_PL, COL_RL):
-        out[:, col] = np.clip(a[:, col], 0.0, T_MAX_SECONDS) / T_MAX_SECONDS
-    out[:, COL_IL] = np.clip(a[:, COL_IL], -T_MAX_SECONDS, T_MAX_SECONDS) / T_MAX_SECONDS
-    out[:, COL_KEYCODE] = a[:, COL_KEYCODE] / 255.0
+        out[:, col] = np.clip(features[:, col], 0.0, T_MAX_SECONDS) / T_MAX_SECONDS
+    out[:, COL_IL] = np.clip(features[:, COL_IL], -T_MAX_SECONDS, T_MAX_SECONDS) / T_MAX_SECONDS
+    out[:, COL_KEYCODE] = features[:, COL_KEYCODE] / 255.0
     return out
-
-
-def denormalize_rows(matrix: np.ndarray) -> list[FeatureRow]:
-    """Inverse of normalize on already-normalized rows; keycodes round to int."""
-    rows = []
-    for cells in np.atleast_2d(matrix):
-        kc = int(round(float(cells[COL_KEYCODE]) * 255.0))
-        rows.append(
-            FeatureRow(
-                hl=float(cells[COL_HL]) * T_MAX_SECONDS,
-                il=float(cells[COL_IL]) * T_MAX_SECONDS,
-                pl=float(cells[COL_PL]) * T_MAX_SECONDS,
-                rl=float(cells[COL_RL]) * T_MAX_SECONDS,
-                keycode=min(max(kc, 0), 255),
-            )
-        )
-    return rows
-
-
-def denormalize(sample: WordSample) -> list[FeatureRow]:
-    """Recover the seconds-domain rows of a word sample (padding excluded)."""
-    return denormalize_rows(sample.matrix[: sample.valid_len])
 
 
 def pad_word_matrix(rows: np.ndarray) -> np.ndarray:
@@ -206,7 +163,7 @@ def words_from_sentence(events: list[KeyEvent]) -> list[WordSample]:
         run = run[:WORD_LEN]
         matrix = pad_word_matrix(normalize(extract_features(run)))
         text = "".join(chr(ev.keycode) for ev in run)
-        samples.append(WordSample(text=text, matrix=matrix, valid_len=len(run)))
+        samples.append(WordSample(text=text, matrix=matrix))
     return samples
 
 

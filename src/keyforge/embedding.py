@@ -28,12 +28,6 @@ def _build_char_table() -> np.ndarray:
 _CHAR_VECTORS = _build_char_table()
 
 
-def char_vector(code: int) -> np.ndarray:
-    if not 0 <= code <= 255:
-        raise ValueError(f"character code {code} outside 0..255")
-    return _CHAR_VECTORS[code].copy()
-
-
 def embed_word(text: str) -> np.ndarray:
     """Map 1-15 characters of text to a unit-norm 100-d conditioning vector."""
     if not 1 <= len(text) <= MAX_WORD_LEN:

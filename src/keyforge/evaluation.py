@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CharSequenceSample
 from .verifier import (
     DIFFERENT_USER,
     SAME_USER,
@@ -103,22 +102,15 @@ def metrics(cm: ConfusionMatrix) -> MetricSet:
     )
 
 
-@dataclass(frozen=True)
-class LabeledPair:
-    a: CharSequenceSample
-    b: CharSequenceSample
-    expected: str  # SAME_USER or DIFFERENT_USER
-
-
 def build_test_pairs(
     test_id: int,
-    real_alice: list[CharSequenceSample],
-    fake_alice: list[CharSequenceSample],
-    fake_alice_b: list[CharSequenceSample],
-    real_others: list[CharSequenceSample],
+    real_alice: list[np.ndarray],
+    fake_alice: list[np.ndarray],
+    fake_alice_b: list[np.ndarray],
+    real_others: list[np.ndarray],
     n: int = EVAL_SET_SIZE,
-) -> list[LabeledPair]:
-    """Cross-product pairing for one test protocol (n x n labeled pairs)."""
+) -> list[SequencePair]:
+    """Cross-product pairing for one test protocol, labeled with its expected decision."""
     if test_id not in TEST_IDS:
         raise ValueError(f"test_id must be in {TEST_IDS}, got {test_id}")
     referenced = {
@@ -131,15 +123,15 @@ def build_test_pairs(
             raise ValueError(f"test {test_id}: set {name} has {len(seqs)} sequences, expected {n}")
     (_, left), (_, right) = referenced
     expected = TEST_EXPECTATIONS[test_id]
-    return [LabeledPair(a=a, b=b, expected=expected) for a in left for b in right]
+    return [SequencePair(a, b, expected) for a in left for b in right]
 
 
 def sample_other_sequences(
-    sequences_by_user: dict[str, list[CharSequenceSample]],
+    sequences_by_user: dict[str, list[np.ndarray]],
     exclude_user: str,
     n: int,
     rng: np.random.Generator,
-) -> list[CharSequenceSample]:
+) -> list[np.ndarray]:
     """Draw n sequences uniformly across the non-target users (user first, then sequence)."""
     others = sorted(u for u in sequences_by_user if u != exclude_user)
     if not others:
@@ -169,29 +161,20 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _run_one_test(bundle: VerifierBundle, test_id: int, pairs: list[LabeledPair]) -> TestResult:
-    seq_pairs = [SequencePair(p.a, p.b, p.expected) for p in pairs]
-    d = pair_distances(bundle, seq_pairs)
+def _run_one_test(bundle: VerifierBundle, test_id: int, pairs: list[SequencePair]) -> TestResult:
+    d = pair_distances(bundle, pairs)
     if bundle.tau is None:
         raise ValueError("verifier bundle is not calibrated (tau unset)")
     same = d <= bundle.tau
+    expected_same = np.array([p.label == SAME_USER for p in pairs])
 
-    tp = tn = fp = fn = 0
-    matches = 0
-    for decided_same, pair in zip(same, pairs):
-        if pair.expected == SAME_USER:
-            if decided_same:
-                tp += 1
-                matches += 1
-            else:
-                fn += 1
-        else:
-            if decided_same:
-                fp += 1
-            else:
-                tn += 1
-                matches += 1
-    cm = ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
+    cm = ConfusionMatrix(
+        tp=int(np.count_nonzero(same & expected_same)),
+        tn=int(np.count_nonzero(~same & ~expected_same)),
+        fp=int(np.count_nonzero(same & ~expected_same)),
+        fn=int(np.count_nonzero(~same & expected_same)),
+    )
+    matches = cm.tp + cm.tn
     return TestResult(
         test_id=test_id,
         n_pairs=len(pairs),
@@ -205,7 +188,7 @@ def _run_one_test(bundle: VerifierBundle, test_id: int, pairs: list[LabeledPair]
 
 def run_tests(
     bundle: VerifierBundle,
-    pairs_by_condition: dict[str, dict[int, list[LabeledPair]]],
+    pairs_by_condition: dict[str, dict[int, list[SequencePair]]],
     metadata: dict | None = None,
 ) -> EvalReport:
     """Evaluate every condition's three test protocols against the verifier."""

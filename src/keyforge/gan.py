@@ -127,19 +127,7 @@ def generate_word(bundle: GanBundle, text: str, rng: np.random.Generator) -> Wor
     matrix = flat.reshape(WORD_LEN, N_FEATURES)
     # sigmoid output already lies in range; clip guards future activation changes
     matrix[:, :COL_KEYCODE] = np.clip(matrix[:, :COL_KEYCODE], -1.0, 1.0)
-    return WordSample(text=text, matrix=matrix, valid_len=len(text))
-
-
-def discriminate(bundle: GanBundle, sample: WordSample, condition: np.ndarray) -> float:
-    """Discriminator probability that (sample, condition) is a matching real pair."""
-    condition = np.asarray(condition, dtype=np.float64)
-    if sample.matrix.shape != (WORD_LEN, N_FEATURES):
-        raise ValueError(f"sample matrix has shape {sample.matrix.shape}, expected (15, 5)")
-    if condition.shape != (EMBED_DIM,):
-        raise ValueError(f"condition has shape {condition.shape}, expected ({EMBED_DIM},)")
-    x = np.concatenate([sample.matrix.reshape(-1), condition])
-    out, _ = nn.forward(bundle.discriminator, x)
-    return float(out[0])
+    return WordSample(text=text, matrix=matrix)
 
 
 def _scores(bundle: GanBundle, flat: np.ndarray, conds: np.ndarray) -> np.ndarray:

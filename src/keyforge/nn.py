@@ -85,13 +85,18 @@ class ForwardTape:
     squeeze: bool
 
 
-def init_network(specs: list[LayerSpec], seed) -> NetworkParams:
-    """Glorot-uniform weights, zero biases, deterministic for a given seed."""
+def _check_chain(specs: list[LayerSpec]) -> None:
+    """Raise ValueError unless there is a layer and each output width feeds the next input."""
     if not specs:
         raise ValueError("need at least one layer")
     for a, b in zip(specs, specs[1:]):
         if a.out_dim != b.in_dim:
             raise ValueError(f"layer dim mismatch: {a.out_dim} feeds {b.in_dim}")
+
+
+def init_network(specs: list[LayerSpec], seed) -> NetworkParams:
+    """Glorot-uniform weights, zero biases, deterministic for a given seed."""
+    _check_chain(specs)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for spec in specs:
@@ -306,7 +311,7 @@ def load_params(path: str | Path) -> tuple[NetworkParams, dict]:
 
     Raises CorruptCheckpointError for unreadable files, CheckpointVersionError
     for a foreign format_version, CheckpointShapeError when arrays disagree
-    with their layer specs.
+    with their layer specs or the layers do not chain.
     """
     path = Path(path)
     try:
@@ -334,6 +339,10 @@ def load_params(path: str | Path) -> tuple[NetworkParams, dict]:
         biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"{path}: malformed layer data: {exc}") from None
+    try:
+        _check_chain(specs)
+    except ValueError as exc:
+        raise CheckpointShapeError(f"{path}: {exc}") from None
     if len(weights) != len(specs) or len(biases) != len(specs):
         raise CheckpointShapeError(f"{path}: {len(weights)} weight blocks for {len(specs)} layers")
     for k, (spec, w, b) in enumerate(zip(specs, weights, biases)):

@@ -1,4 +1,4 @@
-"""Phase orchestration shared by the CLI and the acceptance suite.
+"""Phase orchestration and artifact writing shared by the CLI subcommands and run-all.
 
 Wires the corpus, verifier, generator training, attack reconstruction, and
 evaluation together with explicit per-phase seeds so that a whole run is a
@@ -17,7 +17,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import gan as gan_mod
 from . import verifier as verifier_mod
-from .attack import ATTACKER_ID, AttackConfig
+from .attack import ATTACKER_ID
 from .config import RunConfig, config_hash
 from .data import Corpus, KeyEvent, UserLog, export_log, ingest_log, synth_corpus, words_from_corpus
 from .evaluation import EvalReport, build_test_pairs, render_table, report_to_dict, run_tests, sample_other_sequences
@@ -83,6 +83,19 @@ def train_user_gan(corpus: Corpus, user_id: str, cfg: RunConfig) -> gan_mod.GanB
     return gan_mod.train(bundle, words, cfg.gan, np.random.default_rng(seeds.gan))
 
 
+def save_gan(bundle: gan_mod.GanBundle, out_dir: Path, cfg: RunConfig) -> Path:
+    """Write both checkpoints and gan_history.json into out_dir; returns the history path."""
+    gan_mod.save_bundle(bundle, out_dir)
+    history_path = out_dir / "gan_history.json"
+    history_path.write_text(
+        json.dumps({"history": bundle.history, "epochs_trained": bundle.epochs_trained,
+                    "converged": bundle.converged, "config_hash": config_hash(cfg)},
+                   sort_keys=True, indent=2),
+        encoding="utf-8",
+    )
+    return history_path
+
+
 def make_attack_events(
     corpus: Corpus,
     user_id: str,
@@ -99,24 +112,26 @@ def make_attack_events(
     texts = [w.text for w in words_from_corpus(user)]
     if not texts:
         raise DataError(f"user {user_id!r} has no words to plan an attack over")
-    space_model = (
-        attack_mod.fit_space_model(user.sentences)
-        if cfg.attack.fit_space_model
-        else cfg.attack.default_space_model()
-    )
-    acfg = AttackConfig(
-        condition=condition,
-        n_sequences=cfg.attack.n_sequences,
-        seed=seed,
-        space_model=space_model,
-    )
+    space_model = cfg.attack.default_space_model()
+    if cfg.attack.fit_space_model:
+        space_model = attack_mod.fit_space_model(user.sentences, space_model)
     rng = np.random.default_rng(seed)
-    plan = attack_mod.plan_words(texts, acfg, rng)
-    return attack_mod.build_attack_stream(bundle, plan, acfg, rng)
+    plan = attack_mod.plan_words(texts, condition, rng)
+    return attack_mod.build_attack_stream(bundle, plan, cfg.attack, space_model, rng)
 
 
 def attack_events_to_corpus(events: list[KeyEvent]) -> Corpus:
     return Corpus(users=[UserLog(user_id=ATTACKER_ID, sentences=[events])])
+
+
+def write_attack(
+    events: list[KeyEvent], path: str | Path, condition: str, seed: int, user_id: str, cfg: RunConfig
+) -> None:
+    """Write one attack stream as TSV plus its provenance in <path>.meta.json."""
+    export_log(attack_events_to_corpus(events), path)
+    meta = {"condition": condition, "seed": seed, "config_hash": config_hash(cfg),
+            "n_sequences": cfg.attack.n_sequences, "target_user": user_id}
+    Path(f"{path}.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2), encoding="utf-8")
 
 
 def _take_sequences(seqs, n: int, what: str):
@@ -147,7 +162,7 @@ def evaluate_attack(
     for condition, (fake_a_corpus, fake_b_corpus) in sorted(fakes_by_condition.items()):
         fake_sets = []
         for tag, fake_corpus in (("a", fake_a_corpus), ("b", fake_b_corpus)):
-            seqs = verifier_mod.sequences_from_corpus(fake_corpus, source="synthetic")
+            seqs = verifier_mod.sequences_from_corpus(fake_corpus)
             if ATTACKER_ID not in seqs:
                 raise DataError(f"fake corpus {condition}/{tag} has no {ATTACKER_ID!r} sequences")
             fake_sets.append(_take_sequences(seqs[ATTACKER_ID], n, f"fake {condition}/{tag}"))
@@ -190,14 +205,7 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     t0 = time.perf_counter()
     gan_bundle = train_user_gan(corpus, cfg.target_user, cfg)
     timings["gan"] = time.perf_counter() - t0
-    gan_mod.save_bundle(gan_bundle, out_dir)
-    history_path = out_dir / "gan_history.json"
-    history_path.write_text(
-        json.dumps({"history": gan_bundle.history, "epochs_trained": gan_bundle.epochs_trained,
-                    "converged": gan_bundle.converged, "config_hash": cfg_hash},
-                   sort_keys=True, indent=2),
-        encoding="utf-8",
-    )
+    history_path = save_gan(gan_bundle, out_dir, cfg)
     status = "converged" if gan_bundle.converged else "NOT CONVERGED"
     log(f"generator: {gan_bundle.epochs_trained} epochs, {status}")
 
@@ -210,12 +218,7 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
         for tag, seed in (("a", seeds.attack), ("b", seeds.attack_b)):
             events = make_attack_events(corpus, cfg.target_user, gan_bundle, condition, seed, cfg)
             path = out_dir / f"attack_{condition}_{tag}.tsv"
-            export_log(attack_events_to_corpus(events), path)
-            meta = {"condition": condition, "seed": seed, "config_hash": cfg_hash,
-                    "n_sequences": cfg.attack.n_sequences, "target_user": cfg.target_user}
-            Path(f"{path}.meta.json").write_text(
-                json.dumps(meta, sort_keys=True, indent=2), encoding="utf-8"
-            )
+            write_attack(events, path, condition, seed, cfg.target_user, cfg)
             paths[tag] = path
             corpora.append(ingest_log(path))
             log(f"attack [{condition}/{tag}]: {len(events)} events -> {path}")

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    CharSequenceSample,
     Corpus,
     N_FEATURES,
     WORD_LEN,
@@ -73,28 +72,27 @@ class VerifierBundle:
 
 @dataclass(frozen=True)
 class SequencePair:
-    a: CharSequenceSample
-    b: CharSequenceSample
+    """Two normalized (15, 5) sequences and whether they come from one user."""
+
+    a: np.ndarray
+    b: np.ndarray
     label: str  # SAME_USER or DIFFERENT_USER
 
 
-def sequences_from_corpus(corpus: Corpus, source: str = "real") -> dict[str, list[CharSequenceSample]]:
-    """Cut every sentence into non-overlapping 15-row windows per user.
+def sequences_from_corpus(corpus: Corpus) -> dict[str, list[np.ndarray]]:
+    """Cut every sentence into non-overlapping normalized (15, 5) windows per user.
 
     Features are extracted over the whole sentence, so space keys and
     cross-word latencies are present. Trailing remainders are dropped; users
     whose sentences all fall short contribute nothing.
     """
-    out: dict[str, list[CharSequenceSample]] = {}
+    out: dict[str, list[np.ndarray]] = {}
     total = 0
     for user in corpus.users:
         seqs = []
         for sentence in user.sentences:
-            if not sentence:
-                continue
-            rows = normalize(extract_features(sentence))
-            for window in slice_windows(rows, WORD_LEN):
-                seqs.append(CharSequenceSample(matrix=window, source=source, user_id=user.user_id))
+            if sentence:
+                seqs.extend(slice_windows(normalize(extract_features(sentence)), WORD_LEN))
         if seqs:
             out[user.user_id] = seqs
             total += len(seqs)
@@ -108,23 +106,15 @@ def _embed(bundle: VerifierBundle, matrices: np.ndarray) -> np.ndarray:
     return out
 
 
-def distance(bundle: VerifierBundle, a: CharSequenceSample, b: CharSequenceSample) -> float:
-    """Euclidean distance between the two embedded sequences (symmetric)."""
-    for sample in (a, b):
-        if sample.matrix.shape != (WORD_LEN, N_FEATURES):
-            raise ValueError(f"sequence matrix has shape {sample.matrix.shape}, expected (15, 5)")
-    codes = _embed(bundle, np.stack([a.matrix, b.matrix]))
-    return float(np.linalg.norm(codes[0] - codes[1]))
-
-
 def pair_distances(bundle: VerifierBundle, pairs: list[SequencePair]) -> np.ndarray:
-    a = np.stack([p.a.matrix for p in pairs])
-    b = np.stack([p.b.matrix for p in pairs])
+    """Euclidean distance between the embedded sequences of each pair."""
+    a = np.stack([p.a for p in pairs])
+    b = np.stack([p.b for p in pairs])
     return np.linalg.norm(_embed(bundle, a) - _embed(bundle, b), axis=1)
 
 
 def make_pairs(
-    sequences_by_user: dict[str, list[CharSequenceSample]],
+    sequences_by_user: dict[str, list[np.ndarray]],
     n_pairs: int,
     rng: np.random.Generator,
 ) -> list[SequencePair]:
@@ -163,8 +153,8 @@ def train_verifier(
     state = AdamState.for_params(net, lr=config.lr, beta1=config.beta1, beta2=config.beta2)
     rng = np.random.default_rng(seed)
 
-    a_all = np.stack([p.a.matrix.reshape(-1) for p in pairs])
-    b_all = np.stack([p.b.matrix.reshape(-1) for p in pairs])
+    a_all = np.stack([p.a.reshape(-1) for p in pairs])
+    b_all = np.stack([p.b.reshape(-1) for p in pairs])
     same_all = np.array([p.label == SAME_USER for p in pairs])
 
     loss_curve = []
@@ -218,13 +208,6 @@ def calibrate_threshold(bundle: VerifierBundle, validation_pairs: list[SequenceP
     bundle.metadata["far"] = best_far
     bundle.metadata["frr"] = best_frr
     return best_tau
-
-
-def verify(bundle: VerifierBundle, a: CharSequenceSample, b: CharSequenceSample) -> str:
-    """Threshold decision: SAME_USER iff embedding distance <= tau."""
-    if bundle.tau is None:
-        raise ValueError("verifier bundle is not calibrated (tau unset)")
-    return SAME_USER if distance(bundle, a, b) <= bundle.tau else DIFFERENT_USER
 
 
 def pair_accuracy(bundle: VerifierBundle, pairs: list[SequencePair]) -> float:

@@ -2,27 +2,35 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from keyforge import attack, gan
+from keyforge import gan, pipeline
 from keyforge.attack import (
-    AttackConfig,
-    SpaceModel,
-    build_attack_sequences,
     build_attack_stream,
     fit_space_model,
     plan_words,
-    stitch,
     stitch_events,
 )
+from keyforge.config import AttackSection, ConfigError, RunConfig, config_from_dict
 from keyforge.data import (
+    COL_HL,
+    COL_IL,
+    COL_KEYCODE,
+    COL_PL,
     KeyEvent,
     SPACE_KEYCODE,
+    WordSample,
     extract_features,
     normalize,
+    pad_word_matrix,
     synth_corpus,
     words_from_corpus,
     words_from_sentence,
 )
+from keyforge.verifier import sequences_from_corpus
+
+DEFAULT_SPACES = AttackSection().default_space_model()
 
 
 @pytest.fixture(scope="module")
@@ -42,16 +50,14 @@ def bundle():
 
 
 def test_plan_ordered_is_identity(rng):
-    cfg = AttackConfig(condition="ordered")
-    assert plan_words(["w1", "w2", "w3"], cfg, rng) == ["w1", "w2", "w3"]
+    assert plan_words(["w1", "w2", "w3"], "ordered", rng) == ["w1", "w2", "w3"]
 
 
 def test_plan_random_is_seeded_permutation():
     texts = [f"w{i}" for i in range(30)]
-    cfg = AttackConfig(condition="random")
-    p1 = plan_words(texts, cfg, np.random.default_rng(1))
-    p2 = plan_words(texts, cfg, np.random.default_rng(1))
-    p3 = plan_words(texts, cfg, np.random.default_rng(2))
+    p1 = plan_words(texts, "random", np.random.default_rng(1))
+    p2 = plan_words(texts, "random", np.random.default_rng(1))
+    p3 = plan_words(texts, "random", np.random.default_rng(2))
     assert p1 == p2
     assert p1 != p3
     assert Counter(p1) == Counter(texts)
@@ -60,14 +66,16 @@ def test_plan_random_is_seeded_permutation():
 
 def test_plan_rejects_empty(rng):
     with pytest.raises(ValueError):
-        plan_words([], AttackConfig(), rng)
+        plan_words([], "ordered", rng)
 
 
-def test_attack_config_validation():
-    with pytest.raises(ValueError):
-        AttackConfig(condition="shuffled")
-    with pytest.raises(ValueError):
-        AttackConfig(n_sequences=0)
+def test_attack_config_validation(rng):
+    with pytest.raises(ValueError, match="shuffled"):
+        plan_words(["w1"], "shuffled", rng)
+    for section in ("attack", "eval"):
+        for bad in (0, -1, "3", 2.0, True):
+            with pytest.raises(ConfigError, match=f"{section}.n_sequences"):
+                config_from_dict({section: {"n_sequences": bad}})
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +85,41 @@ def test_attack_config_validation():
 
 def test_stitch_single_word_is_noop(user_words, rng):
     word = user_words[0]
-    rows = stitch([word], SpaceModel(), rng)
+    rows = normalize(extract_features(stitch_events([word], DEFAULT_SPACES, rng)))
     assert rows.shape == (word.valid_len, 5)
     assert np.allclose(rows, word.matrix[: word.valid_len], atol=1e-6)
 
 
+in_range_cells = arrays(np.float64, (15, 5), elements=st.floats(min_value=0.0, max_value=1.0))
+
+
+@given(in_range_cells, st.integers(min_value=1, max_value=15))
+def test_stitch_events_inverts_normalize(cells, n):
+    """A word's hold and keycode cells survive stitching and re-featurization."""
+    cells[:, COL_KEYCODE] = np.round(cells[:, COL_KEYCODE] * 255.0) / 255.0
+    word = WordSample(text="".join(chr(int(round(k * 255))) for k in cells[:n, COL_KEYCODE]),
+                      matrix=pad_word_matrix(cells[:n]))
+    events = stitch_events([word], DEFAULT_SPACES, np.random.default_rng(0))
+    rows = normalize(extract_features(events))
+    assert len(events) == n
+    assert np.allclose(rows[:, COL_HL], cells[:n, COL_HL], atol=1e-9)
+    assert np.array_equal(rows[:, COL_KEYCODE], cells[:n, COL_KEYCODE])
+    # presses advance by the press-to-press cell, floored at 1 ms
+    floored = np.maximum(cells[: n - 1, COL_PL], 1.0 / 5000.0)
+    assert np.allclose(rows[:-1, COL_PL], floored, atol=1e-9)
+
+
+def test_stitch_events_rounds_then_clamps_keycodes(rng):
+    cells = np.zeros((15, 5))
+    cells[:4, COL_KEYCODE] = [-0.1, 72.5 / 255.0, 73.5 / 255.0, 1.2]
+    word = WordSample(text="abcd", matrix=cells)
+    events = stitch_events([word], DEFAULT_SPACES, rng)
+    assert [ev.keycode for ev in events] == [0, 72, 74, 255]  # halves round to even
+
+
 def test_stitch_inserts_one_space_per_boundary(user_words, rng):
     k = 4
-    events = stitch_events(user_words[:k], SpaceModel(), rng)
+    events = stitch_events(user_words[:k], DEFAULT_SPACES, rng)
     spaces = [ev for ev in events if ev.keycode == SPACE_KEYCODE]
     assert len(spaces) == k - 1
     assert len(events) == sum(w.valid_len for w in user_words[:k]) + k - 1
@@ -93,23 +128,23 @@ def test_stitch_inserts_one_space_per_boundary(user_words, rng):
 def test_stitch_presses_strictly_increase(bundle, rng):
     # untrained generator output is the degenerate case the 1ms floor guards
     words = [gan.generate_word(bundle, t, rng) for t in ["aa", "longerword", "mid"]]
-    events = stitch_events(words, SpaceModel(), rng)
+    events = stitch_events(words, DEFAULT_SPACES, rng)
     presses = [ev.press_time for ev in events]
     assert all(b > a for a, b in zip(presses, presses[1:]))
 
 
 def test_stitched_rows_satisfy_latency_identity(bundle, user_words, rng):
     words = user_words[:3] + [gan.generate_word(bundle, "xyzzy", rng)]
-    events = stitch_events(words, SpaceModel(), rng)
+    events = stitch_events(words, DEFAULT_SPACES, rng)
     rows = extract_features(events)
     for row in rows[:-1]:
-        assert abs(row.pl - (row.hl + row.il)) < 1e-9
+        assert abs(row[COL_PL] - (row[COL_HL] + row[COL_IL])) < 1e-9
 
 
 def test_stitch_round_trip_preserves_word_cells(user_words, rng):
     """Word runs inside the stitched stream carry the original within-word cells."""
     words = user_words[:5]
-    events = stitch_events(words, SpaceModel(), rng)
+    events = stitch_events(words, DEFAULT_SPACES, rng)
     recovered = words_from_sentence(events)
     assert len(recovered) == len(words)
     for orig, rec in zip(words, recovered):
@@ -119,7 +154,7 @@ def test_stitch_round_trip_preserves_word_cells(user_words, rng):
 
 def test_stitch_rejects_empty(rng):
     with pytest.raises(ValueError):
-        stitch_events([], SpaceModel(), rng)
+        stitch_events([], DEFAULT_SPACES, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +164,7 @@ def test_stitch_rejects_empty(rng):
 
 def test_fit_space_model_defaults_when_no_spaces():
     events = [KeyEvent(97, i * 100.0, i * 100.0 + 50.0) for i in range(5)]
-    assert fit_space_model([events]) == SpaceModel()
+    assert fit_space_model([events], DEFAULT_SPACES) is DEFAULT_SPACES
 
 
 def test_fit_space_model_matches_hand_stats():
@@ -139,7 +174,7 @@ def test_fit_space_model_matches_hand_stats():
         KeyEvent(SPACE_KEYCODE, 120.0, 180.0),
         KeyEvent(98, 230.0, 300.0),
     ]
-    model = fit_space_model([sentence])
+    model = fit_space_model([sentence], DEFAULT_SPACES)
     assert np.isclose(model.hold_mean, 0.060)
     assert np.isclose(model.gap_mean, 0.045)
     assert np.isclose(model.gap_std, 0.005)
@@ -147,7 +182,7 @@ def test_fit_space_model_matches_hand_stats():
 
 def test_fit_space_model_on_synthetic_corpus_is_plausible():
     corpus = synth_corpus(2, 5, 3)
-    model = fit_space_model(corpus.users[0].sentences)
+    model = fit_space_model(corpus.users[0].sentences, DEFAULT_SPACES)
     assert 0.01 < model.hold_mean < 0.3
     assert 0.01 < model.gap_mean < 0.4
 
@@ -157,36 +192,34 @@ def test_fit_space_model_on_synthetic_corpus_is_plausible():
 # ---------------------------------------------------------------------------
 
 
-def test_build_attack_sequences_counts_and_shape(bundle, user_words):
-    texts = [w.text for w in user_words]
-    cfg = AttackConfig(condition="ordered", n_sequences=5)
-    seqs = build_attack_sequences(bundle, texts, cfg, np.random.default_rng(2))
-    assert len(seqs) == 5
+def attack_sequences(bundle, condition, n_sequences, seed):
+    """The production path: plan, generate and stitch, then window like real typing."""
+    corpus = synth_corpus(3, 5, 23)
+    cfg = RunConfig()
+    cfg.attack.n_sequences = n_sequences
+    events = pipeline.make_attack_events(corpus, "u0", bundle, condition, seed, cfg)
+    return sequences_from_corpus(pipeline.attack_events_to_corpus(events))["attacker"]
+
+
+def test_attack_sequences_counts_and_shape(bundle):
+    seqs = attack_sequences(bundle, "ordered", 5, 2)
+    assert len(seqs) >= 5
     for s in seqs:
-        assert s.matrix.shape == (15, 5)
-        assert s.source == "synthetic"
-        assert s.user_id == "attacker"
+        assert s.shape == (15, 5)
 
 
-def test_build_attack_sequences_deterministic(bundle, user_words):
-    texts = [w.text for w in user_words]
-    cfg = AttackConfig(condition="random", n_sequences=3)
-    s1 = build_attack_sequences(bundle, texts, cfg, np.random.default_rng(5))
-    s2 = build_attack_sequences(bundle, texts, cfg, np.random.default_rng(5))
+def test_attack_sequences_deterministic(bundle):
+    s1 = attack_sequences(bundle, "random", 3, 5)
+    s2 = attack_sequences(bundle, "random", 3, 5)
+    assert len(s1) == len(s2)
     for a, b in zip(s1, s2):
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
 
 
 def test_build_attack_stream_regenerates_short_plans(bundle):
-    cfg = AttackConfig(condition="ordered", n_sequences=3)
-    events = build_attack_stream(bundle, ["ab", "cd"], cfg, np.random.default_rng(1))
+    cfg = AttackSection(n_sequences=3)
+    events = build_attack_stream(bundle, ["ab", "cd"], cfg, DEFAULT_SPACES, np.random.default_rng(1))
     assert len(events) >= 3 * 15
-
-
-def test_build_attack_stream_error_when_regeneration_disabled(bundle):
-    cfg = AttackConfig(condition="ordered", n_sequences=3, allow_regenerate=False)
-    with pytest.raises(ValueError):
-        build_attack_stream(bundle, ["ab", "cd"], cfg, np.random.default_rng(1))
 
 
 def test_conditions_share_per_word_cells(bundle, user_words):
@@ -195,9 +228,8 @@ def test_conditions_share_per_word_cells(bundle, user_words):
     permuted = list(reversed(texts))
 
     def word_cells(plan):
-        cfg = AttackConfig(condition="ordered", n_sequences=1)
         rng = np.random.default_rng(77)
-        events = build_attack_stream(bundle, plan, cfg, rng)
+        events = build_attack_stream(bundle, plan, AttackSection(n_sequences=1), DEFAULT_SPACES, rng)
         words = words_from_sentence(events)
         return {
             (w.text, tuple(np.round(w.matrix[: w.valid_len, :4], 9).ravel()))

@@ -84,6 +84,16 @@ def test_ingest_malformed_file_is_data_error(tmp_path, capsys):
     assert main(["ingest", "--log", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("press, release", [("nan", "10"), ("0", "inf"), ("-inf", "10")])
+def test_ingest_non_finite_time_is_data_error(tmp_path, capsys, press, release):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("PARTICIPANT_ID\tSENTENCE_ID\tKEYCODE\tPRESS_TIME\tRELEASE_TIME\n"
+                   f"u1\ts1\t72\t0\t5\nu1\ts1\t73\t{press}\t{release}\n")
+    assert main(["ingest", "--log", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.tsv:3:" in err and "non-finite" in err
+
+
 def test_train_verifier_summary_format(tmp_path, tiny_config, corpus_file, capsys):
     ckpt = tmp_path / "verifier.json"
     code = main(["train-verifier", "--corpus", str(corpus_file), "--out", str(ckpt),
@@ -168,6 +178,27 @@ def test_attack_invalid_condition_is_usage_error(tmp_path, corpus_file, trained_
     assert "sideways" in capsys.readouterr().err
 
 
+def test_attack_zero_sequences_is_config_error(tmp_path, tiny_config, corpus_file, trained_artifacts,
+                                              capsys):
+    gan_dir, _ = trained_artifacts
+    code = main(["attack", "--gan-dir", str(gan_dir), "--corpus", str(corpus_file),
+                 "--user", "u0", "--condition", "ordered", "--out", str(tmp_path / "f.tsv"),
+                 "--config", str(tiny_config), "--n-sequences", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --n-sequences") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("section", ["attack", "eval"])
+def test_zero_sequences_in_config_is_config_error(tmp_path, section, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({section: {"n_sequences": 0}}))
+    code = main(["run-all", "--out-dir", str(tmp_path / "run"), "--config", str(cfg_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.{section}.n_sequences") and "Traceback" not in err
+
+
 def test_attack_missing_checkpoint_is_data_error(tmp_path, corpus_file, capsys):
     code = main(["attack", "--gan-dir", str(tmp_path / "nothing"), "--corpus", str(corpus_file),
                  "--user", "u0", "--condition", "ordered", "--out", str(tmp_path / "f.tsv")])
@@ -234,6 +265,7 @@ def test_run_all_is_deterministic(tmp_path, tiny_config, capsys):
         assert (out1 / name).exists()
     out = capsys.readouterr().out
     assert "condition" in out
+    assert re.search(r"^phase timings \(s\): corpus=\d+\.\d, .*total=\d+\.\d$", out, re.MULTILINE)
 
 
 # sha256 of every run-all artifact at TINY_CONFIG. The generator's float bits

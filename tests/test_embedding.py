@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from keyforge.embedding import EMBED_DIM, char_vector, embed_word
+from keyforge.embedding import EMBED_DIM, embed_word
 
 words = st.text(
     alphabet=st.characters(min_codepoint=ord("a"), max_codepoint=ord("z")),
@@ -50,14 +50,6 @@ def test_rejects_empty_and_long_text():
 def test_rejects_non_byte_characters():
     with pytest.raises(ValueError):
         embed_word("hሴllo")
-
-
-def test_char_vector_bounds():
-    with pytest.raises(ValueError):
-        char_vector(-1)
-    with pytest.raises(ValueError):
-        char_vector(256)
-    assert abs(np.linalg.norm(char_vector(97)) - 1.0) < 1e-12
 
 
 def test_injective_on_random_vocabulary():

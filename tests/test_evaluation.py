@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from keyforge.data import CharSequenceSample
 from keyforge.evaluation import (
     ConfusionMatrix,
     EVAL_SET_SIZE,
-    LabeledPair,
     build_test_pairs,
     metrics,
     render_table,
@@ -107,25 +105,25 @@ def test_table_one_resolution_is_representable():
 # ---------------------------------------------------------------------------
 
 
-def seq(value, user="u", source="real"):
+def seq(value):
     m = np.zeros((15, 5))
     m[:, 0] = value
-    return CharSequenceSample(matrix=m, source=source, user_id=user)
+    return m
 
 
-def seq_set(value, n=EVAL_SET_SIZE, user="u", source="real"):
-    return [seq(value + 1e-6 * i, user=user, source=source) for i in range(n)]
+def seq_set(value, n=EVAL_SET_SIZE):
+    return [seq(value + 1e-6 * i) for i in range(n)]
 
 
 def test_build_test_pairs_cross_product():
-    real = seq_set(0.0, user="alice")
-    fake = seq_set(0.01, user="attacker", source="synthetic")
-    fake_b = seq_set(0.02, user="attacker", source="synthetic")
-    others = seq_set(0.5, user="bob")
+    real = seq_set(0.0)
+    fake = seq_set(0.01)
+    fake_b = seq_set(0.02)
+    others = seq_set(0.5)
     for test_id, expected in ((1, SAME_USER), (2, SAME_USER), (3, DIFFERENT_USER)):
         pairs = build_test_pairs(test_id, real, fake, fake_b, others)
         assert len(pairs) == 400
-        assert all(p.expected == expected for p in pairs)
+        assert all(p.label == expected for p in pairs)
         assert len({(id(p.a), id(p.b)) for p in pairs}) == 400
 
 
@@ -143,13 +141,14 @@ def test_build_test_pairs_validates_sizes():
 
 def test_sample_other_sequences_excludes_target(rng):
     by_user = {
-        "alice": seq_set(0.0, n=5, user="alice"),
-        "bob": seq_set(0.1, n=5, user="bob"),
-        "carol": seq_set(0.2, n=5, user="carol"),
+        "alice": seq_set(0.0, n=5),
+        "bob": seq_set(0.1, n=5),
+        "carol": seq_set(0.2, n=5),
     }
+    owner = {id(s): user for user, seqs in by_user.items() for s in seqs}
     drawn = sample_other_sequences(by_user, "alice", 40, rng)
     assert len(drawn) == 40
-    users = {s.user_id for s in drawn}
+    users = {owner[id(s)] for s in drawn}
     assert "alice" not in users
     assert users == {"bob", "carol"}
 
@@ -173,10 +172,10 @@ def identity_bundle(tau):
 
 def oracle_pairs():
     """Sets whose cell distances make every expected decision correct at tau=1."""
-    real = seq_set(0.00, user="alice")
-    fake = seq_set(0.01, user="attacker", source="synthetic")
-    fake_b = seq_set(0.02, user="attacker", source="synthetic")
-    others = seq_set(5.0, user="bob")
+    real = seq_set(0.00)
+    fake = seq_set(0.01)
+    fake_b = seq_set(0.02)
+    others = seq_set(5.0)
     return {
         test_id: build_test_pairs(test_id, real, fake, fake_b, others)
         for test_id in (1, 2, 3)
@@ -197,19 +196,11 @@ def test_run_tests_coin_flip_verifier_is_near_chance():
     # |U - U'| for independent uniforms is 1 - sqrt(1/2), making decisions 50/50
     bundle = identity_bundle(tau=float(np.sqrt(13) * (1.0 - math.sqrt(0.5))))
 
-    def noisy_set(user, source="real"):
-        out = []
-        for _ in range(EVAL_SET_SIZE):
-            m = np.zeros((15, 5))
-            m[:, 0] = rng.uniform(0.0, 1.0)
-            out.append(CharSequenceSample(matrix=m, source=source, user_id=user))
-        return out
+    def noisy_set():
+        return [seq(rng.uniform(0.0, 1.0)) for _ in range(EVAL_SET_SIZE)]
 
     pairs = {
-        test_id: build_test_pairs(
-            test_id, noisy_set("alice"), noisy_set("attacker", "synthetic"),
-            noisy_set("attacker", "synthetic"), noisy_set("bob"),
-        )
+        test_id: build_test_pairs(test_id, noisy_set(), noisy_set(), noisy_set(), noisy_set())
         for test_id in (1, 2, 3)
     }
     report = run_tests(bundle, {"ordered": pairs})
@@ -225,9 +216,9 @@ def test_run_tests_accuracy_matches_hand_counter():
     for test_id, test_pairs in pairs.items():
         hand = 0
         for p in test_pairs:
-            d = np.linalg.norm((p.a.matrix - p.b.matrix).reshape(-1)[:64])
+            d = np.linalg.norm((p.a - p.b).reshape(-1)[:64])
             decision = SAME_USER if d <= 1.0 else DIFFERENT_USER
-            hand += decision == p.expected
+            hand += decision == p.label
         assert report.results["ordered"][test_id].matches == hand
 
 

@@ -26,7 +26,7 @@ def constant_words(cell_value, texts, rng=None):
         n = len(text)
         matrix[:n, :4] = cell_value
         matrix[:n, COL_KEYCODE] = [ord(c) / 255.0 for c in text]
-        words.append(WordSample(text=text, matrix=matrix, valid_len=n))
+        words.append(WordSample(text=text, matrix=matrix))
     return words
 
 
@@ -66,20 +66,21 @@ def test_generate_word_rejects_bad_text(bundle, rng):
 
 def test_discriminate_in_unit_interval_and_deterministic(bundle, rng):
     word = gan.generate_word(bundle, "hello", rng)
-    cond = embed_word("hello")
-    p1 = gan.discriminate(bundle, word, cond)
-    p2 = gan.discriminate(bundle, word, cond)
-    assert 0.0 < p1 < 1.0
-    assert p1 == p2
+    flat = word.matrix.reshape(1, -1)
+    cond = embed_word("hello")[None, :]
+    p1 = gan._scores(bundle, flat, cond)
+    p2 = gan._scores(bundle, flat, cond)
+    assert p1.shape == (1,)
+    assert 0.0 < p1[0] < 1.0
+    assert np.array_equal(p1, p2)
 
 
 def test_discriminate_rejects_bad_shapes(bundle, rng):
     word = gan.generate_word(bundle, "hello", rng)
     with pytest.raises(ValueError):
-        gan.discriminate(bundle, word, np.ones(5))
-    bad = WordSample(text="x", matrix=np.zeros((3, 5)), valid_len=1)
+        gan._scores(bundle, word.matrix.reshape(1, -1), np.ones((1, 5)))
     with pytest.raises(ValueError):
-        gan.discriminate(bundle, bad, embed_word("x"))
+        gan._scores(bundle, np.zeros((1, 15)), embed_word("x")[None, :])
 
 
 def test_bundle_validates_dimensions():

@@ -343,6 +343,13 @@ def test_checkpoint_shape_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointShapeError):
         load_params(path)
+    # each layer matches its own spec, but 3 -> 2 does not feed a 4-wide layer
+    first, second = init_network([LayerSpec(3, 2, "relu")], 1), init_network([LayerSpec(4, 4, "relu")], 2)
+    unchained = NetworkParams(specs=first.specs + second.specs, weights=first.weights + second.weights,
+                              biases=first.biases + second.biases)
+    save_params(unchained, path, "verifier", embed_seed=1)
+    with pytest.raises(CheckpointShapeError, match="2 feeds 4"):
+        load_params(path)
 
 
 def test_checkpoint_missing_keys_is_corrupt(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from keyforge import verifier
 from keyforge.data import (
     COL_KEYCODE,
-    CharSequenceSample,
     Corpus,
     KeyEvent,
     SPACE_KEYCODE,
@@ -18,21 +17,21 @@ from keyforge.verifier import (
     VerifierBundle,
     VerifierConfig,
     calibrate_threshold,
-    distance,
     make_pairs,
     pair_accuracy,
+    pair_distances,
     sequences_from_corpus,
     train_verifier,
-    verify,
 )
 
 
-def sample(matrix, user="u", source="real"):
-    return CharSequenceSample(matrix=np.asarray(matrix, dtype=float), source=source, user_id=user)
+def fixed_sequence(value):
+    return np.full((15, 5), value, dtype=float)
 
 
-def fixed_sequence(value, user="u"):
-    return sample(np.full((15, 5), value), user=user)
+def distances(bundle, *pairs):
+    """pair_distances over (a, b) tuples; the label plays no part in a distance."""
+    return pair_distances(bundle, [SequencePair(a, b, SAME_USER) for a, b in pairs])
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +61,7 @@ def test_sentence_windows_drop_remainder():
                            UserLog(user_id="b", sentences=[events])])
     seqs = sequences_from_corpus(corpus)
     assert len(seqs["a"]) == 2
-    assert all(s.matrix.shape == (15, 5) for s in seqs["a"])
+    assert all(s.shape == (15, 5) for s in seqs["a"])
 
 
 def test_short_user_contributes_nothing():
@@ -86,7 +85,7 @@ def test_sequences_include_space_keys(small_corpus):
     seqs = sequences_from_corpus(small_corpus)
     space_cell = SPACE_KEYCODE / 255.0
     found = any(
-        np.any(np.isclose(s.matrix[:, COL_KEYCODE], space_cell))
+        np.any(np.isclose(s[:, COL_KEYCODE], space_cell))
         for user_seqs in seqs.values()
         for s in user_seqs
     )
@@ -101,8 +100,9 @@ def test_sequences_include_space_keys(small_corpus):
 def test_distance_reflexive_and_symmetric(trained):
     bundle, pairs = trained
     a, b = pairs[0].a, pairs[0].b
-    assert distance(bundle, a, a) == 0.0
-    assert np.isclose(distance(bundle, a, b), distance(bundle, b, a))
+    d_aa, d_ab, d_ba = distances(bundle, (a, a), (a, b), (b, a))
+    assert d_aa == 0.0
+    assert np.isclose(d_ab, d_ba)
 
 
 def test_distance_triangle_inequality(trained):
@@ -111,14 +111,8 @@ def test_distance_triangle_inequality(trained):
     samples = [p.a for p in pairs[:30]]
     for _ in range(50):
         x, y, z = (samples[i] for i in rng.choice(len(samples), 3, replace=False))
-        assert distance(bundle, x, z) <= distance(bundle, x, y) + distance(bundle, y, z) + 1e-9
-
-
-def test_distance_rejects_bad_shape(trained):
-    bundle, pairs = trained
-    bad = sample(np.zeros((14, 5)))
-    with pytest.raises(ValueError):
-        distance(bundle, bad, pairs[0].a)
+        d_xz, d_xy, d_yz = distances(bundle, (x, z), (x, y), (y, z))
+        assert d_xz <= d_xy + d_yz + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +155,12 @@ def test_make_pairs_is_balanced(sequence_sets, rng):
     pairs = make_pairs(sequence_sets, 100, rng)
     same = sum(p.label == SAME_USER for p in pairs)
     assert same == 50
+    owner = {id(s): user for user, seqs in sequence_sets.items() for s in seqs}
     for p in pairs:
         if p.label == SAME_USER:
-            assert p.a.user_id == p.b.user_id
+            assert owner[id(p.a)] == owner[id(p.b)]
         else:
-            assert p.a.user_id != p.b.user_id
+            assert owner[id(p.a)] != owner[id(p.b)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +188,7 @@ def test_calibrate_perfect_separation_hits_zero_error():
     assert bundle.metadata["far"] == 0.0
     assert bundle.metadata["frr"] == 0.0
     assert bundle.metadata["eer"] == 0.0
-    d_gen = distance(bundle, genuine[0].a, genuine[0].b)
-    d_imp = distance(bundle, impostor[0].a, impostor[0].b)
+    d_gen, d_imp = pair_distances(bundle, [genuine[0], impostor[0]])
     assert d_gen <= tau < d_imp
 
 
@@ -220,22 +214,21 @@ def test_calibrate_is_reproducible(trained):
 def test_verify_reflexive_symmetric_monotone(trained):
     bundle, pairs = trained
     a, b = pairs[0].a, pairs[0].b
-    assert verify(bundle, a, a) == SAME_USER
-    assert verify(bundle, a, b) == verify(bundle, b, a)
-    # monotone: any pair closer than an accepted pair is also accepted
-    if verify(bundle, a, b) == SAME_USER:
-        assert distance(bundle, a, b) <= bundle.tau
-    for p in pairs[:50]:
-        decision = verify(bundle, p.a, p.b)
-        assert decision == (SAME_USER if distance(bundle, p.a, p.b) <= bundle.tau else DIFFERENT_USER)
+    # a sequence paired with itself is accepted whatever its label says
+    assert pair_accuracy(bundle, [SequencePair(a, a, SAME_USER)]) == 1.0
+    assert pair_accuracy(bundle, [SequencePair(a, a, DIFFERENT_USER)]) == 0.0
+    assert pair_accuracy(bundle, [SequencePair(a, b, SAME_USER)]) == pair_accuracy(
+        bundle, [SequencePair(b, a, SAME_USER)])
+    # the decision is distance <= tau: accepted pairs are exactly those within tau
+    d = pair_distances(bundle, pairs[:50])
+    genuine = np.array([p.label == SAME_USER for p in pairs[:50]])
+    assert pair_accuracy(bundle, pairs[:50]) == np.mean((d <= bundle.tau) == genuine)
 
 
 def test_verify_requires_calibration(sequence_sets):
     rng = np.random.default_rng(5)
     pairs = make_pairs(sequence_sets, 60, rng)
     bundle = train_verifier(pairs, VerifierConfig(epochs=1), 0)
-    with pytest.raises(ValueError):
-        verify(bundle, pairs[0].a, pairs[0].b)
     with pytest.raises(ValueError):
         pair_accuracy(bundle, pairs)
 
@@ -255,5 +248,5 @@ def test_verifier_checkpoint_round_trip(tmp_path, trained):
     assert loaded.metadata["eer"] == bundle.metadata["eer"]
     for a, b in zip(loaded.network.weights, bundle.network.weights):
         assert np.array_equal(a, b)
-    p = pairs[0]
-    assert verify(loaded, p.a, p.b) == verify(bundle, p.a, p.b)
+    assert np.array_equal(pair_distances(loaded, pairs[:20]), pair_distances(bundle, pairs[:20]))
+    assert pair_accuracy(loaded, pairs) == pair_accuracy(bundle, pairs)
