@@ -158,6 +158,7 @@ def build_attack_stream(
         raise ValueError("empty word plan")
     needed_rows = config.n_sequences * WORD_LEN
     words: list[WordSample] = []
+    # stitched rows: every word's keys plus one space between consecutive words
     while sum(w.valid_len for w in words) + len(words) - 1 < needed_rows:
         words.extend(_generate_plan_samples(bundle, word_plan, rng))
     return stitch_events(words, space_model, rng)
