@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from keyforge.attack import stitch_events
+from keyforge.config import AttackSection
 from keyforge.data import (
     COL_HL,
     COL_IL,
@@ -13,11 +15,14 @@ from keyforge.data import (
     KeyEvent,
     ParseError,
     SPACE_KEYCODE,
+    T_MAX_SECONDS,
     ValidationError,
+    WordSample,
     export_log,
     extract_features,
     ingest_log,
     normalize,
+    pad_word_matrix,
     slice_windows,
     synth_corpus,
     words_from_sentence,
@@ -212,6 +217,56 @@ def test_normalize_scales_and_clamps():
     assert math.isclose(m[0, COL_KEYCODE], 1.0)
     assert math.isclose(m[1, COL_HL], 1.0)
     assert math.isclose(m[1, COL_IL], -1.0)
+
+
+# stitch_events is the inverse of normalize: it turns a word's unit-range
+# cells back into absolute-time events.
+DEFAULT_SPACES = AttackSection().default_space_model()
+
+
+def denormalize(cells: np.ndarray) -> list[KeyEvent]:
+    word = WordSample(text="x" * cells.shape[0], matrix=pad_word_matrix(cells))
+    return stitch_events([word], DEFAULT_SPACES, np.random.default_rng(0))
+
+
+def test_denormalize_inverse_scale():
+    (ev,) = denormalize(np.array([[0.1, -0.02, 0.12, 0.11, 72 / 255]]))
+    assert math.isclose((ev.release_time - ev.press_time) / 1000.0, 0.1 * T_MAX_SECONDS)
+    assert ev.keycode == 72
+
+
+def test_denormalize_zero_row():
+    (ev,) = denormalize(np.zeros((1, 5)))
+    (row,) = extract_features([ev])
+    assert row[COL_HL] == row[COL_IL] == row[COL_PL] == row[COL_RL] == 0.0
+    assert ev.keycode == 0
+
+
+@st.composite
+def unclamped_words(draw):
+    """Press-monotone words whose latencies all sit inside normalize's clamp range.
+
+    Holds stay under 2s and press steps between 2s and 3s, so every IL, PL and
+    RL cell lies in [0, T_max] and no step falls under the 1ms stitch floor.
+    """
+    n = draw(st.integers(min_value=1, max_value=15))
+    holds = draw(st.lists(st.floats(min_value=0.0, max_value=2000.0), min_size=n, max_size=n))
+    steps = draw(st.lists(st.floats(min_value=2000.0, max_value=3000.0), min_size=n, max_size=n))
+    keycodes = draw(st.lists(st.integers(min_value=0, max_value=255), min_size=n, max_size=n))
+    events, press = [], 0.0
+    for keycode, hold, step in zip(keycodes, holds, steps):
+        events.append(KeyEvent(keycode, press, press + hold))
+        press += step
+    return events
+
+
+@given(unclamped_words())
+def test_normalize_denormalize_round_trip(events):
+    features = extract_features(events)
+    back = extract_features(denormalize(normalize(features)))
+    assert back.shape == features.shape
+    assert np.allclose(back[:, :COL_KEYCODE], features[:, :COL_KEYCODE], rtol=0, atol=1e-6)
+    assert np.array_equal(back[:, COL_KEYCODE], features[:, COL_KEYCODE])
 
 
 # ---------------------------------------------------------------------------
