@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -265,3 +270,37 @@ def test_bundle_load_rejects_foreign_embed_seed(tmp_path):
     (tmp_path / "generator.json").write_text(json.dumps(doc))
     with pytest.raises(CheckpointVersionError):
         gan.load_bundle(tmp_path)
+
+
+# sha256 over the generator's weights then biases, then the discriminator's, after
+# 3 epochs at default shapes (600->512->512->75, 175->256->128->1) on the
+# default corpus's u0 words. The float bits depend on the BLAS thread count,
+# so the run pins one thread in a fresh interpreter.
+DEFAULT_SHAPE_GAN_SHA256 = "ec4124f61d1ebd08ec712e4a44913e805db77f59d2292f7d68fac2121bac5e39"
+
+_DEFAULT_SHAPE_SCRIPT = """
+import hashlib
+import numpy as np
+from keyforge import gan
+from keyforge.config import RunConfig
+from keyforge.data import words_from_corpus
+from keyforge.pipeline import build_corpus
+
+words = words_from_corpus(build_corpus(RunConfig()).get("u0"))
+g = gan.GanTrainConfig(max_epochs=3, check_interval=2)
+bundle = gan.train(gan.new_bundle(9, g), words, g, np.random.default_rng(9))
+h = hashlib.sha256()
+for net in (bundle.generator, bundle.discriminator):
+    for array in net.weights + net.biases:
+        h.update(array.tobytes())
+print(len(words), len(bundle.history), h.hexdigest())
+"""
+
+
+def test_default_shape_gan_weights_are_pinned():
+    src = str(Path(gan.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _DEFAULT_SHAPE_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["54", "1", DEFAULT_SHAPE_GAN_SHA256]
