@@ -9,6 +9,8 @@ anagram symmetry while keeping near-identical spellings nearby.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 EMBED_DIM = 100
@@ -28,8 +30,13 @@ def _build_char_table() -> np.ndarray:
 _CHAR_VECTORS = _build_char_table()
 
 
+@lru_cache(maxsize=None)
 def embed_word(text: str) -> np.ndarray:
-    """Map 1-15 characters of text to a unit-norm 100-d conditioning vector."""
+    """Map 1-15 characters of text to a unit-norm 100-d conditioning vector.
+
+    Computed once per distinct text; every later call returns the same
+    read-only array.
+    """
     if not 1 <= len(text) <= MAX_WORD_LEN:
         raise ValueError(f"text length {len(text)} outside 1..{MAX_WORD_LEN}")
     codes = [ord(ch) for ch in text]
@@ -41,4 +48,6 @@ def embed_word(text: str) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:  # cannot occur for random character vectors; guards table edits
         raise ValueError(f"degenerate embedding for {text!r}")
-    return vec / norm
+    out = vec / norm
+    out.flags.writeable = False
+    return out

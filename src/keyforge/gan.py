@@ -15,6 +15,7 @@ timing cells are ever learned or judged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -92,22 +93,32 @@ def new_bundle(seed: int, config: GanTrainConfig | None = None) -> GanBundle:
     )
 
 
+@lru_cache(maxsize=None)
+def _text_layout(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(valid-row flags, keycode column, gradient mask) of one text, built once per text."""
+    n = len(text)
+    rows = np.zeros((WORD_LEN, 1), dtype=bool)
+    rows[:n] = True
+    keycodes = np.zeros(WORD_LEN)
+    keycodes[:n] = [ord(ch) / 255.0 for ch in text]
+    mask = np.zeros((WORD_LEN, N_FEATURES))
+    mask[:n, :] = 1.0
+    mask[:, COL_KEYCODE] = 0.0
+    for array in (rows, keycodes, mask):
+        array.flags.writeable = False
+    return rows, keycodes, mask.reshape(GEN_OUT_DIM)
+
+
 def _postprocess(raw: np.ndarray, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Zero padding rows and overwrite keycodes; also return the gradient mask.
 
     The mask is 1 exactly on the surviving generator cells (timing columns of
     valid rows), so backpropagation ignores overwritten and zeroed outputs.
     """
-    mats = raw.reshape(-1, WORD_LEN, N_FEATURES).copy()
-    mask = np.zeros_like(mats)
-    for i, text in enumerate(texts):
-        n = len(text)
-        mats[i, n:, :] = 0.0
-        mats[i, :n, COL_KEYCODE] = [ord(ch) / 255.0 for ch in text]
-        mask[i, :n, :] = 1.0
-        mask[i, :, COL_KEYCODE] = 0.0
-    flat = mats.reshape(-1, GEN_OUT_DIM)
-    return flat, mask.reshape(-1, GEN_OUT_DIM)
+    rows, keycodes, masks = zip(*(_text_layout(t) for t in texts))
+    mats = np.where(np.stack(rows), raw.reshape(-1, WORD_LEN, N_FEATURES), 0.0)
+    mats[:, :, COL_KEYCODE] = keycodes
+    return mats.reshape(-1, GEN_OUT_DIM), np.stack(masks)
 
 
 def _generate_flat(
@@ -178,7 +189,8 @@ def train_epoch(
         probs, tape = nn.forward(bundle.discriminator, x)
         losses, dldp = nn.bce_loss(probs, targets)
         d_loss = float(losses.mean())
-        grads, _ = nn.backward(bundle.discriminator, tape, dldp / (2 * n))
+        grads, _ = nn.backward(bundle.discriminator, tape, dldp / (2 * n),
+                               grad_out=d_state.grads, input_grad=False)
         nn.adam_step(bundle.discriminator, grads, d_state)
 
         real_hits += int(np.count_nonzero(probs[:n, 0] > 0.5))
@@ -190,8 +202,10 @@ def train_epoch(
         probs, tape = nn.forward(bundle.discriminator, np.hstack([gen_flat, gen_conds]))
         losses, dldp = nn.bce_loss(probs, np.ones((n, 1)))
         g_loss = float(losses.mean())
-        _, dx = nn.backward(bundle.discriminator, tape, dldp / n)
-        g_grads, _ = nn.backward(bundle.generator, g_tape, dx[:, :GEN_OUT_DIM] * g_mask)
+        # only dx is used; the discriminator's gradient buffers are free after its step
+        _, dx = nn.backward(bundle.discriminator, tape, dldp / n, grad_out=d_state.grads)
+        g_grads, _ = nn.backward(bundle.generator, g_tape, dx[:, :GEN_OUT_DIM] * g_mask,
+                                 grad_out=g_state.grads, input_grad=False)
         nn.adam_step(bundle.generator, g_grads, g_state)
 
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):

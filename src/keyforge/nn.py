@@ -4,6 +4,11 @@ Plain numpy forward/backward over a fixed affine+activation stack. The
 backward pass is exact reverse-mode differentiation of the forward map and is
 pinned by a finite-difference gradient check in the test suite. Training is
 single-owner single-threaded; frozen parameters are safe to share.
+
+Gradient buffers belong to the training state: `AdamState.grads` holds one
+weight and one bias gradient array per layer, and a `backward` pass given them
+as `grad_out` overwrites them. A caller that keeps gradients across two passes
+must copy them or pass separate buffers.
 """
 
 from __future__ import annotations
@@ -119,7 +124,8 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "leaky_relu":
-        return np.where(z > 0, z, LEAKY_SLOPE * z)
+        # equals np.where(z > 0, z, LEAKY_SLOPE * z) for 0 <= slope <= 1, at a tenth of the cost
+        return np.maximum(z, LEAKY_SLOPE * z)
     if name == "sigmoid":
         return _sigmoid(z)
     if name == "tanh":
@@ -131,7 +137,8 @@ def _activation_grad(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
     if name == "relu":
         return (z > 0).astype(np.float64)
     if name == "leaky_relu":
-        return np.where(z > 0, 1.0, LEAKY_SLOPE)
+        # equals np.where(z > 0, 1.0, LEAKY_SLOPE) for 0 <= slope <= 1, at a tenth of the cost
+        return np.maximum(z > 0, LEAKY_SLOPE)
     if name == "sigmoid":
         return h * (1.0 - h)
     if name == "tanh":
@@ -153,7 +160,8 @@ def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTape]:
     inputs, pres = [], []
     for spec, w, b in zip(params.specs, params.weights, params.biases):
         inputs.append(a)
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         pres.append(z)
         a = _activate(spec.activation, z)
     tape = ForwardTape(inputs=inputs, pre_activations=pres, output=a, squeeze=squeeze)
@@ -161,12 +169,20 @@ def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTape]:
 
 
 def backward(
-    params: NetworkParams, tape: ForwardTape, output_gradient
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    params: NetworkParams,
+    tape: ForwardTape,
+    output_gradient,
+    grad_out: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    input_grad: bool = True,
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:
     """Reverse-mode gradients of the forward map.
 
     output_gradient holds dLoss/dOutput per sample; weight and bias gradients
-    come back summed over the batch, the input gradient per sample.
+    come back summed over the batch, the input gradient per sample. With
+    grad_out, the weight and bias gradients are written into those
+    per-layer arrays and returned; otherwise fresh arrays are allocated. With
+    input_grad=False the layer-0 input gradient is not computed and None comes
+    back in its place.
     """
     g = np.asarray(output_gradient, dtype=np.float64)
     g = np.atleast_2d(g)
@@ -178,10 +194,18 @@ def backward(
         z = tape.pre_activations[k]
         h = tape.inputs[k + 1] if k + 1 < n_layers else tape.output
         dz = g * _activation_grad(params.specs[k].activation, z, h)
-        dw = dz.T @ tape.inputs[k]
-        db = dz.sum(axis=0)
+        if grad_out is None:
+            dw = dz.T @ tape.inputs[k]
+            db = dz.sum(axis=0)
+        else:
+            dw, db = grad_out[k]
+            np.matmul(dz.T, tape.inputs[k], out=dw)
+            dz.sum(axis=0, out=db)
         grads[k] = (dw, db)
-        g = dz @ params.weights[k]
+        if k > 0 or input_grad:
+            g = dz @ params.weights[k]
+    if not input_grad:
+        return grads, None
     return grads, (g[0] if tape.squeeze else g)
 
 
@@ -219,6 +243,14 @@ def contrastive_loss(distance, same_user, margin: float):
 # ---------------------------------------------------------------------------
 
 
+# Elements per Adam chunk: one chunk of param, gradient, m, v and the two
+# scratch rows (6 x 256 KiB) stays in a 2 MiB L2 through all 14 passes of the
+# update. On the 609k-parameter generator (one BLAS thread, 2 MiB L2 per core)
+# a step took 9.0 ms at 4,096 elements, 6.1 ms at 16,384, 5.2 ms at 32,768 and
+# 6.4 ms unchunked; smaller chunks pay numpy's per-call overhead more often.
+ADAM_CHUNK = 32768
+
+
 @dataclass
 class AdamState:
     lr: float = 2e-4
@@ -230,17 +262,56 @@ class AdamState:
     v_w: list[np.ndarray] = field(default_factory=list)
     m_b: list[np.ndarray] = field(default_factory=list)
     v_b: list[np.ndarray] = field(default_factory=list)
+    # per-layer (weight, bias) gradient buffers for backward(..., grad_out=...)
+    grads: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_CHUNK)))
 
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float = 2e-4, beta1: float = 0.5,
                    beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
         return cls(
             lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon,
-            m_w=[np.zeros_like(w) for w in params.weights],
-            v_w=[np.zeros_like(w) for w in params.weights],
-            m_b=[np.zeros_like(b) for b in params.biases],
-            v_b=[np.zeros_like(b) for b in params.biases],
+            m_w=[np.zeros(w.shape) for w in params.weights],
+            v_w=[np.zeros(w.shape) for w in params.weights],
+            m_b=[np.zeros(b.shape) for b in params.biases],
+            v_b=[np.zeros(b.shape) for b in params.biases],
+            grads=[(np.zeros(w.shape), np.zeros(b.shape))
+                   for w, b in zip(params.weights, params.biases)],
         )
+
+
+def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                 scalars: tuple[float, ...], scratch: np.ndarray) -> None:
+    """Update one array's m, v and parameters in place, ADAM_CHUNK elements at a time.
+
+    Every operation is elementwise and keeps the association order of
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= (lr*(m/corr1)) / (sqrt(v/corr2) + eps), so chunking moves no bit.
+    """
+    b1, one_minus_b1, b2, one_minus_b2, lr, eps, corr1, corr2 = scalars
+    target = p if p.flags.c_contiguous else np.ascontiguousarray(p)
+    flat_p, flat_g = target.reshape(-1), np.ascontiguousarray(g).reshape(-1)
+    flat_m, flat_v = m.reshape(-1), v.reshape(-1)
+    for start in range(0, flat_p.size, ADAM_CHUNK):
+        end = min(start + ADAM_CHUNK, flat_p.size)
+        pc, gc, mc, vc = flat_p[start:end], flat_g[start:end], flat_m[start:end], flat_v[start:end]
+        s1, s2 = scratch[0, : end - start], scratch[1, : end - start]
+        np.multiply(mc, b1, out=mc)
+        np.multiply(gc, one_minus_b1, out=s1)
+        np.add(mc, s1, out=mc)
+        np.multiply(vc, b2, out=vc)
+        np.multiply(gc, one_minus_b2, out=s1)
+        np.multiply(s1, gc, out=s1)
+        np.add(vc, s1, out=vc)
+        np.divide(vc, corr2, out=s1)
+        np.sqrt(s1, out=s1)
+        np.add(s1, eps, out=s1)
+        np.divide(mc, corr1, out=s2)
+        np.multiply(s2, lr, out=s2)
+        np.divide(s2, s1, out=s2)
+        np.subtract(pc, s2, out=pc)
+    if target is not p:
+        p[...] = target
 
 
 def adam_step(
@@ -248,7 +319,10 @@ def adam_step(
     gradients: list[tuple[np.ndarray, np.ndarray]],
     state: AdamState,
 ) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update, in place; returns the mutated objects."""
+    """One bias-corrected Adam update, in place; returns the mutated objects.
+
+    Every gradient is checked before any parameter or moment changes.
+    """
     if len(gradients) != len(params.weights):
         raise ValueError("gradient list does not match network depth")
     for k, (dw, db) in enumerate(gradients):
@@ -259,19 +333,10 @@ def adam_step(
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
+    scalars = (b1, 1 - b1, b2, 1 - b2, state.lr, state.epsilon, 1.0 - b1**t, 1.0 - b2**t)
     for k, (dw, db) in enumerate(gradients):
-        state.m_w[k] = b1 * state.m_w[k] + (1 - b1) * dw
-        state.v_w[k] = b2 * state.v_w[k] + (1 - b2) * dw * dw
-        state.m_b[k] = b1 * state.m_b[k] + (1 - b1) * db
-        state.v_b[k] = b2 * state.v_b[k] + (1 - b2) * db * db
-        params.weights[k] -= state.lr * (state.m_w[k] / corr1) / (
-            np.sqrt(state.v_w[k] / corr2) + state.epsilon
-        )
-        params.biases[k] -= state.lr * (state.m_b[k] / corr1) / (
-            np.sqrt(state.v_b[k] / corr2) + state.epsilon
-        )
+        _adam_update(params.weights[k], dw, state.m_w[k], state.v_w[k], scalars, state.scratch)
+        _adam_update(params.biases[k], db, state.m_b[k], state.v_b[k], scalars, state.scratch)
     return params, state
 
 

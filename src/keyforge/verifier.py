@@ -173,8 +173,8 @@ def train_verifier(
             safe = np.where(d > 0, d, 1.0)
             direction = diff / safe[:, None]
             ga = (dldd / len(idx))[:, None] * direction
-            grads_a, _ = nn.backward(net, tape_a, ga)
-            grads_b, _ = nn.backward(net, tape_b, -ga)
+            grads_a, _ = nn.backward(net, tape_a, ga, input_grad=False)
+            grads_b, _ = nn.backward(net, tape_b, -ga, input_grad=False)
             grads = [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(grads_a, grads_b)]
             nn.adam_step(net, grads, state)
         loss_curve.append(epoch_loss / len(pairs))
