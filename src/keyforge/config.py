@@ -2,7 +2,8 @@
 
 Every consumed key is checked against the dataclass schema and unknown keys
 are rejected, so a typo in a config file fails loudly instead of silently
-running defaults. Per-phase seeds derive from the global seed when not set
+running defaults. Every numeric value is checked for type and range at load,
+so a bad value fails with ConfigError naming its key before any work starts. Per-phase seeds derive from the global seed when not set
 explicitly; artifacts carry the canonical config hash for provenance.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,6 +109,37 @@ def _fill_dataclass(cls, doc: dict, context: str):
     return cls(**doc)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+_RATE = ("a finite number > 0", lambda v: _is_real(v) and v > 0)
+_BETA = ("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1)
+_SEED = ("an integer or null", lambda v: v is None or _is_int(v))
+
+# (description, predicate) per checked key of each section
+_VALUE_CHECKS = {
+    "seeds": {"global_seed": ("an integer", _is_int),
+              **{k: _SEED for k in ("data", "verifier", "gan", "attack", "attack_b", "eval")}},
+    "data": {"users": ("an integer >= 2", lambda v: _is_int(v) and v >= 2),
+             "sentences_per_user": _COUNT},
+    "verifier": {**{k: _COUNT for k in ("epochs", "batch_size", "hidden", "train_pairs",
+                                        "calibration_pairs", "test_pairs")},
+                 "lr": _RATE, "margin": _RATE, "beta1": _BETA, "beta2": _BETA},
+    "gan": {**{k: _COUNT for k in ("max_epochs", "check_interval", "batch_size", "g_hidden",
+                                   "d_hidden1", "d_hidden2")},
+            "g_lr": _RATE, "d_lr": _RATE, "beta1": _BETA, "beta2": _BETA,
+            "stop_threshold": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1)},
+    "attack": {"n_sequences": _COUNT},
+    "eval": {"n_sequences": _COUNT},
+}
+
+
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -121,18 +154,29 @@ def config_from_dict(doc: dict) -> RunConfig:
         else:
             kwargs[key] = value
     cfg = RunConfig(**kwargs)
+    if not isinstance(cfg.target_user, str):
+        raise ConfigError(f"config.target_user must be a string, got {cfg.target_user!r}")
+    if not isinstance(cfg.conditions, list):
+        raise ConfigError(f"config.conditions must be a list, got {cfg.conditions!r}")
     for condition in cfg.conditions:
         if condition not in ("ordered", "random"):
             raise ConfigError(f"config.conditions: unknown condition {condition!r}")
-    check_n_sequences(cfg.attack.n_sequences, "config.attack.n_sequences")
-    check_n_sequences(cfg.eval.n_sequences, "config.eval.n_sequences")
+    if len(set(cfg.conditions)) != len(cfg.conditions):
+        raise ConfigError(f"config.conditions: duplicate condition in {cfg.conditions!r}")
+    for section, checks in _VALUE_CHECKS.items():
+        values = getattr(cfg, section)
+        for key, (what, ok) in checks.items():
+            value = getattr(values, key)
+            if not ok(value):
+                raise ConfigError(f"config.{section}.{key} must be {what}, got {value!r}")
     return cfg
 
 
 def check_n_sequences(value, name: str) -> None:
     """Reject a sequence count that is not an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    what, ok = _COUNT
+    if not ok(value):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def load_config(path: str | Path) -> RunConfig:

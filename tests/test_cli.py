@@ -199,6 +199,25 @@ def test_zero_sequences_in_config_is_config_error(tmp_path, section, capsys):
     assert err.startswith(f"config error: config.{section}.n_sequences") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"gan": {"batch_size": 0}}, "config.gan.batch_size"),
+    ({"gan": {"max_epochs": 0}}, "config.gan.max_epochs"),
+    ({"data": {"users": 1}}, "config.data.users"),
+    ({"seeds": {"global_seed": "x"}}, "config.seeds.global_seed"),
+    ({"gan": {"stop_threshold": 2}}, "config.gan.stop_threshold"),
+    ({"verifier": {"beta1": 1}}, "config.verifier.beta1"),
+    ({"conditions": ["random", "random"]}, "config.conditions"),
+])
+def test_bad_config_value_is_config_error(tmp_path, doc, key, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["run-all", "--out-dir", str(tmp_path / "run"), "--config", str(cfg_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}") and "Traceback" not in err
+    assert not (tmp_path / "run" / "verifier.json").exists()
+
+
 def test_attack_missing_checkpoint_is_data_error(tmp_path, corpus_file, capsys):
     code = main(["attack", "--gan-dir", str(tmp_path / "nothing"), "--corpus", str(corpus_file),
                  "--user", "u0", "--condition", "ordered", "--out", str(tmp_path / "f.tsv")])
