@@ -88,6 +88,24 @@ def test_discriminate_rejects_bad_shapes(bundle, rng):
         gan._scores(bundle, np.zeros((1, 15)), embed_word("x")[None, :])
 
 
+def test_postprocess_matches_per_text_loop(rng):
+    texts = ["a", "hello", "x" * 15, "hello", "typing"]
+    raw = rng.uniform(size=(len(texts), gan.GEN_OUT_DIM))
+    mats = raw.reshape(-1, WORD_LEN, 5).copy()
+    mask = np.zeros_like(mats)
+    for i, text in enumerate(texts):
+        n = len(text)
+        mats[i, n:, :] = 0.0
+        mats[i, :n, COL_KEYCODE] = [ord(ch) / 255.0 for ch in text]
+        mask[i, :n, :] = 1.0
+        mask[i, :, COL_KEYCODE] = 0.0
+    flat, got_mask = gan._postprocess(raw, texts)
+    assert np.array_equal(flat, mats.reshape(len(texts), -1))
+    assert np.array_equal(got_mask, mask.reshape(len(texts), -1))
+    flat[:] = -1.0  # the outputs are fresh arrays; the per-text layout cache is untouched
+    assert np.array_equal(gan._postprocess(raw, texts)[0], mats.reshape(len(texts), -1))
+
+
 def test_bundle_validates_dimensions():
     good = gan.new_bundle(0)
     with pytest.raises(ValueError):

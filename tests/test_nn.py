@@ -291,6 +291,108 @@ def test_adam_rejects_non_finite_gradient_naming_layer():
         adam_step(params, grads, AdamState.for_params(params))
 
 
+def reference_adam_step(params, gradients, m_w, v_w, m_b, v_b, step, lr, b1, b2, eps):
+    """The allocating Adam update that the in-place chunked one must match bit for bit."""
+    corr1 = 1.0 - b1**step
+    corr2 = 1.0 - b2**step
+    for k, (dw, db) in enumerate(gradients):
+        m_w[k] = b1 * m_w[k] + (1 - b1) * dw
+        v_w[k] = b2 * v_w[k] + (1 - b2) * dw * dw
+        m_b[k] = b1 * m_b[k] + (1 - b1) * db
+        v_b[k] = b2 * v_b[k] + (1 - b2) * db * db
+        params.weights[k] -= lr * (m_w[k] / corr1) / (np.sqrt(v_w[k] / corr2) + eps)
+        params.biases[k] -= lr * (m_b[k] / corr1) / (np.sqrt(v_b[k] / corr2) + eps)
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+def test_adam_matches_reference_formula_bit_for_bit(monkeypatch, chunk):
+    if chunk is not None:  # many chunks with a ragged tail
+        monkeypatch.setattr(nn, "ADAM_CHUNK", chunk)
+    params = init_network([LayerSpec(300, 130, "leaky_relu"), LayerSpec(130, 7, "sigmoid")], 11)
+    assert params.weights[0].size > nn.ADAM_CHUNK
+    ref = params.copy()
+    state = AdamState.for_params(params, lr=1e-3, beta1=0.5, beta2=0.999)
+    m_w = [np.zeros_like(w) for w in ref.weights]
+    v_w = [np.zeros_like(w) for w in ref.weights]
+    m_b = [np.zeros_like(b) for b in ref.biases]
+    v_b = [np.zeros_like(b) for b in ref.biases]
+    rng = np.random.default_rng(12)
+    for step in range(1, 51):
+        scale = 10.0 ** rng.uniform(-6, 2)
+        grads = [(scale * rng.standard_normal(w.shape), scale * rng.standard_normal(b.shape))
+                 for w, b in zip(ref.weights, ref.biases)]
+        adam_step(params, grads, state)
+        reference_adam_step(ref, grads, m_w, v_w, m_b, v_b, step, 1e-3, 0.5, 0.999, 1e-8)
+    assert state.step == 50
+    for k in range(2):
+        assert np.array_equal(params.weights[k], ref.weights[k])
+        assert np.array_equal(params.biases[k], ref.biases[k])
+        assert np.array_equal(state.m_w[k], m_w[k]) and np.array_equal(state.v_w[k], v_w[k])
+        assert np.array_equal(state.m_b[k], m_b[k]) and np.array_equal(state.v_b[k], v_b[k])
+
+
+def test_adam_updates_non_contiguous_params_like_contiguous():
+    params = init_network([LayerSpec(40, 30, "relu")], 13)
+    transposed = NetworkParams(specs=params.specs, weights=[np.asfortranarray(params.weights[0])],
+                               biases=[params.biases[0].copy()])
+    a, b = AdamState.for_params(params), AdamState.for_params(transposed)
+    grads = [(np.random.default_rng(14).standard_normal((30, 40)), np.ones(30))]
+    for _ in range(3):
+        adam_step(params, grads, a)
+        adam_step(transposed, grads, b)
+    assert np.array_equal(params.weights[0], transposed.weights[0])
+
+
+def test_adam_non_finite_gradient_leaves_state_untouched():
+    params = init_network([LayerSpec(300, 130, "relu"), LayerSpec(130, 2, "sigmoid")], 15)
+    state = AdamState.for_params(params)
+    rng = np.random.default_rng(16)
+    good = [(rng.standard_normal(w.shape), rng.standard_normal(b.shape))
+            for w, b in zip(params.weights, params.biases)]
+    adam_step(params, good, state)
+    before = params.copy()
+    moments = [a.copy() for a in state.m_w + state.v_w + state.m_b + state.v_b]
+    bad = [(g[0].copy(), g[1].copy()) for g in good]
+    bad[1][1][0] = np.inf
+    with pytest.raises(TrainingError, match="layer 1"):
+        adam_step(params, bad, state)
+    assert state.step == 1
+    for k in range(2):
+        assert np.array_equal(params.weights[k], before.weights[k])
+        assert np.array_equal(params.biases[k], before.biases[k])
+    for old, new in zip(moments, state.m_w + state.v_w + state.m_b + state.v_b):
+        assert np.array_equal(old, new)
+
+
+def test_backward_into_buffers_matches_allocating_call():
+    rng = np.random.default_rng(17)
+    params = random_net("leaky_relu", rng, dims=(6, 9, 7, 4))
+    _, tape = forward(params, rng.standard_normal((5, 6)))
+    dy = rng.standard_normal((5, 4))
+    fresh, dx = backward(params, tape, dy)
+    buffers = AdamState.for_params(params).grads
+    for dw, db in buffers:  # stale contents must be overwritten, not added to
+        dw.fill(np.nan)
+        db.fill(np.nan)
+    into, dx_into = backward(params, tape, dy, grad_out=buffers)
+    assert np.array_equal(dx, dx_into)
+    for (fw, fb), (iw, ib), (bw, bb) in zip(fresh, into, buffers):
+        assert iw is bw and ib is bb
+        assert np.array_equal(fw, iw) and np.array_equal(fb, ib)
+
+
+def test_backward_skips_input_gradient_on_request():
+    rng = np.random.default_rng(18)
+    params = random_net("tanh", rng)
+    _, tape = forward(params, rng.standard_normal((3, 4)))
+    dy = rng.standard_normal((3, 3))
+    full, _ = backward(params, tape, dy)
+    skipped, dx = backward(params, tape, dy, input_grad=False)
+    assert dx is None
+    for (fw, fb), (sw, sb) in zip(full, skipped):
+        assert np.array_equal(fw, sw) and np.array_equal(fb, sb)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
