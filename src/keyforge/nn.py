@@ -269,6 +269,8 @@ class AdamState:
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float = 2e-4, beta1: float = 0.5,
                    beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+        # np.zeros, not zeros_like: C order whatever the parameters' layout, so
+        # the chunked update can work on flat views of m and v
         return cls(
             lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon,
             m_w=[np.zeros(w.shape) for w in params.weights],
