@@ -2,9 +2,10 @@
 
 Every consumed key is checked against the dataclass schema and unknown keys
 are rejected, so a typo in a config file fails loudly instead of silently
-running defaults. Every numeric value is checked for type and range at load,
-so a bad value fails with ConfigError naming its key before any work starts. Per-phase seeds derive from the global seed when not set
-explicitly; artifacts carry the canonical config hash for provenance.
+running defaults. Values are checked for type and range at load too, so a
+bad value fails with ConfigError naming its key before any work starts.
+Per-phase seeds derive from the global seed when not set explicitly;
+artifacts carry the canonical config hash for provenance.
 """
 
 from __future__ import annotations

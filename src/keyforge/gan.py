@@ -310,7 +310,7 @@ def train(
     # Fill the per-text caches before the loop, so their small long-lived
     # arrays sit below the loop's short-lived ones on the heap. Filled
     # mid-loop, they kept freed memory resident: ~6 MiB more peak RSS in a
-    # shortened default study at seeds 5 and 11.
+    # shortened default study.
     for word in words:
         embed_word(word.text)
         _text_layout(word.text)
