@@ -188,9 +188,8 @@ def train_epoch(
         probs, tape = nn.forward(bundle.discriminator, x)
         losses, dldp = nn.bce_loss(probs, targets)
         d_loss = float(losses.mean())
-        grads, _ = nn.backward(bundle.discriminator, tape, dldp / (2 * n),
-                               grad_out=d_state.grads, input_grad=False)
-        nn.adam_step(bundle.discriminator, grads, d_state)
+        nn.backward(bundle.discriminator, tape, dldp / (2 * n), grad_out=d_state.grads, input_grad=False)
+        nn.adam_step(bundle.discriminator, d_state)
 
         real_hits += int(np.count_nonzero(probs[:n, 0] > 0.5))
         fake_hits += int(np.count_nonzero(probs[n:, 0] <= 0.5))
@@ -203,9 +202,9 @@ def train_epoch(
         g_loss = float(losses.mean())
         # only dx is used; the discriminator's gradient buffers are free after its step
         _, dx = nn.backward(bundle.discriminator, tape, dldp / n, grad_out=d_state.grads)
-        g_grads, _ = nn.backward(bundle.generator, g_tape, dx[:, :GEN_OUT_DIM] * g_mask,
-                                 grad_out=g_state.grads, input_grad=False)
-        nn.adam_step(bundle.generator, g_grads, g_state)
+        nn.backward(bundle.generator, g_tape, dx[:, :GEN_OUT_DIM] * g_mask,
+                    grad_out=g_state.grads, input_grad=False)
+        nn.adam_step(bundle.generator, g_state)
 
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
             raise TrainingError(

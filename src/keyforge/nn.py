@@ -5,10 +5,15 @@ backward pass is exact reverse-mode differentiation of the forward map and is
 pinned by a finite-difference gradient check in the test suite. Training is
 single-owner single-threaded; frozen parameters are safe to share.
 
-Gradient buffers belong to the training state: `AdamState.grads` holds one
-weight and one bias gradient array per layer, and a `backward` pass given them
-as `grad_out` overwrites them. A caller that keeps gradients across two passes
-must copy them or pass separate buffers.
+Each network's parameters live in one C-contiguous float64 buffer,
+`NetworkParams.flat`, laid out w0, b0, w1, b1, ...; `weights` and `biases` are
+per-layer views into it. `AdamState` keeps m, v and the gradient `grad` in
+the same layout, and `AdamState.grads` are the per-layer (weight, bias) views
+into `grad`, so one Adam update and one finiteness check cover a network.
+
+Gradient buffers belong to the training state: a `backward` pass given
+`AdamState.grads` as `grad_out` overwrites them. A caller that keeps gradients
+across two passes must copy them or pass separate buffers.
 """
 
 from __future__ import annotations
@@ -58,11 +63,34 @@ class LayerSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
+def _layer_views(flat: np.ndarray, weights, biases) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views into flat shaped like weights and biases, laid out w0, b0, w1, b1, ..."""
+    views, start = [], 0
+    for a in (a for pair in zip(weights, biases) for a in pair):
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views[0::2], views[1::2]
+
+
+def _non_finite_layer(layers) -> int | None:
+    """Index of the first (weight, bias) pair holding a NaN or an inf, else None."""
+    return next((k for k, (w, b) in enumerate(layers)
+                 if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b)))), None)
+
+
 @dataclass
 class NetworkParams:
     specs: list[LayerSpec]
-    weights: list[np.ndarray]  # per layer, shape (out_dim, in_dim)
-    biases: list[np.ndarray]  # per layer, shape (out_dim,)
+    weights: list[np.ndarray]  # per layer, shape (out_dim, in_dim), a view into flat
+    biases: list[np.ndarray]  # per layer, shape (out_dim,), a view into flat
+    flat: np.ndarray = field(init=False, repr=False)  # the given arrays, copied in once
+
+    def __post_init__(self):
+        self.flat = np.empty(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
+        weights, biases = _layer_views(self.flat, self.weights, self.biases)
+        for view, a in zip(weights + biases, self.weights + self.biases):
+            view[...] = a
+        self.weights, self.biases = weights, biases
 
     @property
     def in_dim(self) -> int:
@@ -73,11 +101,7 @@ class NetworkParams:
         return self.specs[-1].out_dim
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            specs=list(self.specs),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return NetworkParams(specs=list(self.specs), weights=self.weights, biases=self.biases)
 
 
 @dataclass
@@ -253,51 +277,48 @@ ADAM_CHUNK = 32768
 
 @dataclass
 class AdamState:
+    # moments and gradient laid out like NetworkParams.flat; grads views grad per layer
+    m: np.ndarray
+    v: np.ndarray
+    grad: np.ndarray
+    grads: list[tuple[np.ndarray, np.ndarray]]
     lr: float = 2e-4
     beta1: float = 0.5
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
-    # per-layer (weight, bias) gradient buffers for backward(..., grad_out=...)
-    grads: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_CHUNK)))
 
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float = 2e-4, beta1: float = 0.5,
                    beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        # np.zeros, not zeros_like: C order whatever the parameters' layout, so
-        # the chunked update can work on flat views of m and v
-        return cls(
-            lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon,
-            m_w=[np.zeros(w.shape) for w in params.weights],
-            v_w=[np.zeros(w.shape) for w in params.weights],
-            m_b=[np.zeros(b.shape) for b in params.biases],
-            v_b=[np.zeros(b.shape) for b in params.biases],
-            grads=[(np.zeros(w.shape), np.zeros(b.shape))
-                   for w, b in zip(params.weights, params.biases)],
-        )
+        grad = np.zeros(params.flat.size)
+        return cls(m=np.zeros_like(grad), v=np.zeros_like(grad), grad=grad,
+                   grads=list(zip(*_layer_views(grad, params.weights, params.biases))),
+                   lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
-def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-                 scalars: tuple[float, ...], scratch: np.ndarray) -> None:
-    """Update one array's m, v and parameters in place, ADAM_CHUNK elements at a time.
+def adam_step(params: NetworkParams, state: AdamState) -> tuple[NetworkParams, AdamState]:
+    """One bias-corrected Adam update of params from state.grad, in place; returns both.
 
-    Every operation is elementwise and keeps the association order of
-    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    The gradient is checked before any parameter or moment changes. m, v and
+    the parameters are updated ADAM_CHUNK elements at a time, each operation
+    elementwise in the order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
     p -= (lr*(m/corr1)) / (sqrt(v/corr2) + eps), so chunking moves no bit.
     """
-    b1, one_minus_b1, b2, one_minus_b2, lr, eps, corr1, corr2 = scalars
-    target = p if p.flags.c_contiguous else np.ascontiguousarray(p)
-    flat_p, flat_g = target.reshape(-1), np.ascontiguousarray(g).reshape(-1)
-    flat_m, flat_v = m.reshape(-1), v.reshape(-1)
-    for start in range(0, flat_p.size, ADAM_CHUNK):
-        end = min(start + ADAM_CHUNK, flat_p.size)
-        pc, gc, mc, vc = flat_p[start:end], flat_g[start:end], flat_m[start:end], flat_v[start:end]
-        s1, s2 = scratch[0, : end - start], scratch[1, : end - start]
+    p, g, m, v = params.flat, state.grad, state.m, state.v
+    if not p.size == g.size == m.size == v.size:
+        raise ValueError(f"Adam state holds {g.size} values for a network of {p.size}")
+    if not np.all(np.isfinite(g)):
+        raise TrainingError(f"non-finite gradient in layer {_non_finite_layer(state.grads)}")
+    state.step += 1
+    t = state.step
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
+    one_minus_b1, one_minus_b2, corr1, corr2 = 1 - b1, 1 - b2, 1.0 - b1**t, 1.0 - b2**t
+    for start in range(0, p.size, ADAM_CHUNK):
+        end = min(start + ADAM_CHUNK, p.size)
+        pc, gc, mc, vc = p[start:end], g[start:end], m[start:end], v[start:end]
+        s1, s2 = state.scratch[0, : end - start], state.scratch[1, : end - start]
         np.multiply(mc, b1, out=mc)
         np.multiply(gc, one_minus_b1, out=s1)
         np.add(mc, s1, out=mc)
@@ -312,33 +333,6 @@ def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
         np.multiply(s2, lr, out=s2)
         np.divide(s2, s1, out=s2)
         np.subtract(pc, s2, out=pc)
-    if target is not p:
-        p[...] = target
-
-
-def adam_step(
-    params: NetworkParams,
-    gradients: list[tuple[np.ndarray, np.ndarray]],
-    state: AdamState,
-) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update, in place; returns the mutated objects.
-
-    Every gradient is checked before any parameter or moment changes.
-    """
-    if len(gradients) != len(params.weights):
-        raise ValueError("gradient list does not match network depth")
-    for k, (dw, db) in enumerate(gradients):
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise TrainingError(f"non-finite gradient in layer {k}")
-        if dw.shape != params.weights[k].shape or db.shape != params.biases[k].shape:
-            raise ValueError(f"gradient shape mismatch in layer {k}")
-    state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
-    scalars = (b1, 1 - b1, b2, 1 - b2, state.lr, state.epsilon, 1.0 - b1**t, 1.0 - b2**t)
-    for k, (dw, db) in enumerate(gradients):
-        _adam_update(params.weights[k], dw, state.m_w[k], state.v_w[k], scalars, state.scratch)
-        _adam_update(params.biases[k], db, state.m_b[k], state.v_b[k], scalars, state.scratch)
     return params, state
 
 
@@ -370,7 +364,9 @@ def save_params(
         "trained_epochs": trained_epochs,
         "metadata": metadata or {},
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    text = json.dumps(doc, sort_keys=True)
+    del doc  # free the tolist() floats before the text is encoded
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_params(path: str | Path) -> tuple[NetworkParams, dict]:
@@ -418,8 +414,8 @@ def load_params(path: str | Path) -> tuple[NetworkParams, dict]:
                 f"{path}: layer {k} arrays {w.shape}/{b.shape} do not match "
                 f"spec {spec.out_dim}x{spec.in_dim}"
             )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise CorruptCheckpointError(f"{path}: non-finite values in layer {k}")
+    if (bad := _non_finite_layer(zip(weights, biases))) is not None:
+        raise CorruptCheckpointError(f"{path}: non-finite values in layer {bad}")
     info = {
         "model_kind": doc["model_kind"],
         "embed_seed": doc["embed_seed"],

@@ -32,6 +32,14 @@ def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
+def _get_user(corpus: Corpus, user_id: str) -> UserLog:
+    """corpus.get(user_id), with an unknown id raised as DataError."""
+    try:
+        return corpus.get(user_id)
+    except KeyError as exc:
+        raise DataError(exc.args[0]) from None
+
+
 def build_corpus(cfg: RunConfig) -> Corpus:
     seeds = cfg.seeds.resolved()
     return synth_corpus(cfg.data.users, cfg.data.sentences_per_user, seeds.data)
@@ -72,11 +80,7 @@ def prepare_verifier(corpus: Corpus, cfg: RunConfig) -> tuple[VerifierBundle, di
 
 def train_user_gan(corpus: Corpus, user_id: str, cfg: RunConfig) -> gan_mod.GanBundle:
     seeds = cfg.seeds.resolved()
-    try:
-        user = corpus.get(user_id)
-    except KeyError as exc:
-        raise DataError(str(exc)) from None
-    words = words_from_corpus(user)
+    words = words_from_corpus(_get_user(corpus, user_id))
     if not words:
         raise DataError(f"user {user_id!r} has no word samples")
     bundle = gan_mod.new_bundle(seeds.gan, cfg.gan)
@@ -105,10 +109,7 @@ def make_attack_events(
     cfg: RunConfig,
 ) -> list[KeyEvent]:
     """One attack stream: plan the user's words, generate, and stitch."""
-    try:
-        user = corpus.get(user_id)
-    except KeyError as exc:
-        raise DataError(str(exc)) from None
+    user = _get_user(corpus, user_id)
     texts = [w.text for w in words_from_corpus(user)]
     if not texts:
         raise DataError(f"user {user_id!r} has no words to plan an attack over")
@@ -193,6 +194,7 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     log(f"corpus: {cfg.data.users} users x {cfg.data.sentences_per_user} sentences "
         f"({corpus.n_events()} events) -> {corpus_path}")
     timings["corpus"] = time.perf_counter() - t_start
+    _get_user(corpus, cfg.target_user)  # fail before the verifier trains
 
     t0 = time.perf_counter()
     verifier_bundle, vsummary = prepare_verifier(corpus, cfg)

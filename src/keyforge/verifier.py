@@ -173,10 +173,12 @@ def train_verifier(
             safe = np.where(d > 0, d, 1.0)
             direction = diff / safe[:, None]
             ga = (dldd / len(idx))[:, None] * direction
-            grads_a, _ = nn.backward(net, tape_a, ga, input_grad=False)
+            nn.backward(net, tape_a, ga, grad_out=state.grads, input_grad=False)
             grads_b, _ = nn.backward(net, tape_b, -ga, input_grad=False)
-            grads = [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(grads_a, grads_b)]
-            nn.adam_step(net, grads, state)
+            for (wa, ba), (wb, bb) in zip(state.grads, grads_b):
+                wa += wb
+                ba += bb
+            nn.adam_step(net, state)
         loss_curve.append(epoch_loss / len(pairs))
     bundle.metadata["loss_curve"] = loss_curve
     bundle.metadata["train_seed"] = seed

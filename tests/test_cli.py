@@ -126,10 +126,21 @@ def test_train_cgan_writes_history_and_warns(tmp_path, tiny_config, corpus_file,
 
 
 def test_train_cgan_unknown_user(tmp_path, tiny_config, corpus_file, capsys):
-    code = main(["train-cgan", "--corpus", str(corpus_file), "--user", "ghost",
+    code = main(["train-cgan", "--corpus", str(corpus_file), "--user", "nobody",
                  "--out-dir", str(tmp_path / "gan"), "--config", str(tiny_config)])
     assert code == 2
-    assert "ghost" in capsys.readouterr().err
+    assert capsys.readouterr().err == "data error: unknown user id 'nobody'\n"
+    assert not (tmp_path / "gan").exists()
+
+
+def test_run_all_unknown_target_user_fails_before_training(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, target_user="nobody")))
+    out_dir = tmp_path / "run"
+    code = main(["run-all", "--out-dir", str(out_dir), "--config", str(cfg_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "data error: unknown user id 'nobody'\n"
+    assert not (out_dir / "verifier.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -258,15 +258,23 @@ def test_contrastive_nonnegative(d, same):
 # ---------------------------------------------------------------------------
 
 
-def zero_grads_like(params):
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(params.weights, params.biases)]
+def write_grads(state, grads):
+    """Copy per-layer (weight, bias) gradients into the state's gradient buffers."""
+    for (dw, db), (gw, gb) in zip(state.grads, grads):
+        dw[...] = gw
+        db[...] = gb
+
+
+def layout(weights, biases):
+    """The flat layout w0, b0, w1, b1, ... of per-layer arrays."""
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
 
 
 def test_adam_zero_gradients_leave_params_unchanged():
     params = init_network([LayerSpec(3, 2, "relu")], 7)
     before = params.copy()
     state = AdamState.for_params(params)
-    adam_step(params, zero_grads_like(params), state)
+    adam_step(params, state)
     assert np.array_equal(params.weights[0], before.weights[0])
     assert np.array_equal(params.biases[0], before.biases[0])
     assert state.step == 1
@@ -276,32 +284,44 @@ def test_adam_descends_against_constant_gradient():
     params = init_network([LayerSpec(2, 1, "identity")], 8)
     start = params.weights[0].copy()
     state = AdamState.for_params(params, lr=1e-2)
-    grad = np.ones_like(params.weights[0])
+    write_grads(state, [(np.ones_like(params.weights[0]), np.zeros(1))])
     for _ in range(20):
-        adam_step(params, [(grad, np.zeros(1))], state)
+        adam_step(params, state)
     assert np.all(params.weights[0] < start)
     assert state.step == 20
 
 
 def test_adam_rejects_non_finite_gradient_naming_layer():
-    params = init_network([LayerSpec(2, 2, "relu"), LayerSpec(2, 1, "sigmoid")], 9)
+    params = init_network([LayerSpec(2, 2, "relu"), LayerSpec(2, 3, "relu"),
+                           LayerSpec(3, 1, "sigmoid")], 9)
     state = AdamState.for_params(params)
-    adam_step(params, [(np.ones_like(w), np.ones_like(b))
-                       for w, b in zip(params.weights, params.biases)], state)
+    state.grad.fill(1.0)
+    adam_step(params, state)
     before = params.copy()
-    moments = [a.copy() for a in state.m_w + state.v_w + state.m_b + state.v_b]
-    for bad in (np.nan, np.inf):
-        grads = zero_grads_like(params)
-        grads[1] = (np.full_like(grads[1][0], bad), grads[1][1])
-        with pytest.raises(TrainingError, match="layer 1"):
-            adam_step(params, grads, state)
-    # the check runs before any update: layer 0 and every moment are untouched
+    m, v = state.m.copy(), state.v.copy()
+    # (layer, 0 for the weight or 1 for the bias): the first, a middle and the last layer
+    for layer, part in ((1, 0), (0, 1), (2, 1)):
+        for bad in (np.nan, np.inf):
+            state.grad.fill(0.0)
+            state.grads[layer][part][0] = bad
+            with pytest.raises(TrainingError, match=f"non-finite gradient in layer {layer}"):
+                adam_step(params, state)
+    # the check runs before any update: every parameter and moment is untouched
     assert state.step == 1
-    for k in range(2):
+    for k in range(3):
         assert np.array_equal(params.weights[k], before.weights[k])
         assert np.array_equal(params.biases[k], before.biases[k])
-    for old, new in zip(moments, state.m_w + state.v_w + state.m_b + state.v_b):
-        assert np.array_equal(old, new)
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
+def test_adam_rejects_state_of_another_network():
+    params = init_network([LayerSpec(3, 2, "relu")], 7)
+    other = AdamState.for_params(init_network([LayerSpec(3, 3, "relu")], 7))
+    before = params.copy()
+    with pytest.raises(ValueError, match="Adam state"):
+        adam_step(params, other)
+    assert other.step == 0
+    assert np.array_equal(params.flat, before.flat)
 
 
 def reference_adam_step(params, gradients, m_w, v_w, m_b, v_b, step, lr, b1, b2, eps):
@@ -334,14 +354,15 @@ def test_adam_matches_reference_formula_bit_for_bit(monkeypatch, chunk):
         scale = 10.0 ** rng.uniform(-6, 2)
         grads = [(scale * rng.standard_normal(w.shape), scale * rng.standard_normal(b.shape))
                  for w, b in zip(ref.weights, ref.biases)]
-        adam_step(params, grads, state)
+        write_grads(state, grads)
+        adam_step(params, state)
         reference_adam_step(ref, grads, m_w, v_w, m_b, v_b, step, 1e-3, 0.5, 0.999, 1e-8)
     assert state.step == 50
     for k in range(2):
         assert np.array_equal(params.weights[k], ref.weights[k])
         assert np.array_equal(params.biases[k], ref.biases[k])
-        assert np.array_equal(state.m_w[k], m_w[k]) and np.array_equal(state.v_w[k], v_w[k])
-        assert np.array_equal(state.m_b[k], m_b[k]) and np.array_equal(state.v_b[k], v_b[k])
+    assert np.array_equal(state.m, layout(m_w, m_b))
+    assert np.array_equal(state.v, layout(v_w, v_b))
 
 
 def test_adam_updates_non_contiguous_params_like_contiguous():
@@ -350,10 +371,54 @@ def test_adam_updates_non_contiguous_params_like_contiguous():
                                biases=[params.biases[0].copy()])
     a, b = AdamState.for_params(params), AdamState.for_params(transposed)
     grads = [(np.random.default_rng(14).standard_normal((30, 40)), np.ones(30))]
+    write_grads(a, grads)
+    write_grads(b, grads)
     for _ in range(3):
-        adam_step(params, grads, a)
-        adam_step(transposed, grads, b)
+        adam_step(params, a)
+        adam_step(transposed, b)
     assert np.array_equal(params.weights[0], transposed.weights[0])
+
+
+def assert_views_into_flat(params):
+    assert params.flat.flags.c_contiguous and params.flat.dtype == np.float64
+    for w, b in zip(params.weights, params.biases):
+        assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
+    assert np.array_equal(params.flat, layout(params.weights, params.biases))
+
+
+def test_params_are_views_into_one_flat_buffer(tmp_path):
+    specs = [LayerSpec(4, 3, "leaky_relu"), LayerSpec(3, 2, "sigmoid")]
+    params = init_network(specs, 19)
+    assert_views_into_flat(params)
+    save_params(params, tmp_path / "net.json", "verifier", embed_seed=1)
+    loaded, _ = load_params(tmp_path / "net.json")
+    assert_views_into_flat(loaded)
+    assert np.array_equal(loaded.flat, params.flat)
+    assert_views_into_flat(params.copy())
+    fortran = NetworkParams(specs=specs, weights=[np.asfortranarray(w) for w in params.weights],
+                            biases=params.biases)
+    assert_views_into_flat(fortran)
+    assert np.array_equal(fortran.flat, params.flat)
+    # a write through a view lands in the flat buffer at its place in the layout
+    fortran.biases[0][1] = 5.0
+    assert fortran.flat[params.weights[0].size + 1] == 5.0
+    state = AdamState.for_params(params)
+    for (dw, db), w, b in zip(state.grads, params.weights, params.biases):
+        assert np.shares_memory(dw, state.grad) and np.shares_memory(db, state.grad)
+        assert dw.shape == w.shape and db.shape == b.shape
+    assert state.grad.size == state.m.size == state.v.size == params.flat.size
+
+
+def test_params_copy_is_independent():
+    params = init_network([LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "relu")], 20)
+    before = params.flat.copy()
+    copy = params.copy()
+    assert not np.shares_memory(copy.flat, params.flat)
+    copy.weights[1][...] = 7.0
+    copy.biases[0][...] = 7.0
+    assert np.array_equal(params.flat, before)
+    params.flat[...] = 0.0
+    assert np.all(copy.weights[1] == 7.0)
 
 
 def test_backward_into_buffers_matches_allocating_call():
@@ -443,6 +508,18 @@ def test_checkpoint_shape_mismatch(tmp_path):
                               biases=first.biases + second.biases)
     save_params(unchained, path, "verifier", embed_seed=1)
     with pytest.raises(CheckpointShapeError, match="2 feeds 4"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_checkpoint_non_finite_values_are_corrupt_naming_layer(tmp_path, bad):
+    params = init_network([LayerSpec(3, 2, "relu"), LayerSpec(2, 2, "relu")], 14)
+    path = tmp_path / "net.json"
+    save_params(params, path, "verifier", embed_seed=1)
+    doc = json.loads(path.read_text())
+    doc["biases"][1][0] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptCheckpointError, match="non-finite values in layer 1"):
         load_params(path)
 
 
