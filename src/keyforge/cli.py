@@ -18,7 +18,7 @@ from . import gan as gan_mod
 from . import pipeline
 from . import verifier as verifier_mod
 from .attack import CONDITIONS
-from .config import ConfigError, RunConfig, check_n_sequences, load_config
+from .config import ConfigError, RunConfig, check_count, load_config
 from .data import ParseError, ValidationError, export_log, ingest_log, synth_corpus
 from .evaluation import render_table, report_to_dict
 from .nn import CheckpointError, TrainingError
@@ -67,6 +67,7 @@ def cmd_ingest(args) -> int:
 def cmd_train_verifier(args) -> int:
     cfg = _base_config(args)
     if args.epochs is not None:
+        check_count(args.epochs, "--epochs")
         cfg.verifier.epochs = args.epochs
     if args.seed is not None:
         cfg.seeds.verifier = args.seed
@@ -83,6 +84,7 @@ def cmd_train_verifier(args) -> int:
 def cmd_train_cgan(args) -> int:
     cfg = _base_config(args)
     if args.max_epochs is not None:
+        check_count(args.max_epochs, "--max-epochs")
         cfg.gan.max_epochs = args.max_epochs
     if args.seed is not None:
         cfg.seeds.gan = args.seed
@@ -100,7 +102,7 @@ def cmd_train_cgan(args) -> int:
 def cmd_attack(args) -> int:
     cfg = _base_config(args)
     if args.n_sequences is not None:
-        check_n_sequences(args.n_sequences, "--n-sequences")
+        check_count(args.n_sequences, "--n-sequences")
         cfg.attack.n_sequences = args.n_sequences
     seed = args.seed if args.seed is not None else cfg.seeds.resolved().attack
     corpus = ingest_log(args.corpus)

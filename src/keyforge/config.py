@@ -173,8 +173,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     return cfg
 
 
-def check_n_sequences(value, name: str) -> None:
-    """Reject a sequence count that is not an integer >= 1."""
+def check_count(value, name: str) -> None:
+    """Reject a count that is not an integer >= 1."""
     what, ok = _COUNT
     if not ok(value):
         raise ConfigError(f"{name} must be {what}, got {value!r}")

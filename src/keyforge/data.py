@@ -84,9 +84,6 @@ class UserLog:
 class Corpus:
     users: list[UserLog]
 
-    def user_ids(self) -> list[str]:
-        return [u.user_id for u in self.users]
-
     def get(self, user_id: str) -> UserLog:
         for u in self.users:
             if u.user_id == user_id:

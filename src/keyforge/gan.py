@@ -150,22 +150,21 @@ def train_epoch(
     words: list[WordSample],
     batch_size: int,
     rng: np.random.Generator,
-    d_state: AdamState | None = None,
-    g_state: AdamState | None = None,
+    d_state: AdamState,
+    g_state: AdamState,
 ) -> tuple[GanBundle, dict]:
     """One adversarial epoch over shuffled word batches.
 
     Per batch: (1) discriminator step on real pairs (target 1) and freshly
     generated pairs (target 0); (2) generator step through the frozen
-    discriminator with target 1. Returns per-epoch mean losses and
+    discriminator with target 1. d_state and g_state are the networks' Adam
+    states, carried across epochs. Returns per-epoch mean losses and
     discriminator accuracies.
     """
     if not words:
         raise ValueError("train_epoch needs at least one word sample")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    d_state = d_state or AdamState.for_params(bundle.discriminator)
-    g_state = g_state or AdamState.for_params(bundle.generator)
 
     order = rng.permutation(len(words))
     d_losses, g_losses = [], []
@@ -178,17 +177,13 @@ def train_epoch(
 
         # Discriminator step: real pairs labelled 1, generated pairs labelled 0.
         real_flat = np.stack([w.matrix.reshape(-1) for w in batch])
-        real_conds = np.stack([embed_word(t) for t in texts])
-        fake_flat, fake_conds, _, _ = _generate_flat(bundle, texts, rng)
-        x = np.vstack([
-            np.hstack([real_flat, real_conds]),
-            np.hstack([fake_flat, fake_conds]),
-        ])
+        fake_flat, conds, _, _ = _generate_flat(bundle, texts, rng)
+        x = np.vstack([np.hstack([real_flat, conds]), np.hstack([fake_flat, conds])])
         targets = np.concatenate([np.ones(n), np.zeros(n)])[:, None]
         probs, tape = nn.forward(bundle.discriminator, x)
         losses, dldp = nn.bce_loss(probs, targets)
         d_loss = float(losses.mean())
-        nn.backward(bundle.discriminator, tape, dldp / (2 * n), grad_out=d_state.grads, input_grad=False)
+        nn.backward(bundle.discriminator, tape, dldp / (2 * n), d_state.grads)
         nn.adam_step(bundle.discriminator, d_state)
 
         real_hits += int(np.count_nonzero(probs[:n, 0] > 0.5))
@@ -200,10 +195,8 @@ def train_epoch(
         probs, tape = nn.forward(bundle.discriminator, np.hstack([gen_flat, gen_conds]))
         losses, dldp = nn.bce_loss(probs, np.ones((n, 1)))
         g_loss = float(losses.mean())
-        # only dx is used; the discriminator's gradient buffers are free after its step
-        _, dx = nn.backward(bundle.discriminator, tape, dldp / n, grad_out=d_state.grads)
-        nn.backward(bundle.generator, g_tape, dx[:, :GEN_OUT_DIM] * g_mask,
-                    grad_out=g_state.grads, input_grad=False)
+        dx = nn.backward(bundle.discriminator, tape, dldp / n)
+        nn.backward(bundle.generator, g_tape, dx[:, :GEN_OUT_DIM] * g_mask, g_state.grads)
         nn.adam_step(bundle.generator, g_state)
 
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):

@@ -11,9 +11,12 @@ per-layer views into it. `AdamState` keeps m, v and the gradient `grad` in
 the same layout, and `AdamState.grads` are the per-layer (weight, bias) views
 into `grad`, so one Adam update and one finiteness check cover a network.
 
-Gradient buffers belong to the training state: a `backward` pass given
-`AdamState.grads` as `grad_out` overwrites them. A caller that keeps gradients
-across two passes must copy them or pass separate buffers.
+Inputs are 2-D (batch, in_dim) arrays. `backward` runs in one of two modes:
+given per-layer gradient buffers, it overwrites them with the weight and bias
+gradients and computes no input gradient; given none, it computes no weight
+gradient and returns the input gradient. The buffers belong to the training
+state (`AdamState.grads`, or a second set from `gradient_buffers`), so a
+caller that keeps gradients across two passes passes separate buffers.
 """
 
 from __future__ import annotations
@@ -111,7 +114,6 @@ class ForwardTape:
     inputs: list[np.ndarray]
     pre_activations: list[np.ndarray]
     output: np.ndarray  # 2-D (batch, out_dim)
-    squeeze: bool
 
 
 def _check_chain(specs: list[LayerSpec]) -> None:
@@ -171,16 +173,10 @@ def _activation_grad(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTape]:
-    """Run the network on a vector or (batch, in_dim) matrix.
-
-    Returns the output in the same arity as the input plus a tape sufficient
-    for backward().
-    """
+    """Run the network on a (batch, in_dim) matrix; returns the output and a tape for backward()."""
     a = np.asarray(x, dtype=np.float64)
-    squeeze = a.ndim == 1
-    a = np.atleast_2d(a)
-    if a.shape[1] != params.in_dim:
-        raise ValueError(f"input has {a.shape[1]} features, network expects {params.in_dim}")
+    if a.ndim != 2 or a.shape[1] != params.in_dim:
+        raise ValueError(f"input shape {a.shape}, network expects (batch, {params.in_dim})")
     inputs, pres = [], []
     for spec, w, b in zip(params.specs, params.weights, params.biases):
         inputs.append(a)
@@ -188,49 +184,38 @@ def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTape]:
         z += b
         pres.append(z)
         a = _activate(spec.activation, z)
-    tape = ForwardTape(inputs=inputs, pre_activations=pres, output=a, squeeze=squeeze)
-    return (a[0] if squeeze else a), tape
+    return a, ForwardTape(inputs=inputs, pre_activations=pres, output=a)
 
 
 def backward(
     params: NetworkParams,
     tape: ForwardTape,
     output_gradient,
-    grad_out: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    input_grad: bool = True,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:
+    grads: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> np.ndarray | None:
     """Reverse-mode gradients of the forward map.
 
-    output_gradient holds dLoss/dOutput per sample; weight and bias gradients
-    come back summed over the batch, the input gradient per sample. With
-    grad_out, the weight and bias gradients are written into those
-    per-layer arrays and returned; otherwise fresh arrays are allocated. With
-    input_grad=False the layer-0 input gradient is not computed and None comes
-    back in its place.
+    output_gradient holds dLoss/dOutput per sample, shaped like the output.
+    With grads, the per-layer (weight, bias) buffers are overwritten with the
+    gradients summed over the batch, and None comes back: the input gradient
+    is not computed. Without grads, no weight gradient is computed and the
+    per-sample input gradient comes back.
     """
     g = np.asarray(output_gradient, dtype=np.float64)
-    g = np.atleast_2d(g)
     if g.shape != tape.output.shape:
         raise ValueError(f"output gradient shape {g.shape} != output shape {tape.output.shape}")
     n_layers = len(params.specs)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers  # type: ignore[list-item]
     for k in range(n_layers - 1, -1, -1):
         z = tape.pre_activations[k]
         h = tape.inputs[k + 1] if k + 1 < n_layers else tape.output
         dz = g * _activation_grad(params.specs[k].activation, z, h)
-        if grad_out is None:
-            dw = dz.T @ tape.inputs[k]
-            db = dz.sum(axis=0)
-        else:
-            dw, db = grad_out[k]
-            np.matmul(dz.T, tape.inputs[k], out=dw)
-            dz.sum(axis=0, out=db)
-        grads[k] = (dw, db)
-        if k > 0 or input_grad:
-            g = dz @ params.weights[k]
-    if not input_grad:
-        return grads, None
-    return grads, (g[0] if tape.squeeze else g)
+        if grads is not None:
+            np.matmul(dz.T, tape.inputs[k], out=grads[k][0])
+            dz.sum(axis=0, out=grads[k][1])
+            if k == 0:
+                return None
+        g = dz @ params.weights[k]
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +252,12 @@ def contrastive_loss(distance, same_user, margin: float):
 # ---------------------------------------------------------------------------
 
 
+def gradient_buffers(params: NetworkParams) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """A zeroed buffer laid out like params.flat, and its per-layer (weight, bias) views."""
+    flat = np.zeros(params.flat.size)
+    return flat, list(zip(*_layer_views(flat, params.weights, params.biases)))
+
+
 # Elements per Adam chunk: one chunk of param, gradient, m, v and the two
 # scratch rows (6 x 256 KiB) stays in a 2 MiB L2 through all 14 passes of the
 # update. On the 609k-parameter generator (one BLAS thread, 2 MiB L2 per core)
@@ -292,9 +283,8 @@ class AdamState:
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float = 2e-4, beta1: float = 0.5,
                    beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        grad = np.zeros(params.flat.size)
-        return cls(m=np.zeros_like(grad), v=np.zeros_like(grad), grad=grad,
-                   grads=list(zip(*_layer_views(grad, params.weights, params.biases))),
+        grad, grads = gradient_buffers(params)
+        return cls(m=np.zeros_like(grad), v=np.zeros_like(grad), grad=grad, grads=grads,
                    lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 

@@ -151,6 +151,7 @@ def train_verifier(
     net = nn.init_network(embedding_specs(config.hidden), seed)
     bundle = VerifierBundle(network=net, margin=config.margin)
     state = AdamState.for_params(net, lr=config.lr, beta1=config.beta1, beta2=config.beta2)
+    grad_b, grads_b = nn.gradient_buffers(net)  # pass b's gradients, summed into state.grad
     rng = np.random.default_rng(seed)
 
     a_all = np.stack([p.a.reshape(-1) for p in pairs])
@@ -173,11 +174,9 @@ def train_verifier(
             safe = np.where(d > 0, d, 1.0)
             direction = diff / safe[:, None]
             ga = (dldd / len(idx))[:, None] * direction
-            nn.backward(net, tape_a, ga, grad_out=state.grads, input_grad=False)
-            grads_b, _ = nn.backward(net, tape_b, -ga, input_grad=False)
-            for (wa, ba), (wb, bb) in zip(state.grads, grads_b):
-                wa += wb
-                ba += bb
+            nn.backward(net, tape_a, ga, state.grads)
+            nn.backward(net, tape_b, -ga, grads_b)
+            state.grad += grad_b
             nn.adam_step(net, state)
         loss_curve.append(epoch_loss / len(pairs))
     bundle.metadata["loss_curve"] = loss_curve

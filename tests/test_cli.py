@@ -198,6 +198,25 @@ def test_attack_zero_sequences_is_config_error(tmp_path, tiny_config, corpus_fil
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: --n-sequences") and "Traceback" not in err
+    assert not (tmp_path / "f.tsv").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train-verifier", "--epochs", "0"),
+    ("train-verifier", "--epochs", "-2"),
+    ("train-cgan", "--max-epochs", "0"),
+    ("train-cgan", "--max-epochs", "-3"),
+])
+def test_count_override_below_one_is_config_error(tmp_path, tiny_config, corpus_file, command, flag,
+                                                  value, capsys):
+    out = tmp_path / "out"
+    target = (["--out", str(out)] if command == "train-verifier"
+              else ["--user", "u0", "--out-dir", str(out)])
+    code = main([command, "--corpus", str(corpus_file), *target, "--config", str(tiny_config),
+                 flag, value])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {flag} must be an integer >= 1, got {value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section", ["attack", "eval"])

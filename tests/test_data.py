@@ -63,7 +63,7 @@ def write_log(tmp_path, rows, header=HEADER):
 def test_ingest_single_row(tmp_path):
     path = write_log(tmp_path, ["u1\ts1\t72\t1000\t1080"])
     corpus = ingest_log(path)
-    assert corpus.user_ids() == ["u1"]
+    assert [u.user_id for u in corpus.users] == ["u1"]
     assert corpus.users[0].sentences == [[KeyEvent(72, 1000, 1080)]]
 
 
@@ -115,7 +115,7 @@ def test_export_ingest_round_trip(tmp_path):
     path = tmp_path / "corpus.tsv"
     export_log(corpus, path)
     back = ingest_log(path)
-    assert back.user_ids() == corpus.user_ids()
+    assert [u.user_id for u in back.users] == [u.user_id for u in corpus.users]
     for u_orig, u_back in zip(corpus.users, back.users):
         assert u_orig.sentences == u_back.sentences
 

@@ -117,6 +117,11 @@ def test_bundle_validates_dimensions():
 # ---------------------------------------------------------------------------
 
 
+def adam_states(bundle):
+    """Discriminator and generator Adam states at AdamState's default rates."""
+    return AdamState.for_params(bundle.discriminator), AdamState.for_params(bundle.generator)
+
+
 def test_train_epoch_reproducible(corpus_words):
     def run():
         b = gan.new_bundle(5)
@@ -138,14 +143,14 @@ def test_train_epoch_reproducible(corpus_words):
 
 def test_train_epoch_single_sample_is_finite(corpus_words, rng):
     b = gan.new_bundle(6)
-    b, stats = gan.train_epoch(b, corpus_words[:1], 32, rng)
+    b, stats = gan.train_epoch(b, corpus_words[:1], 32, rng, *adam_states(b))
     assert np.isfinite(stats["d_loss"]) and np.isfinite(stats["g_loss"])
 
 
 def test_train_epoch_rejects_empty_inputs(rng):
     b = gan.new_bundle(7)
     with pytest.raises(ValueError):
-        gan.train_epoch(b, [], 32, rng)
+        gan.train_epoch(b, [], 32, rng, *adam_states(b))
 
 
 def test_discriminator_learns_separable_data(rng):

@@ -85,13 +85,15 @@ def max_relative_error(analytic, numeric):
 
 @pytest.mark.parametrize("activation", nn.ACTIVATIONS)
 def test_gradients_match_finite_differences(activation):
-    rng = np.random.default_rng(hash(activation) % (1 << 32))
+    rng = np.random.default_rng(nn.ACTIVATIONS.index(activation))
     for _ in range(3):
         params = random_net(activation, rng)
-        x = rng.normal(size=4)
-        dy = rng.normal(size=3)
+        x = rng.normal(size=(2, 4))
+        dy = rng.normal(size=(2, 3))
         _, tape = forward(params, x)
-        analytic, adx = backward(params, tape, dy)
+        _, analytic = nn.gradient_buffers(params)
+        assert backward(params, tape, dy, analytic) is None
+        adx = backward(params, tape, dy)
         numeric, ndx = numeric_gradients(params, x.copy(), dy)
         assert max_relative_error(analytic, numeric) < 1e-4
         scale = np.maximum(np.maximum(np.abs(adx), np.abs(ndx)), 1e-6)
@@ -128,7 +130,7 @@ def test_forward_identity_network_is_identity():
         weights=[np.eye(3)],
         biases=[np.zeros(3)],
     )
-    x = np.array([1.0, -2.0, 0.5])
+    x = np.array([[1.0, -2.0, 0.5]])
     y, _ = forward(params, x)
     assert np.allclose(y, x)
 
@@ -139,7 +141,7 @@ def test_forward_sigmoid_zero_net_is_half():
         weights=[np.zeros((2, 4))],
         biases=[np.zeros(2)],
     )
-    y, _ = forward(params, np.ones(4))
+    y, _ = forward(params, np.ones((1, 4)))
     assert np.allclose(y, 0.5)
 
 
@@ -149,39 +151,54 @@ def test_forward_relu_clips_negative_preactivations():
         weights=[-np.eye(2)],
         biases=[np.zeros(2)],
     )
-    y, _ = forward(params, np.array([3.0, 5.0]))
+    y, _ = forward(params, np.array([[3.0, 5.0]]))
     assert np.all(y == 0.0)
 
 
 def test_forward_rejects_wrong_input_length():
     params = init_network([LayerSpec(4, 2, "relu")], 0)
     with pytest.raises(ValueError):
-        forward(params, np.ones(5))
+        forward(params, np.ones((1, 5)))
+
+
+@pytest.mark.parametrize("shape", [(4,), (), (1, 1, 4)])
+def test_forward_rejects_input_that_is_not_a_batch(shape):
+    params = init_network([LayerSpec(4, 2, "relu")], 0)
+    with pytest.raises(ValueError, match="expects \\(batch, 4\\)"):
+        forward(params, np.ones(shape))
 
 
 def test_backward_zero_gradient_gives_zero_grads():
     params = init_network([LayerSpec(4, 3, "tanh"), LayerSpec(3, 2, "sigmoid")], 1)
-    _, tape = forward(params, np.ones(4))
-    grads, dx = backward(params, tape, np.zeros(2))
+    _, tape = forward(params, np.ones((1, 4)))
+    flat, grads = nn.gradient_buffers(params)
+    flat.fill(1.0)
+    backward(params, tape, np.zeros((1, 2)), grads)
     assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in grads)
+    dx = backward(params, tape, np.zeros((1, 2)))
     assert np.all(dx == 0)
 
 
 def test_backward_linear_layer_is_outer_product():
     params = init_network([LayerSpec(3, 2, "identity")], 2)
-    x = np.array([1.0, 2.0, -1.0])
-    dy = np.array([0.5, -1.5])
+    x = np.array([[1.0, 2.0, -1.0]])
+    dy = np.array([[0.5, -1.5]])
     _, tape = forward(params, x)
-    grads, _ = backward(params, tape, dy)
+    _, grads = nn.gradient_buffers(params)
+    backward(params, tape, dy, grads)
     assert np.allclose(grads[0][0], np.outer(dy, x))
-    assert np.allclose(grads[0][1], dy)
+    assert np.allclose(grads[0][1], dy[0])
 
 
 def test_backward_rejects_shape_mismatch():
     params = init_network([LayerSpec(3, 2, "identity")], 2)
-    _, tape = forward(params, np.ones(3))
-    with pytest.raises(ValueError):
-        backward(params, tape, np.ones(3))
+    _, tape = forward(params, np.ones((1, 3)))
+    _, grads = nn.gradient_buffers(params)
+    for bad in (np.ones((1, 3)), np.ones(2)):
+        with pytest.raises(ValueError):
+            backward(params, tape, bad)
+        with pytest.raises(ValueError):
+            backward(params, tape, bad, grads)
 
 
 def test_batched_forward_matches_loop():
@@ -189,8 +206,8 @@ def test_batched_forward_matches_loop():
     xs = np.random.default_rng(4).normal(size=(5, 4))
     batched, _ = forward(params, xs)
     for i in range(5):
-        single, _ = forward(params, xs[i])
-        assert np.allclose(batched[i], single)
+        single, _ = forward(params, xs[i : i + 1])
+        assert np.allclose(batched[i], single[0])
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +424,10 @@ def test_params_are_views_into_one_flat_buffer(tmp_path):
         assert np.shares_memory(dw, state.grad) and np.shares_memory(db, state.grad)
         assert dw.shape == w.shape and db.shape == b.shape
     assert state.grad.size == state.m.size == state.v.size == params.flat.size
+    flat, views = nn.gradient_buffers(params)
+    assert np.array_equal(flat, np.zeros_like(params.flat))
+    views[1][0][...] = 3.0  # the last layer's weight lies after w0 and b0 in the layout
+    assert np.array_equal(np.flatnonzero(flat), params.weights[0].size + 3 + np.arange(6))
 
 
 def test_params_copy_is_independent():
@@ -421,33 +442,51 @@ def test_params_copy_is_independent():
     assert np.all(copy.weights[1] == 7.0)
 
 
-def test_backward_into_buffers_matches_allocating_call():
-    rng = np.random.default_rng(17)
-    params = random_net("leaky_relu", rng, dims=(6, 9, 7, 4))
+ACTIVATION_GRADS = {
+    "relu": lambda z, h: (z > 0).astype(np.float64),
+    "leaky_relu": lambda z, h: np.where(z > 0, 1.0, nn.LEAKY_SLOPE),
+    "sigmoid": lambda z, h: h * (1.0 - h),
+    "tanh": lambda z, h: 1.0 - h * h,
+    "identity": lambda z, h: np.ones_like(z),
+}
+
+
+def reference_backward(params, tape, dy):
+    """A plain reverse pass over the tape: every weight, bias and input gradient, all allocated."""
+    outputs = tape.inputs[1:] + [tape.output]
+    g, grads = dy, []
+    for k in reversed(range(len(params.specs))):
+        dz = g * ACTIVATION_GRADS[params.specs[k].activation](tape.pre_activations[k], outputs[k])
+        grads.insert(0, (dz.T @ tape.inputs[k], dz.sum(axis=0)))
+        g = dz @ params.weights[k]
+    return grads, g
+
+
+def taped_net(activation, seed):
+    rng = np.random.default_rng(seed)
+    params = random_net(activation, rng, dims=(6, 9, 7, 4))
     _, tape = forward(params, rng.standard_normal((5, 6)))
-    dy = rng.standard_normal((5, 4))
-    fresh, dx = backward(params, tape, dy)
-    buffers = AdamState.for_params(params).grads
-    for dw, db in buffers:  # stale contents must be overwritten, not added to
-        dw.fill(np.nan)
-        db.fill(np.nan)
-    into, dx_into = backward(params, tape, dy, grad_out=buffers)
-    assert np.array_equal(dx, dx_into)
-    for (fw, fb), (iw, ib), (bw, bb) in zip(fresh, into, buffers):
-        assert iw is bw and ib is bb
-        assert np.array_equal(fw, iw) and np.array_equal(fb, ib)
+    return params, tape, rng.standard_normal((5, 4))
 
 
-def test_backward_skips_input_gradient_on_request():
-    rng = np.random.default_rng(18)
-    params = random_net("tanh", rng)
-    _, tape = forward(params, rng.standard_normal((3, 4)))
-    dy = rng.standard_normal((3, 3))
-    full, _ = backward(params, tape, dy)
-    skipped, dx = backward(params, tape, dy, input_grad=False)
-    assert dx is None
-    for (fw, fb), (sw, sb) in zip(full, skipped):
-        assert np.array_equal(fw, sw) and np.array_equal(fb, sb)
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+def test_backward_into_buffers_overwrites_them_and_returns_none(activation):
+    params, tape, dy = taped_net(activation, 17)
+    reference, _ = reference_backward(params, tape, dy)
+    flat, buffers = nn.gradient_buffers(params)
+    flat.fill(np.nan)  # stale contents must be overwritten, not added to
+    assert backward(params, tape, dy, buffers) is None
+    for (rw, rb), (bw, bb) in zip(reference, buffers):
+        assert np.array_equal(rw, bw) and np.array_equal(rb, bb)
+
+
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+def test_backward_without_buffers_returns_input_gradient(activation):
+    params, tape, dy = taped_net(activation, 18)
+    _, reference = reference_backward(params, tape, dy)
+    dx = backward(params, tape, dy)
+    assert dx.shape == (5, 6)
+    assert np.array_equal(dx, reference)
 
 
 # ---------------------------------------------------------------------------
