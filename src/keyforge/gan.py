@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import COL_KEYCODE, N_FEATURES, WORD_LEN, WordSample
-from .embedding import EMBED_DIM, EMBED_SEED, embed_word
+from .embedding import EMBED_DIM, embed_word
 from . import nn
 from .nn import AdamState, LayerSpec, NetworkParams, TrainingError
 
@@ -70,18 +70,6 @@ class GanBundle:
     epochs_trained: int = 0
     history: list[dict] = field(default_factory=list)
     converged: bool = False
-
-    def __post_init__(self):
-        if self.generator.in_dim != GEN_IN_DIM or self.generator.out_dim != GEN_OUT_DIM:
-            raise ValueError(
-                f"generator must map {GEN_IN_DIM} -> {GEN_OUT_DIM}, "
-                f"got {self.generator.in_dim} -> {self.generator.out_dim}"
-            )
-        if self.discriminator.in_dim != DISC_IN_DIM or self.discriminator.out_dim != 1:
-            raise ValueError(
-                f"discriminator must map {DISC_IN_DIM} -> 1, "
-                f"got {self.discriminator.in_dim} -> {self.discriminator.out_dim}"
-            )
 
 
 def new_bundle(seed: int, config: GanTrainConfig | None = None) -> GanBundle:
@@ -331,32 +319,20 @@ def save_bundle(bundle: GanBundle, directory: str | Path) -> tuple[Path, Path]:
     g_path = directory / "generator.json"
     d_path = directory / "discriminator.json"
     meta = {"converged": bundle.converged}
-    nn.save_params(bundle.generator, g_path, "generator", EMBED_SEED,
-                   rng_seed=bundle.seed, trained_epochs=bundle.epochs_trained, metadata=meta)
-    nn.save_params(bundle.discriminator, d_path, "discriminator", EMBED_SEED,
-                   rng_seed=bundle.seed, trained_epochs=bundle.epochs_trained, metadata=meta)
+    nn.save_params(bundle.generator, g_path, "generator", bundle.seed, bundle.epochs_trained, meta)
+    nn.save_params(bundle.discriminator, d_path, "discriminator", bundle.seed,
+                   bundle.epochs_trained, meta)
     return g_path, d_path
 
 
 def load_bundle(directory: str | Path) -> GanBundle:
     directory = Path(directory)
-    gen, g_info = nn.load_params(directory / "generator.json")
-    disc, d_info = nn.load_params(directory / "discriminator.json")
-    for info, path in ((g_info, "generator.json"), (d_info, "discriminator.json")):
-        if info["embed_seed"] != EMBED_SEED:
-            raise nn.CheckpointVersionError(
-                f"{directory / path}: embedding seed {info['embed_seed']} does not match "
-                f"this build ({EMBED_SEED})"
-            )
-    if g_info["model_kind"] != "generator" or d_info["model_kind"] != "discriminator":
-        raise nn.CorruptCheckpointError(
-            f"{directory}: model kinds {g_info['model_kind']}/{d_info['model_kind']}"
-        )
-    bundle = GanBundle(
+    gen, g_info = nn.load_params(directory / "generator.json", "generator", GEN_IN_DIM, GEN_OUT_DIM)
+    disc, _ = nn.load_params(directory / "discriminator.json", "discriminator", DISC_IN_DIM, 1)
+    return GanBundle(
         generator=gen,
         discriminator=disc,
         seed=g_info["rng_seed"] if g_info["rng_seed"] is not None else 0,
         epochs_trained=g_info["trained_epochs"],
         converged=bool(g_info["metadata"].get("converged", False)),
     )
-    return bundle

@@ -27,7 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "tanh", "identity")
+from .embedding import EMBED_SEED
+
+ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "identity")
 LEAKY_SLOPE = 0.2
 
 CHECKPOINT_VERSION = 1
@@ -154,8 +156,6 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, LEAKY_SLOPE * z)
     if name == "sigmoid":
         return _sigmoid(z)
-    if name == "tanh":
-        return np.tanh(z)
     return z  # identity
 
 
@@ -167,8 +167,6 @@ def _activation_grad(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
         return np.maximum(z > 0, LEAKY_SLOPE)
     if name == "sigmoid":
         return h * (1.0 - h)
-    if name == "tanh":
-        return 1.0 - h * h
     return np.ones_like(z)
 
 
@@ -335,11 +333,11 @@ def save_params(
     params: NetworkParams,
     path: str | Path,
     model_kind: str,
-    embed_seed: int,
-    rng_seed: int | None = None,
-    trained_epochs: int = 0,
-    metadata: dict | None = None,
+    rng_seed: int | None,
+    trained_epochs: int,
+    metadata: dict,
 ) -> None:
+    """Write params as a JSON checkpoint stamped with this build's EMBED_SEED."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "model_kind": model_kind,
@@ -349,22 +347,25 @@ def save_params(
         ],
         "weights": [w.tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
-        "embed_seed": embed_seed,
+        "embed_seed": EMBED_SEED,
         "rng_seed": rng_seed,
         "trained_epochs": trained_epochs,
-        "metadata": metadata or {},
+        "metadata": metadata,
     }
     text = json.dumps(doc, sort_keys=True)
     del doc  # free the tolist() floats before the text is encoded
     Path(path).write_text(text, encoding="utf-8")
 
 
-def load_params(path: str | Path) -> tuple[NetworkParams, dict]:
-    """Load a checkpoint; returns (params, info) where info carries the metadata.
+def load_params(path: str | Path, model_kind: str, in_dim: int, out_dim: int) -> tuple[NetworkParams, dict]:
+    """Load a model_kind checkpoint that must map in_dim -> out_dim; returns (params, info).
 
-    Raises CorruptCheckpointError for unreadable files, CheckpointVersionError
-    for a foreign format_version, CheckpointShapeError when arrays disagree
-    with their layer specs or the layers do not chain.
+    info holds rng_seed, trained_epochs and metadata. Each failure names the file:
+    CorruptCheckpointError for an unreadable file, a missing key, another model
+    kind, malformed layer data, non-finite values or metadata that is not an object;
+    CheckpointVersionError for a foreign format_version or embedding seed;
+    CheckpointShapeError for arrays that disagree with their layer specs, layers
+    that do not chain, or a network that does not map in_dim -> out_dim.
     """
     path = Path(path)
     try:
@@ -383,6 +384,12 @@ def load_params(path: str | Path) -> tuple[NetworkParams, dict]:
         raise CheckpointVersionError(
             f"{path}: format_version {doc['format_version']!r}, expected {CHECKPOINT_VERSION}"
         )
+    if doc["embed_seed"] != EMBED_SEED:
+        raise CheckpointVersionError(
+            f"{path}: embedding seed {doc['embed_seed']} does not match this build ({EMBED_SEED})"
+        )
+    if doc["model_kind"] != model_kind:
+        raise CorruptCheckpointError(f"{path}: model_kind {doc['model_kind']!r} is not a {model_kind}")
     try:
         specs = [
             LayerSpec(in_dim=s["in_dim"], out_dim=s["out_dim"], activation=s["activation"])
@@ -396,6 +403,11 @@ def load_params(path: str | Path) -> tuple[NetworkParams, dict]:
         _check_chain(specs)
     except ValueError as exc:
         raise CheckpointShapeError(f"{path}: {exc}") from None
+    if (specs[0].in_dim, specs[-1].out_dim) != (in_dim, out_dim):
+        raise CheckpointShapeError(
+            f"{path}: {model_kind} maps {specs[0].in_dim} -> {specs[-1].out_dim}, "
+            f"expected {in_dim} -> {out_dim}"
+        )
     if len(weights) != len(specs) or len(biases) != len(specs):
         raise CheckpointShapeError(f"{path}: {len(weights)} weight blocks for {len(specs)} layers")
     for k, (spec, w, b) in enumerate(zip(specs, weights, biases)):
@@ -407,10 +419,10 @@ def load_params(path: str | Path) -> tuple[NetworkParams, dict]:
     if (bad := _non_finite_layer(zip(weights, biases))) is not None:
         raise CorruptCheckpointError(f"{path}: non-finite values in layer {bad}")
     info = {
-        "model_kind": doc["model_kind"],
-        "embed_seed": doc["embed_seed"],
         "rng_seed": doc.get("rng_seed"),
         "trained_epochs": doc.get("trained_epochs", 0),
         "metadata": doc.get("metadata", {}),
     }
+    if not isinstance(info["metadata"], dict):
+        raise CorruptCheckpointError(f"{path}: metadata is not a JSON object")
     return NetworkParams(specs=specs, weights=weights, biases=biases), info

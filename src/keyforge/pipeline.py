@@ -19,7 +19,9 @@ from . import gan as gan_mod
 from . import verifier as verifier_mod
 from .attack import ATTACKER_ID
 from .config import RunConfig, config_hash
-from .data import Corpus, KeyEvent, UserLog, export_log, ingest_log, synth_corpus, words_from_corpus
+from .data import (
+    WORD_LEN, Corpus, KeyEvent, UserLog, export_log, ingest_log, synth_corpus, words_from_corpus,
+)
 from .evaluation import EvalReport, build_test_pairs, render_table, report_to_dict, run_tests, sample_other_sequences
 from .verifier import VerifierBundle
 
@@ -194,7 +196,10 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     log(f"corpus: {cfg.data.users} users x {cfg.data.sentences_per_user} sentences "
         f"({corpus.n_events()} events) -> {corpus_path}")
     timings["corpus"] = time.perf_counter() - t_start
-    _get_user(corpus, cfg.target_user)  # fail before the verifier trains
+    # fail before the verifier trains; a sentence of k keys yields k // 15 windows
+    user = _get_user(corpus, cfg.target_user)
+    n_windows = sum(len(sentence) // WORD_LEN for sentence in user.sentences)
+    _take_sequences(range(n_windows), cfg.eval.n_sequences, f"real sequences of {cfg.target_user}")
 
     t0 = time.perf_counter()
     verifier_bundle, vsummary = prepare_verifier(corpus, cfg)

@@ -11,6 +11,7 @@ sentences: spaces and cross-word latencies stay in.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from .data import (
     normalize,
     slice_windows,
 )
-from .embedding import EMBED_SEED
 from . import nn
 from .nn import AdamState, LayerSpec, NetworkParams
 
@@ -62,12 +62,6 @@ class VerifierBundle:
     margin: float = 1.0
     tau: float | None = None
     metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.network.out_dim != EMBED_OUT_DIM:
-            raise ValueError(f"embedding output must be {EMBED_OUT_DIM}-d, got {self.network.out_dim}")
-        if self.tau is not None and self.tau < 0:
-            raise ValueError("decision threshold must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -225,23 +219,16 @@ def save_verifier(bundle: VerifierBundle, path: str | Path) -> None:
     meta = dict(bundle.metadata)
     meta["tau"] = bundle.tau
     meta["margin"] = bundle.margin
-    nn.save_params(
-        bundle.network, path, "verifier", EMBED_SEED,
-        rng_seed=bundle.metadata.get("train_seed"),
-        trained_epochs=bundle.metadata.get("epochs", 0),
-        metadata=meta,
-    )
+    nn.save_params(bundle.network, path, "verifier", bundle.metadata.get("train_seed"),
+                   bundle.metadata.get("epochs", 0), meta)
 
 
 def load_verifier(path: str | Path) -> VerifierBundle:
-    net, info = nn.load_params(path)
-    if info["model_kind"] != "verifier":
-        raise nn.CorruptCheckpointError(f"{path}: model_kind {info['model_kind']!r} is not a verifier")
-    if info["embed_seed"] != EMBED_SEED:
-        raise nn.CheckpointVersionError(
-            f"{path}: embedding seed {info['embed_seed']} does not match this build ({EMBED_SEED})"
-        )
+    net, info = nn.load_params(path, "verifier", SEQ_DIM, EMBED_OUT_DIM)
     meta = dict(info["metadata"])
     tau = meta.pop("tau", None)
+    # bool is no number here; a JSON integer beyond float range would overflow in a comparison
+    if not (type(tau) in (int, float) and 0 <= tau <= sys.float_info.max):
+        raise nn.CorruptCheckpointError(f"{path}: tau {tau!r} is not a finite number >= 0")
     margin = meta.pop("margin", 1.0)
-    return VerifierBundle(network=net, margin=margin, tau=tau, metadata=meta)
+    return VerifierBundle(network=net, margin=margin, tau=float(tau), metadata=meta)

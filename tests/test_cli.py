@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 import keyforge
+from keyforge import gan as gan_mod
+from keyforge import nn, pipeline
+from keyforge import verifier as verifier_mod
 from keyforge.cli import main
+from keyforge.data import synth_corpus
 
 TINY_CONFIG = {
     "target_user": "u0",
@@ -347,3 +351,80 @@ def test_run_all_golden_digests(tmp_path, tiny_config):
                     "--config", str(tiny_config)], env=env, check=True, capture_output=True)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert digests == GOLDEN_SHA256
+
+
+def assert_data_error(code, capsys, path, message):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: {message}") and "Traceback" not in err
+
+
+def test_attack_with_generator_of_other_width_is_data_error(tmp_path, corpus_file, capsys):
+    gan_dir = tmp_path / "gan"
+    small = gan_mod.GanTrainConfig(g_hidden=8, d_hidden1=8, d_hidden2=4)
+    gan_mod.save_bundle(gan_mod.new_bundle(0, small), gan_dir)
+    narrow = nn.init_network([nn.LayerSpec(599, 8, "leaky_relu"), nn.LayerSpec(8, 75, "sigmoid")], 0)
+    nn.save_params(narrow, gan_dir / "generator.json", "generator", 0, 0, {})
+    out = tmp_path / "f.tsv"
+    code = main(["attack", "--gan-dir", str(gan_dir), "--corpus", str(corpus_file),
+                 "--user", "u0", "--condition", "ordered", "--out", str(out)])
+    assert_data_error(code, capsys, gan_dir / "generator.json",
+                      "generator maps 599 -> 75, expected 600 -> 75")
+    assert not out.exists()
+
+
+def evaluate_args(verifier, corpus_file, out_json):
+    """evaluate argv; loading the verifier fails first, so the fake streams need not exist."""
+    fakes = [arg for name in ("ordered-a", "ordered-b", "random-a", "random-b")
+             for arg in (f"--fake-{name}", str(corpus_file))]
+    return ["evaluate", "--verifier", str(verifier), "--corpus", str(corpus_file), "--user", "u0",
+            *fakes, "--out-json", str(out_json)]
+
+
+def test_evaluate_with_verifier_of_other_width_is_data_error(tmp_path, corpus_file, capsys):
+    path = tmp_path / "verifier.json"
+    narrow = nn.init_network([nn.LayerSpec(74, 8, "relu"), nn.LayerSpec(8, 64, "identity")], 0)
+    nn.save_params(narrow, path, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    out_json = tmp_path / "report.json"
+    code = main(evaluate_args(path, corpus_file, out_json))
+    assert_data_error(code, capsys, path, "verifier maps 74 -> 64, expected 75 -> 64")
+    assert not out_json.exists()
+
+
+@pytest.mark.parametrize("tau", [None, "0.5", float("nan")])
+def test_evaluate_with_bad_tau_is_data_error(tmp_path, corpus_file, tau, capsys):
+    path = tmp_path / "verifier.json"
+    net = nn.init_network(verifier_mod.embedding_specs(8), 0)
+    nn.save_params(net, path, "verifier", 0, 0, {"tau": tau, "margin": 1.0})
+    out_json = tmp_path / "report.json"
+    code = main(evaluate_args(path, corpus_file, out_json))
+    assert_data_error(code, capsys, path, f"tau {tau!r} is not a finite number >= 0")
+    assert not out_json.exists()
+
+
+def test_run_all_short_target_user_fails_before_training(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, eval={"n_sequences": 50})))
+    out_dir = tmp_path / "run"
+    code = main(["run-all", "--out-dir", str(out_dir), "--config", str(cfg_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"data error: real sequences of u0: only \d+ sequences available, need 50\n", err)
+    assert not (out_dir / "verifier.json").exists()
+
+
+def test_run_all_target_user_without_a_full_window_fails_before_training(tmp_path, monkeypatch,
+                                                                         capsys):
+    def short_u0(cfg):
+        corpus = synth_corpus(cfg.data.users, cfg.data.sentences_per_user, 7)
+        corpus.get("u0").sentences = [sentence[:14] for sentence in corpus.get("u0").sentences]
+        return corpus
+
+    monkeypatch.setattr(pipeline, "build_corpus", short_u0)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    out_dir = tmp_path / "run"
+    code = main(["run-all", "--out-dir", str(out_dir), "--config", str(cfg_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "data error: real sequences of u0: only 0 sequences available, need 3\n"
+    assert not (out_dir / "verifier.json").exists()

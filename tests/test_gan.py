@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,10 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from keyforge import gan
+from keyforge import gan, nn
 from keyforge.data import COL_KEYCODE, WORD_LEN, WordSample, synth_corpus, words_from_corpus
 from keyforge.embedding import embed_word
-from keyforge.nn import AdamState, CheckpointVersionError, NetworkParams
+from keyforge.nn import (
+    AdamState,
+    CheckpointShapeError,
+    CheckpointVersionError,
+    CorruptCheckpointError,
+    LayerSpec,
+    NetworkParams,
+)
 
 
 @pytest.fixture(scope="module")
@@ -104,12 +113,6 @@ def test_postprocess_matches_per_text_loop(rng):
     assert np.array_equal(got_mask, mask.reshape(len(texts), -1))
     flat[:] = -1.0  # the outputs are fresh arrays; the per-text layout cache is untouched
     assert np.array_equal(gan._postprocess(raw, texts)[0], mats.reshape(len(texts), -1))
-
-
-def test_bundle_validates_dimensions():
-    good = gan.new_bundle(0)
-    with pytest.raises(ValueError):
-        gan.GanBundle(generator=good.discriminator, discriminator=good.discriminator, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +287,38 @@ def test_bundle_save_load_round_trip(tmp_path, corpus_words, rng):
 
 
 def test_bundle_load_rejects_foreign_embed_seed(tmp_path):
-    import json
-
     bundle = gan.new_bundle(15)
     gan.save_bundle(bundle, tmp_path)
     doc = json.loads((tmp_path / "generator.json").read_text())
     doc["embed_seed"] = 123
     (tmp_path / "generator.json").write_text(json.dumps(doc))
     with pytest.raises(CheckpointVersionError):
+        gan.load_bundle(tmp_path)
+
+
+def test_bundle_validates_dimensions(tmp_path):
+    """Loading checks each network's kind and end widths, naming the file."""
+    gan.save_bundle(gan.new_bundle(16, gan.GanTrainConfig(g_hidden=8, d_hidden1=8, d_hidden2=4)), tmp_path)
+    g_path, d_path = tmp_path / "generator.json", tmp_path / "discriminator.json"
+    good = {p: p.read_text() for p in (g_path, d_path)}
+    cases = [
+        (g_path, [LayerSpec(599, 8, "leaky_relu"), LayerSpec(8, 75, "sigmoid")], "generator",
+         CheckpointShapeError, "generator maps 599 -> 75, expected 600 -> 75"),
+        (d_path, [LayerSpec(175, 4, "leaky_relu"), LayerSpec(4, 2, "sigmoid")], "discriminator",
+         CheckpointShapeError, "discriminator maps 175 -> 2, expected 175 -> 1"),
+        (d_path, gan.generator_specs(8), "generator",
+         CorruptCheckpointError, "model_kind 'generator' is not a discriminator"),
+    ]
+    for path, specs, kind, error, message in cases:
+        nn.save_params(nn.init_network(specs, 0), path, kind, 16, 0, {})
+        with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+            gan.load_bundle(tmp_path)
+        path.write_text(good[path])
+    # the two files swapped: each holds the other network
+    g_path.write_text(good[d_path])
+    d_path.write_text(good[g_path])
+    with pytest.raises(CorruptCheckpointError,
+                       match=re.escape(f"{g_path}: model_kind 'discriminator' is not a generator")):
         gan.load_bundle(tmp_path)
 
 

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from keyforge import nn
+from keyforge.embedding import EMBED_SEED
 from keyforge.nn import (
     AdamState,
     CheckpointShapeError,
@@ -169,7 +171,7 @@ def test_forward_rejects_input_that_is_not_a_batch(shape):
 
 
 def test_backward_zero_gradient_gives_zero_grads():
-    params = init_network([LayerSpec(4, 3, "tanh"), LayerSpec(3, 2, "sigmoid")], 1)
+    params = init_network([LayerSpec(4, 3, "leaky_relu"), LayerSpec(3, 2, "sigmoid")], 1)
     _, tape = forward(params, np.ones((1, 4)))
     flat, grads = nn.gradient_buffers(params)
     flat.fill(1.0)
@@ -407,8 +409,8 @@ def test_params_are_views_into_one_flat_buffer(tmp_path):
     specs = [LayerSpec(4, 3, "leaky_relu"), LayerSpec(3, 2, "sigmoid")]
     params = init_network(specs, 19)
     assert_views_into_flat(params)
-    save_params(params, tmp_path / "net.json", "verifier", embed_seed=1)
-    loaded, _ = load_params(tmp_path / "net.json")
+    save_params(params, tmp_path / "net.json", "verifier", None, 0, {})
+    loaded, _ = load_params(tmp_path / "net.json", "verifier", 4, 2)
     assert_views_into_flat(loaded)
     assert np.array_equal(loaded.flat, params.flat)
     assert_views_into_flat(params.copy())
@@ -446,7 +448,6 @@ ACTIVATION_GRADS = {
     "relu": lambda z, h: (z > 0).astype(np.float64),
     "leaky_relu": lambda z, h: np.where(z > 0, 1.0, nn.LEAKY_SLOPE),
     "sigmoid": lambda z, h: h * (1.0 - h),
-    "tanh": lambda z, h: 1.0 - h * h,
     "identity": lambda z, h: np.ones_like(z),
 }
 
@@ -497,73 +498,99 @@ def test_backward_without_buffers_returns_input_gradient(activation):
 def test_checkpoint_round_trip(tmp_path):
     params = init_network([LayerSpec(4, 3, "leaky_relu"), LayerSpec(3, 2, "sigmoid")], 10)
     path = tmp_path / "net.json"
-    save_params(params, path, "generator", embed_seed=0x5EED, rng_seed=10,
-                trained_epochs=3, metadata={"note": "x"})
-    loaded, info = load_params(path)
-    assert info["model_kind"] == "generator"
-    assert info["embed_seed"] == 0x5EED
-    assert info["rng_seed"] == 10
-    assert info["trained_epochs"] == 3
-    assert info["metadata"] == {"note": "x"}
+    save_params(params, path, "generator", 10, 3, {"note": "x"})
+    doc = json.loads(path.read_text())
+    assert doc["model_kind"] == "generator"
+    assert doc["embed_seed"] == EMBED_SEED
+    loaded, info = load_params(path, "generator", 4, 2)
+    assert info == {"rng_seed": 10, "trained_epochs": 3, "metadata": {"note": "x"}}
     assert loaded.specs == params.specs
     for a, b in zip(loaded.weights, params.weights):
         assert np.array_equal(a, b)
     for a, b in zip(loaded.biases, params.biases):
         assert np.array_equal(a, b)
+    with pytest.raises(CorruptCheckpointError, match="model_kind 'generator' is not a verifier"):
+        load_params(path, "verifier", 4, 2)
+
+
+def saved_doc(tmp_path, params):
+    """Save params as a verifier checkpoint; returns its path and its parsed JSON."""
+    path = tmp_path / "net.json"
+    save_params(params, path, "verifier", None, 0, {})
+    return path, json.loads(path.read_text())
 
 
 def test_checkpoint_truncated_file_is_corrupt(tmp_path):
     params = init_network([LayerSpec(3, 2, "relu")], 11)
-    path = tmp_path / "net.json"
-    save_params(params, path, "verifier", embed_seed=1)
+    path, _ = saved_doc(tmp_path, params)
     path.write_text(path.read_text()[: len(path.read_text()) // 2])
     with pytest.raises(CorruptCheckpointError):
-        load_params(path)
+        load_params(path, "verifier", 3, 2)
 
 
 def test_checkpoint_version_mismatch(tmp_path):
     params = init_network([LayerSpec(3, 2, "relu")], 12)
-    path = tmp_path / "net.json"
-    save_params(params, path, "verifier", embed_seed=1)
-    doc = json.loads(path.read_text())
+    path, doc = saved_doc(tmp_path, params)
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointVersionError):
-        load_params(path)
+        load_params(path, "verifier", 3, 2)
+
+
+def test_checkpoint_foreign_embed_seed_is_version_error(tmp_path):
+    path, doc = saved_doc(tmp_path, init_network([LayerSpec(3, 2, "relu")], 12))
+    doc["embed_seed"] = EMBED_SEED + 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointVersionError,
+                       match=re.escape(f"{path}: embedding seed {EMBED_SEED + 1} does not match")):
+        load_params(path, "verifier", 3, 2)
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
     params = init_network([LayerSpec(3, 2, "relu")], 13)
-    path = tmp_path / "net.json"
-    save_params(params, path, "verifier", embed_seed=1)
-    doc = json.loads(path.read_text())
+    path, doc = saved_doc(tmp_path, params)
     doc["weights"][0] = [[1.0, 2.0], [3.0, 4.0]]  # 2x2 instead of 2x3
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointShapeError):
-        load_params(path)
+        load_params(path, "verifier", 3, 2)
     # each layer matches its own spec, but 3 -> 2 does not feed a 4-wide layer
     first, second = init_network([LayerSpec(3, 2, "relu")], 1), init_network([LayerSpec(4, 4, "relu")], 2)
     unchained = NetworkParams(specs=first.specs + second.specs, weights=first.weights + second.weights,
                               biases=first.biases + second.biases)
-    save_params(unchained, path, "verifier", embed_seed=1)
+    save_params(unchained, path, "verifier", None, 0, {})
     with pytest.raises(CheckpointShapeError, match="2 feeds 4"):
-        load_params(path)
+        load_params(path, "verifier", 3, 4)
+
+
+@pytest.mark.parametrize("in_dim, out_dim", [(2, 2), (4, 2), (3, 1), (3, 3)])
+def test_checkpoint_of_other_widths_is_shape_error(tmp_path, in_dim, out_dim):
+    path, _ = saved_doc(tmp_path, init_network([LayerSpec(3, 5, "relu"), LayerSpec(5, 2, "relu")], 3))
+    with pytest.raises(CheckpointShapeError,
+                       match=re.escape(f"{path}: verifier maps 3 -> 2, expected {in_dim} -> {out_dim}")):
+        load_params(path, "verifier", in_dim, out_dim)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_checkpoint_non_finite_values_are_corrupt_naming_layer(tmp_path, bad):
     params = init_network([LayerSpec(3, 2, "relu"), LayerSpec(2, 2, "relu")], 14)
-    path = tmp_path / "net.json"
-    save_params(params, path, "verifier", embed_seed=1)
-    doc = json.loads(path.read_text())
+    path, doc = saved_doc(tmp_path, params)
     doc["biases"][1][0] = bad
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptCheckpointError, match="non-finite values in layer 1"):
-        load_params(path)
+        load_params(path, "verifier", 3, 2)
+
+
+@pytest.mark.parametrize("metadata", [[], "tau", 1.5, None])
+def test_checkpoint_metadata_that_is_not_an_object_is_corrupt(tmp_path, metadata):
+    path, doc = saved_doc(tmp_path, init_network([LayerSpec(3, 2, "relu")], 15))
+    doc["metadata"] = metadata
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptCheckpointError, match=re.escape(f"{path}: metadata is not a JSON")):
+        load_params(path, "verifier", 3, 2)
 
 
 def test_checkpoint_missing_keys_is_corrupt(tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps({"format_version": 1}))
     with pytest.raises(CorruptCheckpointError):
-        load_params(path)
+        load_params(path, "verifier", 3, 2)

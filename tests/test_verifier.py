@@ -1,7 +1,12 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from keyforge import verifier
+from keyforge import nn, verifier
 from keyforge.data import (
     COL_KEYCODE,
     Corpus,
@@ -9,6 +14,14 @@ from keyforge.data import (
     SPACE_KEYCODE,
     UserLog,
     synth_corpus,
+)
+from keyforge.embedding import EMBED_SEED
+from keyforge.nn import (
+    CheckpointError,
+    CheckpointShapeError,
+    CheckpointVersionError,
+    CorruptCheckpointError,
+    LayerSpec,
 )
 from keyforge.verifier import (
     DIFFERENT_USER,
@@ -250,3 +263,89 @@ def test_verifier_checkpoint_round_trip(tmp_path, trained):
         assert np.array_equal(a, b)
     assert np.array_equal(pair_distances(loaded, pairs[:20]), pair_distances(bundle, pairs[:20]))
     assert pair_accuracy(loaded, pairs) == pair_accuracy(bundle, pairs)
+
+
+def small_verifier(specs=None):
+    """An untrained verifier over the given layer specs (default 75 -> 4 -> 64) with tau 0.5."""
+    net = nn.init_network(specs or verifier.embedding_specs(4), 0)
+    return VerifierBundle(network=net, tau=0.5, metadata={"train_seed": 0, "epochs": 0})
+
+
+@pytest.mark.parametrize("specs, message", [
+    ([LayerSpec(74, 4, "relu"), LayerSpec(4, 64, "identity")], "verifier maps 74 -> 64, expected 75 -> 64"),
+    ([LayerSpec(75, 4, "relu"), LayerSpec(4, 63, "identity")], "verifier maps 75 -> 63, expected 75 -> 64"),
+], ids=["74-inputs", "63-outputs"])
+def test_load_verifier_rejects_other_widths(tmp_path, specs, message):
+    path = tmp_path / "verifier.json"
+    verifier.save_verifier(small_verifier(specs=specs), path)
+    with pytest.raises(CheckpointShapeError, match=re.escape(f"{path}: {message}")):
+        verifier.load_verifier(path)
+
+
+def edited_checkpoint(path, edit):
+    """Save a small verifier to path, then rewrite its JSON through edit(doc)."""
+    verifier.save_verifier(small_verifier(), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_load_verifier_rejects_foreign_kind_and_embed_seed(tmp_path):
+    path = edited_checkpoint(tmp_path / "v.json", lambda doc: doc.update(embed_seed=123))
+    with pytest.raises(CheckpointVersionError, match=re.escape(f"{path}: embedding seed 123")):
+        verifier.load_verifier(path)
+    path = edited_checkpoint(tmp_path / "v.json", lambda doc: doc.update(model_kind="generator"))
+    with pytest.raises(CorruptCheckpointError,
+                       match=re.escape(f"{path}: model_kind 'generator' is not a verifier")):
+        verifier.load_verifier(path)
+
+
+@pytest.mark.parametrize("tau", [None, "0.5", float("nan"), float("inf"), -0.1, True, [0.5], 10**400],
+                         ids=["null", "string", "nan", "inf", "negative", "bool", "list", "beyond-float"])
+def test_load_verifier_rejects_tau_that_is_not_a_finite_non_negative_number(tmp_path, tau):
+    path = edited_checkpoint(tmp_path / "v.json", lambda doc: doc["metadata"].update(tau=tau))
+    with pytest.raises(CorruptCheckpointError, match=re.escape(f"{path}: tau {tau!r} is not a finite")):
+        verifier.load_verifier(path)
+
+
+@pytest.mark.parametrize("tau", [0, 0.0, 2, 0.75])
+def test_load_verifier_accepts_any_finite_non_negative_tau(tmp_path, tau):
+    path = edited_checkpoint(tmp_path / "v.json", lambda doc: doc["metadata"].update(tau=tau))
+    loaded = verifier.load_verifier(path)
+    assert loaded.tau == tau and type(loaded.tau) is float
+
+
+ANY_JSON = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+WIDTHS = st.one_of(st.sampled_from([4, 63, 64, 74, 75]), ANY_JSON)
+# where each field sits in a checkpoint's JSON, and the values drawn for it
+EDITS = {
+    ("model_kind",): st.one_of(st.sampled_from(["verifier", "generator"]), ANY_JSON),
+    ("embed_seed",): st.one_of(st.sampled_from([EMBED_SEED, float(EMBED_SEED)]), ANY_JSON),
+    ("layer_specs", 0, "in_dim"): WIDTHS,
+    ("layer_specs", 0, "out_dim"): WIDTHS,
+    ("layer_specs", 1, "in_dim"): WIDTHS,
+    ("layer_specs", 1, "out_dim"): WIDTHS,
+    ("metadata", "tau"): st.one_of(st.floats(min_value=0.0), ANY_JSON),
+}
+EDIT = st.sampled_from(list(EDITS)).flatmap(lambda field: st.tuples(st.just(field), EDITS[field]))
+
+
+@given(edits=st.lists(EDIT, max_size=3))
+def test_edited_checkpoint_loads_and_runs_or_raises_checkpoint_error(tmp_path_factory, edits):
+    def edit(doc):
+        for (*parents, key), value in edits:
+            node = doc
+            for parent in parents:
+                node = node[parent]
+            node[key] = value
+
+    path = edited_checkpoint(tmp_path_factory.getbasetemp() / "edited.json", edit)
+    try:
+        loaded = verifier.load_verifier(path)
+    except CheckpointError:
+        return
+    codes, _ = nn.forward(loaded.network, np.zeros((3, verifier.SEQ_DIM)))
+    assert codes.shape == (3, verifier.EMBED_OUT_DIM)
+    assert math.isfinite(loaded.tau) and loaded.tau >= 0
+    assert (np.linalg.norm(codes - codes[::-1], axis=1) <= loaded.tau).all()
