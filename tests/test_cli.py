@@ -409,7 +409,8 @@ def test_run_all_short_target_user_fails_before_training(tmp_path, capsys):
     code = main(["run-all", "--out-dir", str(out_dir), "--config", str(cfg_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"data error: real sequences of u0: only \d+ sequences available, need 50\n", err)
+    assert re.fullmatch(r"data error: real sequences of u0: only \d+ sequences available, need 50\n",
+                        err)
     assert not (out_dir / "verifier.json").exists()
 
 
@@ -426,5 +427,6 @@ def test_run_all_target_user_without_a_full_window_fails_before_training(tmp_pat
     out_dir = tmp_path / "run"
     code = main(["run-all", "--out-dir", str(out_dir), "--config", str(cfg_path)])
     assert code == 2
-    assert capsys.readouterr().err == "data error: real sequences of u0: only 0 sequences available, need 3\n"
+    assert (capsys.readouterr().err
+            == "data error: real sequences of u0: only 0 sequences available, need 3\n")
     assert not (out_dir / "verifier.json").exists()

@@ -298,7 +298,8 @@ def test_bundle_load_rejects_foreign_embed_seed(tmp_path):
 
 def test_bundle_validates_dimensions(tmp_path):
     """Loading checks each network's kind and end widths, naming the file."""
-    gan.save_bundle(gan.new_bundle(16, gan.GanTrainConfig(g_hidden=8, d_hidden1=8, d_hidden2=4)), tmp_path)
+    small = gan.GanTrainConfig(g_hidden=8, d_hidden1=8, d_hidden2=4)
+    gan.save_bundle(gan.new_bundle(16, small), tmp_path)
     g_path, d_path = tmp_path / "generator.json", tmp_path / "discriminator.json"
     good = {p: p.read_text() for p in (g_path, d_path)}
     cases = [

@@ -272,8 +272,10 @@ def small_verifier(specs=None):
 
 
 @pytest.mark.parametrize("specs, message", [
-    ([LayerSpec(74, 4, "relu"), LayerSpec(4, 64, "identity")], "verifier maps 74 -> 64, expected 75 -> 64"),
-    ([LayerSpec(75, 4, "relu"), LayerSpec(4, 63, "identity")], "verifier maps 75 -> 63, expected 75 -> 64"),
+    ([LayerSpec(74, 4, "relu"), LayerSpec(4, 64, "identity")],
+     "verifier maps 74 -> 64, expected 75 -> 64"),
+    ([LayerSpec(75, 4, "relu"), LayerSpec(4, 63, "identity")],
+     "verifier maps 75 -> 63, expected 75 -> 64"),
 ], ids=["74-inputs", "63-outputs"])
 def test_load_verifier_rejects_other_widths(tmp_path, specs, message):
     path = tmp_path / "verifier.json"
@@ -302,7 +304,8 @@ def test_load_verifier_rejects_foreign_kind_and_embed_seed(tmp_path):
 
 
 @pytest.mark.parametrize("tau", [None, "0.5", float("nan"), float("inf"), -0.1, True, [0.5], 10**400],
-                         ids=["null", "string", "nan", "inf", "negative", "bool", "list", "beyond-float"])
+                         ids=["null", "string", "nan", "inf", "negative", "bool", "list",
+                              "beyond-float"])
 def test_load_verifier_rejects_tau_that_is_not_a_finite_non_negative_number(tmp_path, tau):
     path = edited_checkpoint(tmp_path / "v.json", lambda doc: doc["metadata"].update(tau=tau))
     with pytest.raises(CorruptCheckpointError, match=re.escape(f"{path}: tau {tau!r} is not a finite")):
