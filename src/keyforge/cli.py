@@ -142,7 +142,12 @@ def cmd_evaluate(args) -> int:
     for path in (args.fake_ordered_a, args.fake_ordered_b, args.fake_random_a, args.fake_random_b):
         meta_path = Path(f"{path}.meta.json")
         if meta_path.exists():
-            side = json.loads(meta_path.read_text(encoding="utf-8"))
+            try:
+                side = json.loads(meta_path.read_text(encoding="utf-8"))
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                raise DataError(f"{meta_path}: not valid JSON: {exc}") from None
+            if not isinstance(side, dict):
+                raise DataError(f"{meta_path}: expected a JSON object, got {type(side).__name__}")
             metadata["seeds"][f"attack:{Path(path).name}"] = side.get("seed")
     report = pipeline.evaluate_attack(bundle, corpus, args.user, fakes, cfg, metadata)
     doc = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"

@@ -1,9 +1,10 @@
 """Attack evaluation: test-pair protocols, confusion metrics, and the report.
 
-Three tests probe the calibrated verifier with 20-sequence sets, paired by
-full cross-product (400 pairs each): real-vs-fake and fake-vs-fake expect a
-same-user decision, fake-vs-other-users expects different-user. "same_user" is
-the positive class for confusion accounting.
+Three tests probe the calibrated verifier with sets of eval.n_sequences
+sequences, paired by full cross-product (n² pairs each): real-vs-fake and
+fake-vs-fake expect a same-user decision, fake-vs-other-users expects
+different-user. "same_user" is the positive class for confusion accounting.
+Each test's result is its report entry, a JSON-ready dict.
 
 Test 1's accuracy is genuinely ambiguous in direction: a high value here reads
 as attack acceptance under the expectations above, while a strict-verifier
@@ -17,59 +18,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .verifier import (
-    DIFFERENT_USER,
-    SAME_USER,
-    SequencePair,
-    VerifierBundle,
-    pair_distances,
-)
+from .verifier import PairSet, VerifierBundle, pair_distances
 
-EVAL_SET_SIZE = 20
+SAME_USER = "same_user"
+DIFFERENT_USER = "different_user"
 
 TEST_IDS = (1, 2, 3)
 TEST_EXPECTATIONS = {1: SAME_USER, 2: SAME_USER, 3: DIFFERENT_USER}
 TEST_NAMES = {1: "real vs fake", 2: "fake vs fake", 3: "real other vs fake"}
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-@dataclass(frozen=True)
-class MetricSet:
-    accuracy: float
-    recall: float
-    precision: float
-    f1: float
-    mcc: float
-    flags: tuple[str, ...] = ()
-
-
-def metrics(cm: ConfusionMatrix) -> MetricSet:
+def metrics(tp: int, tn: int, fp: int, fn: int) -> dict:
     """Accuracy, recall, precision, F1, and MCC from one confusion matrix.
 
     Zero-denominator metrics report 0 and are named in flags rather than
     failing the run.
     """
-    if cm.total == 0:
+    total = tp + tn + fp + fn
+    if total == 0:
         raise ValueError("cannot compute metrics for an all-zero confusion matrix")
-    tp, tn, fp, fn = cm.tp, cm.tn, cm.fp, cm.fn
     flags = []
 
-    accuracy = (tp + tn) / cm.total
+    accuracy = (tp + tn) / total
 
     if fn + tp == 0:
         recall = 0.0
@@ -96,10 +66,8 @@ def metrics(cm: ConfusionMatrix) -> MetricSet:
     else:
         mcc = (tn * tp - fp * fn) / math.sqrt(mcc_den)
 
-    return MetricSet(
-        accuracy=accuracy, recall=recall, precision=precision, f1=f1, mcc=mcc,
-        flags=tuple(flags),
-    )
+    return {"accuracy": accuracy, "recall": recall, "precision": precision, "f1": f1, "mcc": mcc,
+            "flags": flags}
 
 
 def build_test_pairs(
@@ -108,9 +76,9 @@ def build_test_pairs(
     fake_alice: list[np.ndarray],
     fake_alice_b: list[np.ndarray],
     real_others: list[np.ndarray],
-    n: int = EVAL_SET_SIZE,
-) -> list[SequencePair]:
-    """Cross-product pairing for one test protocol, labeled with its expected decision."""
+    n: int,
+) -> PairSet:
+    """Cross-product pairing for one test protocol: pair i*n + j is (left[i], right[j])."""
     if test_id not in TEST_IDS:
         raise ValueError(f"test_id must be in {TEST_IDS}, got {test_id}")
     referenced = {
@@ -122,8 +90,8 @@ def build_test_pairs(
         if len(seqs) != n:
             raise ValueError(f"test {test_id}: set {name} has {len(seqs)} sequences, expected {n}")
     (_, left), (_, right) = referenced
-    expected = TEST_EXPECTATIONS[test_id]
-    return [SequencePair(a, b, expected) for a in left for b in right]
+    same = np.full(n * n, TEST_EXPECTATIONS[test_id] == SAME_USER)
+    return PairSet(np.repeat(left, n, axis=0), np.tile(right, (n, 1, 1)), same)
 
 
 def sample_other_sequences(
@@ -144,58 +112,48 @@ def sample_other_sequences(
     return out
 
 
-@dataclass(frozen=True)
-class TestResult:
-    test_id: int
-    n_pairs: int
-    matches: int
-    accuracy: float
-    same_user_rate: float
-    confusion: ConfusionMatrix
-    metric_set: MetricSet
-
-
 @dataclass
 class EvalReport:
-    results: dict[str, dict[int, TestResult]]  # condition -> test_id -> result
+    results: dict[str, dict[str, dict]]  # condition -> "test<id>" -> report entry
     metadata: dict = field(default_factory=dict)
 
 
-def _run_one_test(bundle: VerifierBundle, test_id: int, pairs: list[SequencePair]) -> TestResult:
+def _run_one_test(bundle: VerifierBundle, test_id: int, pairs: PairSet) -> dict:
     d = pair_distances(bundle, pairs)
     if bundle.tau is None:
         raise ValueError("verifier bundle is not calibrated (tau unset)")
     same = d <= bundle.tau
-    expected_same = np.array([p.label == SAME_USER for p in pairs])
-
-    cm = ConfusionMatrix(
-        tp=int(np.count_nonzero(same & expected_same)),
-        tn=int(np.count_nonzero(~same & ~expected_same)),
-        fp=int(np.count_nonzero(same & ~expected_same)),
-        fn=int(np.count_nonzero(~same & expected_same)),
-    )
-    matches = cm.tp + cm.tn
-    return TestResult(
-        test_id=test_id,
-        n_pairs=len(pairs),
-        matches=matches,
-        accuracy=matches / len(pairs),
-        same_user_rate=float(np.count_nonzero(same)) / len(pairs),
-        confusion=cm,
-        metric_set=metrics(cm),
-    )
+    expected = pairs.same
+    tp = int(np.count_nonzero(same & expected))
+    tn = int(np.count_nonzero(~same & ~expected))
+    fp = int(np.count_nonzero(same & ~expected))
+    fn = int(np.count_nonzero(~same & expected))
+    same_user_rate = float(np.count_nonzero(same)) / len(pairs)
+    entry = {
+        "name": TEST_NAMES[test_id],
+        "expected_decision": TEST_EXPECTATIONS[test_id],
+        "n_pairs": len(pairs),
+        "matches": tp + tn,
+        "same_user_rate": same_user_rate,
+        "confusion": {"tp": tp, "tn": tn, "fp": fp, "fn": fn},
+        **metrics(tp, tn, fp, fn),
+    }
+    if test_id == 1:
+        entry["attack_acceptance_rate"] = same_user_rate
+        entry["verifier_correct_rate"] = 1.0 - same_user_rate
+    return entry
 
 
 def run_tests(
     bundle: VerifierBundle,
-    pairs_by_condition: dict[str, dict[int, list[SequencePair]]],
+    pairs_by_condition: dict[str, dict[int, PairSet]],
     metadata: dict | None = None,
 ) -> EvalReport:
     """Evaluate every condition's three test protocols against the verifier."""
-    results: dict[str, dict[int, TestResult]] = {}
+    results = {}
     for condition, tests in pairs_by_condition.items():
         results[condition] = {
-            test_id: _run_one_test(bundle, test_id, pairs)
+            f"test{test_id}": _run_one_test(bundle, test_id, pairs)
             for test_id, pairs in sorted(tests.items())
         }
     return EvalReport(results=results, metadata=dict(metadata or {}))
@@ -207,35 +165,7 @@ def run_tests(
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    doc: dict = {"format_version": 1, "metadata": report.metadata, "conditions": {}}
-    for condition, tests in sorted(report.results.items()):
-        cond_doc = {}
-        for test_id, r in sorted(tests.items()):
-            entry = {
-                "name": TEST_NAMES[r.test_id],
-                "expected_decision": TEST_EXPECTATIONS[r.test_id],
-                "n_pairs": r.n_pairs,
-                "matches": r.matches,
-                "accuracy": r.accuracy,
-                "same_user_rate": r.same_user_rate,
-                "confusion": {
-                    "tp": r.confusion.tp,
-                    "tn": r.confusion.tn,
-                    "fp": r.confusion.fp,
-                    "fn": r.confusion.fn,
-                },
-                "recall": r.metric_set.recall,
-                "precision": r.metric_set.precision,
-                "f1": r.metric_set.f1,
-                "mcc": r.metric_set.mcc,
-                "flags": list(r.metric_set.flags),
-            }
-            if r.test_id == 1:
-                entry["attack_acceptance_rate"] = r.same_user_rate
-                entry["verifier_correct_rate"] = 1.0 - r.same_user_rate
-            cond_doc[f"test{test_id}"] = entry
-        doc["conditions"][condition] = cond_doc
-    return doc
+    return {"format_version": 1, "metadata": report.metadata, "conditions": report.results}
 
 
 def render_table(report: EvalReport) -> str:
@@ -246,8 +176,8 @@ def render_table(report: EvalReport) -> str:
     for condition in conditions:
         row = [condition]
         for test_id in TEST_IDS:
-            r = report.results[condition].get(test_id)
-            row.append("-" if r is None else f"{r.accuracy:.3f}")
+            entry = report.results[condition].get(f"test{test_id}")
+            row.append("-" if entry is None else f"{entry['accuracy']:.3f}")
         rows.append(row)
     widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
     lines = [
@@ -259,10 +189,10 @@ def render_table(report: EvalReport) -> str:
     lines.append("")
     lines.append("test 1 rates per condition (acceptance vs strict-verifier reading):")
     for condition in conditions:
-        r = report.results[condition].get(1)
-        if r is not None:
+        entry = report.results[condition].get("test1")
+        if entry is not None:
             lines.append(
-                f"  {condition}: attack_acceptance={r.same_user_rate:.3f}  "
-                f"verifier_correct={1.0 - r.same_user_rate:.3f}"
+                f"  {condition}: attack_acceptance={entry['attack_acceptance_rate']:.3f}  "
+                f"verifier_correct={entry['verifier_correct_rate']:.3f}"
             )
     return "\n".join(lines)

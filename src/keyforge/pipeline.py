@@ -19,9 +19,7 @@ from . import gan as gan_mod
 from . import verifier as verifier_mod
 from .attack import ATTACKER_ID
 from .config import RunConfig, config_hash
-from .data import (
-    WORD_LEN, Corpus, KeyEvent, UserLog, export_log, ingest_log, synth_corpus, words_from_corpus,
-)
+from .data import WORD_LEN, Corpus, KeyEvent, UserLog, export_log, synth_corpus, words_from_corpus
 from .evaluation import EvalReport, build_test_pairs, render_table, report_to_dict, run_tests, sample_other_sequences
 from .verifier import VerifierBundle
 
@@ -227,7 +225,7 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
             path = out_dir / f"attack_{condition}_{tag}.tsv"
             write_attack(events, path, condition, seed, cfg.target_user, cfg)
             paths[tag] = path
-            corpora.append(ingest_log(path))
+            corpora.append(attack_events_to_corpus(events))
             log(f"attack [{condition}/{tag}]: {len(events)} events -> {path}")
         fake_paths[condition] = paths
         fakes_by_condition[condition] = (corpora[0], corpora[1])
@@ -253,9 +251,7 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
         },
     }
     t0 = time.perf_counter()
-    report = evaluate_attack(
-        verifier_bundle, ingest_log(corpus_path), cfg.target_user, fakes_by_condition, cfg, metadata
-    )
+    report = evaluate_attack(verifier_bundle, corpus, cfg.target_user, fakes_by_condition, cfg, metadata)
     timings["evaluate"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
 

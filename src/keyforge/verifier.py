@@ -6,7 +6,8 @@ a contrastive loss. The deployed decision is a threshold on that distance,
 calibrated to the equal-error-rate point on validation pairs.
 
 Unlike the word-level generator training, verifier sequences are cut from raw
-sentences: spaces and cross-word latencies stay in.
+sentences: spaces and cross-word latencies stay in. A pair set is one PairSet:
+the two sides as (n, 15, 5) arrays and a bool "same user" array.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ from .data import (
 )
 from . import nn
 from .nn import AdamState, LayerSpec, NetworkParams
-
-SAME_USER = "same_user"
-DIFFERENT_USER = "different_user"
 
 SEQ_DIM = WORD_LEN * N_FEATURES  # 75
 EMBED_OUT_DIM = 64
@@ -65,12 +63,19 @@ class VerifierBundle:
 
 
 @dataclass(frozen=True)
-class SequencePair:
-    """Two normalized (15, 5) sequences and whether they come from one user."""
+class PairSet:
+    """n pairs of normalized (15, 5) sequences and whether each pair comes from one user."""
 
-    a: np.ndarray
-    b: np.ndarray
-    label: str  # SAME_USER or DIFFERENT_USER
+    a: np.ndarray  # (n, 15, 5)
+    b: np.ndarray  # (n, 15, 5)
+    same: np.ndarray  # (n,) bool
+
+    def __len__(self) -> int:
+        return len(self.same)
+
+    def __getitem__(self, index) -> PairSet:
+        """The pairs picked by a slice or a bool mask."""
+        return PairSet(self.a[index], self.b[index], self.same[index])
 
 
 def sequences_from_corpus(corpus: Corpus) -> dict[str, list[np.ndarray]]:
@@ -100,57 +105,49 @@ def _embed(bundle: VerifierBundle, matrices: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_distances(bundle: VerifierBundle, pairs: list[SequencePair]) -> np.ndarray:
+def pair_distances(bundle: VerifierBundle, pairs: PairSet) -> np.ndarray:
     """Euclidean distance between the embedded sequences of each pair."""
-    a = np.stack([p.a for p in pairs])
-    b = np.stack([p.b for p in pairs])
-    return np.linalg.norm(_embed(bundle, a) - _embed(bundle, b), axis=1)
+    return np.linalg.norm(_embed(bundle, pairs.a) - _embed(bundle, pairs.b), axis=1)
 
 
 def make_pairs(
     sequences_by_user: dict[str, list[np.ndarray]],
     n_pairs: int,
     rng: np.random.Generator,
-) -> list[SequencePair]:
-    """Sample a balanced 1:1 genuine/impostor pair set."""
+) -> PairSet:
+    """Sample a balanced 1:1 genuine/impostor pair set, genuine pairs at even indices."""
     users = sorted(sequences_by_user)
     multi = [u for u in users if len(sequences_by_user[u]) >= 2]
     if len(users) < 2 or not multi:
         raise ValueError("need >= 2 users and one user with >= 2 sequences to build pairs")
-    pairs = []
+    a, b = [], []
     for k in range(n_pairs):
         if k % 2 == 0:
-            uid = multi[rng.integers(len(multi))]
-            i, j = rng.choice(len(sequences_by_user[uid]), size=2, replace=False)
-            pairs.append(SequencePair(sequences_by_user[uid][i], sequences_by_user[uid][j], SAME_USER))
+            seqs = sequences_by_user[multi[rng.integers(len(multi))]]
+            i, j = rng.choice(len(seqs), size=2, replace=False)
+            a.append(seqs[i])
+            b.append(seqs[j])
         else:
             ui, uj = rng.choice(len(users), size=2, replace=False)
-            a = sequences_by_user[users[ui]]
-            b = sequences_by_user[users[uj]]
-            pairs.append(
-                SequencePair(
-                    a[rng.integers(len(a))], b[rng.integers(len(b))], DIFFERENT_USER
-                )
-            )
-    return pairs
+            seqs_a = sequences_by_user[users[ui]]
+            seqs_b = sequences_by_user[users[uj]]
+            a.append(seqs_a[rng.integers(len(seqs_a))])
+            b.append(seqs_b[rng.integers(len(seqs_b))])
+    return PairSet(np.stack(a), np.stack(b), np.arange(n_pairs) % 2 == 0)
 
 
-def train_verifier(
-    pairs: list[SequencePair], config: VerifierConfig, seed: int
-) -> VerifierBundle:
+def train_verifier(pairs: PairSet, config: VerifierConfig, seed: int) -> VerifierBundle:
     """Minimize contrastive loss over the pair set with Adam; deterministic per seed."""
-    labels = {p.label for p in pairs}
-    if labels != {SAME_USER, DIFFERENT_USER}:
-        raise ValueError(f"pair set must contain both labels, got {sorted(labels)}")
+    if pairs.same.all() or not pairs.same.any():
+        raise ValueError("training needs both genuine and impostor pairs")
     net = nn.init_network(embedding_specs(config.hidden), seed)
     bundle = VerifierBundle(network=net, margin=config.margin)
     state = AdamState.for_params(net, lr=config.lr, beta1=config.beta1, beta2=config.beta2)
     grad_b, grads_b = nn.gradient_buffers(net)  # pass b's gradients, summed into state.grad
     rng = np.random.default_rng(seed)
 
-    a_all = np.stack([p.a.reshape(-1) for p in pairs])
-    b_all = np.stack([p.b.reshape(-1) for p in pairs])
-    same_all = np.array([p.label == SAME_USER for p in pairs])
+    a_all = pairs.a.reshape(len(pairs), SEQ_DIM)
+    b_all = pairs.b.reshape(len(pairs), SEQ_DIM)
 
     loss_curve = []
     for _ in range(config.epochs):
@@ -162,7 +159,7 @@ def train_verifier(
             eb, tape_b = nn.forward(net, b_all[idx])
             diff = ea - eb
             d = np.linalg.norm(diff, axis=1)
-            losses, dldd = nn.contrastive_loss(d, same_all[idx], config.margin)
+            losses, dldd = nn.contrastive_loss(d, pairs.same[idx], config.margin)
             epoch_loss += float(losses.sum())
             # unit direction of d wrt ea; zero where d == 0 (valid subgradient)
             safe = np.where(d > 0, d, 1.0)
@@ -179,15 +176,13 @@ def train_verifier(
     return bundle
 
 
-def calibrate_threshold(bundle: VerifierBundle, validation_pairs: list[SequencePair]) -> float:
+def calibrate_threshold(bundle: VerifierBundle, validation_pairs: PairSet) -> float:
     """Pick the distance threshold minimizing |FAR - FRR|, ties to the smaller value."""
-    labels = {p.label for p in validation_pairs}
-    if labels != {SAME_USER, DIFFERENT_USER}:
+    if validation_pairs.same.all() or not validation_pairs.same.any():
         raise ValueError("calibration needs both genuine and impostor pairs")
     d = pair_distances(bundle, validation_pairs)
-    genuine = np.array([p.label == SAME_USER for p in validation_pairs])
-    gen_d = d[genuine]
-    imp_d = d[~genuine]
+    gen_d = d[validation_pairs.same]
+    imp_d = d[~validation_pairs.same]
 
     best_tau = 0.0
     best_gap = None
@@ -205,14 +200,12 @@ def calibrate_threshold(bundle: VerifierBundle, validation_pairs: list[SequenceP
     return best_tau
 
 
-def pair_accuracy(bundle: VerifierBundle, pairs: list[SequencePair]) -> float:
-    """Fraction of pairs whose threshold decision matches the label."""
+def pair_accuracy(bundle: VerifierBundle, pairs: PairSet) -> float:
+    """Fraction of pairs whose threshold decision matches pairs.same."""
     if bundle.tau is None:
         raise ValueError("verifier bundle is not calibrated (tau unset)")
-    d = pair_distances(bundle, pairs)
-    genuine = np.array([p.label == SAME_USER for p in pairs])
-    decisions = d <= bundle.tau
-    return float(np.count_nonzero(decisions == genuine)) / len(pairs)
+    decisions = pair_distances(bundle, pairs) <= bundle.tau
+    return float(np.count_nonzero(decisions == pairs.same)) / len(pairs)
 
 
 def save_verifier(bundle: VerifierBundle, path: str | Path) -> None:

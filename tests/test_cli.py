@@ -402,6 +402,39 @@ def test_evaluate_with_bad_tau_is_data_error(tmp_path, corpus_file, tau, capsys)
     assert not out_json.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "not valid JSON: "),
+    ("[1]", "expected a JSON object, got list"),
+], ids=["malformed", "list"])
+def test_evaluate_with_bad_attack_side_file_is_data_error(tmp_path, corpus_file, text, message,
+                                                          capsys):
+    path = tmp_path / "verifier.json"
+    net = nn.init_network(verifier_mod.embedding_specs(8), 0)
+    nn.save_params(net, path, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    side = Path(f"{corpus_file}.meta.json")
+    side.write_text(text)
+    out_json = tmp_path / "report.json"
+    code = main(evaluate_args(path, corpus_file, out_json))
+    assert_data_error(code, capsys, side, message)
+    assert not out_json.exists()
+
+
+def test_evaluate_over_run_all_files_reproduces_its_report(tmp_path, tiny_config, capsys):
+    run = tmp_path / "run"
+    assert main(["run-all", "--out-dir", str(run), "--config", str(tiny_config)]) == 0
+    fakes = [arg for condition in ("ordered", "random") for tag in ("a", "b")
+             for arg in (f"--fake-{condition}-{tag}", str(run / f"attack_{condition}_{tag}.tsv"))]
+    report_json, report_txt = tmp_path / "report.json", tmp_path / "report.txt"
+    assert main(["evaluate", "--verifier", str(run / "verifier.json"),
+                 "--corpus", str(run / "corpus.tsv"), "--user", "u0", *fakes,
+                 "--out-json", str(report_json), "--out-table", str(report_txt),
+                 "--config", str(tiny_config)]) == 0
+    held = json.loads((run / "report.json").read_text())
+    read_back = json.loads(report_json.read_text())
+    assert read_back["conditions"] == held["conditions"]
+    assert report_txt.read_bytes() == (run / "report.txt").read_bytes()
+
+
 def test_run_all_short_target_user_fails_before_training(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(dict(TINY_CONFIG, eval={"n_sequences": 50})))

@@ -12,10 +12,12 @@ from keyforge.data import (
     COL_KEYCODE,
     COL_PL,
     COL_RL,
+    Corpus,
     KeyEvent,
     ParseError,
     SPACE_KEYCODE,
     T_MAX_SECONDS,
+    UserLog,
     ValidationError,
     WordSample,
     export_log,
@@ -118,6 +120,37 @@ def test_export_ingest_round_trip(tmp_path):
     assert [u.user_id for u in back.users] == [u.user_id for u in corpus.users]
     for u_orig, u_back in zip(corpus.users, back.users):
         assert u_orig.sentences == u_back.sentences
+
+
+# the TSV column separator and every character str.splitlines() breaks a line at
+_TSV_BREAKS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+user_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=_TSV_BREAKS),
+                   max_size=6)
+times = st.floats(min_value=0.0, max_value=1e12)
+
+
+@st.composite
+def sentences(draw):
+    """A non-empty sentence: strictly increasing press times, each release >= its press."""
+    presses = sorted(set(draw(st.lists(times, min_size=1, max_size=6))))
+    return [KeyEvent(draw(st.integers(min_value=0, max_value=255)), press,
+                     draw(st.floats(min_value=press, max_value=2e12)))
+            for press in presses]
+
+
+@st.composite
+def corpora(draw):
+    """Users with distinct ids, each with one to three sentences."""
+    users = [UserLog(user_id=uid, sentences=draw(st.lists(sentences(), min_size=1, max_size=3)))
+             for uid in draw(st.lists(user_ids, max_size=4, unique=True))]
+    return Corpus(users=users)
+
+
+@given(corpora())
+def test_ingest_inverts_export(tmp_path_factory, corpus):
+    path = tmp_path_factory.getbasetemp() / "round_trip.tsv"
+    export_log(corpus, path)
+    assert ingest_log(path) == corpus
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from keyforge.evaluation import (
-    ConfusionMatrix,
-    EVAL_SET_SIZE,
     build_test_pairs,
     metrics,
     render_table,
@@ -16,9 +14,10 @@ from keyforge.evaluation import (
     sample_other_sequences,
 )
 from keyforge.nn import LayerSpec, NetworkParams
-from keyforge.verifier import DIFFERENT_USER, SAME_USER, VerifierBundle
+from keyforge.verifier import VerifierBundle
 
 counts = st.integers(min_value=0, max_value=1000)
+N = 20  # the default eval.n_sequences
 
 
 def oracle_metrics(tp, tn, fp, fn):
@@ -38,60 +37,55 @@ def oracle_metrics(tp, tn, fp, fn):
 
 
 def test_perfect_classifier():
-    m = metrics(ConfusionMatrix(tp=10, tn=10, fp=0, fn=0))
-    assert (m.accuracy, m.recall, m.precision, m.f1, m.mcc) == (1.0, 1.0, 1.0, 1.0, 1.0)
-    assert m.flags == ()
+    m = metrics(tp=10, tn=10, fp=0, fn=0)
+    assert [m[k] for k in ("accuracy", "recall", "precision", "f1", "mcc")] == [1.0] * 5
+    assert m["flags"] == []
 
 
 def test_fully_wrong_classifier():
-    m = metrics(ConfusionMatrix(tp=0, tn=0, fp=10, fn=10))
-    assert m.accuracy == 0.0
-    assert m.mcc == -1.0
-    assert m.recall == 0.0
-    assert m.precision == 0.0  # denominator tp+fp = 10, defined
-    assert m.f1 == 0.0
-    assert m.flags == ()
+    m = metrics(tp=0, tn=0, fp=10, fn=10)
+    assert m["accuracy"] == 0.0
+    assert m["mcc"] == -1.0
+    assert m["recall"] == 0.0
+    assert m["precision"] == 0.0  # denominator tp+fp = 10, defined
+    assert m["f1"] == 0.0
+    assert m["flags"] == []
 
 
 def test_zero_denominators_flagged():
-    m = metrics(ConfusionMatrix(tp=0, tn=5, fp=0, fn=0))
-    assert m.accuracy == 1.0
-    assert set(m.flags) == {
+    m = metrics(tp=0, tn=5, fp=0, fn=0)
+    assert m["accuracy"] == 1.0
+    assert set(m["flags"]) == {
         "recall_undefined", "precision_undefined", "f1_undefined", "mcc_undefined",
     }
-    assert m.recall == m.precision == m.f1 == m.mcc == 0.0
+    assert m["recall"] == m["precision"] == m["f1"] == m["mcc"] == 0.0
 
 
 def test_all_zero_matrix_is_error():
     with pytest.raises(ValueError):
-        metrics(ConfusionMatrix(tp=0, tn=0, fp=0, fn=0))
-
-
-def test_negative_count_rejected():
-    with pytest.raises(ValueError):
-        ConfusionMatrix(tp=-1, tn=0, fp=0, fn=0)
+        metrics(tp=0, tn=0, fp=0, fn=0)
 
 
 @given(counts, counts, counts, counts)
 def test_metrics_match_brute_force_oracle(tp, tn, fp, fn):
     if tp + tn + fp + fn == 0:
         return
-    m = metrics(ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn))
+    m = metrics(tp, tn, fp, fn)
     acc, rec, pre, f1, mcc = oracle_metrics(tp, tn, fp, fn)
-    assert m.accuracy == acc
-    assert m.recall == rec
-    assert m.precision == pre
-    assert m.f1 == f1
-    assert m.mcc == mcc
+    assert m["accuracy"] == acc
+    assert m["recall"] == rec
+    assert m["precision"] == pre
+    assert m["f1"] == f1
+    assert m["mcc"] == mcc
 
 
 @given(counts, counts, counts, counts)
 def test_mcc_invariant_under_class_relabel(tp, tn, fp, fn):
     if tp + tn + fp + fn == 0:
         return
-    a = metrics(ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn))
-    b = metrics(ConfusionMatrix(tp=tn, tn=tp, fp=fn, fn=fp))
-    assert a.mcc == b.mcc
+    a = metrics(tp, tn, fp, fn)
+    b = metrics(tp=tn, tn=tp, fp=fn, fn=fp)
+    assert a["mcc"] == b["mcc"]
 
 
 def test_table_one_resolution_is_representable():
@@ -111,7 +105,7 @@ def seq(value):
     return m
 
 
-def seq_set(value, n=EVAL_SET_SIZE):
+def seq_set(value, n=N):
     return [seq(value + 1e-6 * i) for i in range(n)]
 
 
@@ -120,23 +114,29 @@ def test_build_test_pairs_cross_product():
     fake = seq_set(0.01)
     fake_b = seq_set(0.02)
     others = seq_set(0.5)
-    for test_id, expected in ((1, SAME_USER), (2, SAME_USER), (3, DIFFERENT_USER)):
-        pairs = build_test_pairs(test_id, real, fake, fake_b, others)
+    sets = {1: (real, fake), 2: (fake, fake_b), 3: (fake, others)}
+    for test_id, expected_same in ((1, True), (2, True), (3, False)):
+        pairs = build_test_pairs(test_id, real, fake, fake_b, others, N)
         assert len(pairs) == 400
-        assert all(p.label == expected for p in pairs)
-        assert len({(id(p.a), id(p.b)) for p in pairs}) == 400
+        assert pairs.a.shape == pairs.b.shape == (400, 15, 5)
+        assert pairs.same.dtype == bool and (pairs.same == expected_same).all()
+        left, right = sets[test_id]
+        for i in range(N):
+            for j in range(N):
+                assert np.array_equal(pairs.a[i * N + j], left[i])
+                assert np.array_equal(pairs.b[i * N + j], right[j])
 
 
 def test_build_test_pairs_validates_sizes():
     real = seq_set(0.0)
     fake = seq_set(0.01)
     with pytest.raises(ValueError, match="real_others"):
-        build_test_pairs(3, real, fake, fake, seq_set(0.5, n=19))
+        build_test_pairs(3, real, fake, fake, seq_set(0.5, n=19), N)
     # test 1 does not reference fake_b, so a wrong-size fake_b is fine there
-    pairs = build_test_pairs(1, real, fake, seq_set(0.02, n=3), seq_set(0.5, n=7))
+    pairs = build_test_pairs(1, real, fake, seq_set(0.02, n=3), seq_set(0.5, n=7), N)
     assert len(pairs) == 400
     with pytest.raises(ValueError):
-        build_test_pairs(4, real, fake, fake, seq_set(0.5))
+        build_test_pairs(4, real, fake, fake, seq_set(0.5), N)
 
 
 def test_sample_other_sequences_excludes_target(rng):
@@ -177,7 +177,7 @@ def oracle_pairs():
     fake_b = seq_set(0.02)
     others = seq_set(5.0)
     return {
-        test_id: build_test_pairs(test_id, real, fake, fake_b, others)
+        test_id: build_test_pairs(test_id, real, fake, fake_b, others, N)
         for test_id in (1, 2, 3)
     }
 
@@ -186,7 +186,7 @@ def test_run_tests_oracle_verifier_scores_one():
     bundle = identity_bundle(tau=1.0)
     report = run_tests(bundle, {"ordered": oracle_pairs()}, {"seed": 1})
     for test_id in (1, 2, 3):
-        assert report.results["ordered"][test_id].accuracy == 1.0
+        assert report.results["ordered"][f"test{test_id}"]["accuracy"] == 1.0
     assert report.metadata == {"seed": 1}
 
 
@@ -197,15 +197,15 @@ def test_run_tests_coin_flip_verifier_is_near_chance():
     bundle = identity_bundle(tau=float(np.sqrt(13) * (1.0 - math.sqrt(0.5))))
 
     def noisy_set():
-        return [seq(rng.uniform(0.0, 1.0)) for _ in range(EVAL_SET_SIZE)]
+        return [seq(rng.uniform(0.0, 1.0)) for _ in range(N)]
 
     pairs = {
-        test_id: build_test_pairs(test_id, noisy_set(), noisy_set(), noisy_set(), noisy_set())
+        test_id: build_test_pairs(test_id, noisy_set(), noisy_set(), noisy_set(), noisy_set(), N)
         for test_id in (1, 2, 3)
     }
     report = run_tests(bundle, {"ordered": pairs})
     for test_id in (1, 2, 3):
-        acc = report.results["ordered"][test_id].accuracy
+        acc = report.results["ordered"][f"test{test_id}"]["accuracy"]
         assert 0.35 < acc < 0.65  # 400 draws, ~4 sigma around 0.5
 
 
@@ -215,22 +215,21 @@ def test_run_tests_accuracy_matches_hand_counter():
     report = run_tests(bundle, {"ordered": pairs})
     for test_id, test_pairs in pairs.items():
         hand = 0
-        for p in test_pairs:
-            d = np.linalg.norm((p.a - p.b).reshape(-1)[:64])
-            decision = SAME_USER if d <= 1.0 else DIFFERENT_USER
-            hand += decision == p.label
-        assert report.results["ordered"][test_id].matches == hand
+        for a, b, expected_same in zip(test_pairs.a, test_pairs.b, test_pairs.same):
+            d = np.linalg.norm((a - b).reshape(-1)[:64])
+            hand += (d <= 1.0) == expected_same
+        assert report.results["ordered"][f"test{test_id}"]["matches"] == hand
 
 
 def test_confusion_accumulation_sides():
     bundle = identity_bundle(tau=1.0)
     report = run_tests(bundle, {"ordered": oracle_pairs()})
-    r1 = report.results["ordered"][1]
-    assert (r1.confusion.tp, r1.confusion.fn) == (400, 0)
-    assert (r1.confusion.fp, r1.confusion.tn) == (0, 0)
-    r3 = report.results["ordered"][3]
-    assert (r3.confusion.tn, r3.confusion.fp) == (400, 0)
-    assert (r3.confusion.tp, r3.confusion.fn) == (0, 0)
+    c1 = report.results["ordered"]["test1"]["confusion"]
+    assert (c1["tp"], c1["fn"]) == (400, 0)
+    assert (c1["fp"], c1["tn"]) == (0, 0)
+    c3 = report.results["ordered"]["test3"]["confusion"]
+    assert (c3["tn"], c3["fp"]) == (400, 0)
+    assert (c3["tp"], c3["fn"]) == (0, 0)
 
 
 def test_report_rendering_and_dict():
@@ -245,8 +244,17 @@ def test_report_rendering_and_dict():
     assert set(doc["conditions"]) == {"ordered", "random"}
     assert set(doc["conditions"]["ordered"]) == {"test1", "test2", "test3"}
     t1 = doc["conditions"]["ordered"]["test1"]
+    assert set(t1) == {
+        "name", "expected_decision", "n_pairs", "matches", "accuracy", "same_user_rate",
+        "confusion", "recall", "precision", "f1", "mcc", "flags",
+        "attack_acceptance_rate", "verifier_correct_rate",
+    }
     assert t1["attack_acceptance_rate"] == 1.0
     assert t1["verifier_correct_rate"] == 0.0
+    t3 = doc["conditions"]["ordered"]["test3"]
+    assert (t1["expected_decision"], t3["expected_decision"]) == ("same_user", "different_user")
+    assert "attack_acceptance_rate" not in t3
+    assert doc["format_version"] == 1
     assert doc["metadata"]["seeds"] == {"eval": 3}
     table = render_table(report)
     lines = table.splitlines()

@@ -24,9 +24,7 @@ from keyforge.nn import (
     LayerSpec,
 )
 from keyforge.verifier import (
-    DIFFERENT_USER,
-    SAME_USER,
-    SequencePair,
+    PairSet,
     VerifierBundle,
     VerifierConfig,
     calibrate_threshold,
@@ -42,9 +40,15 @@ def fixed_sequence(value):
     return np.full((15, 5), value, dtype=float)
 
 
+def pair_set(pairs, same):
+    """A PairSet from (a, b) tuples and one same-user flag, or one flag per pair."""
+    a, b = zip(*pairs)
+    return PairSet(np.stack(a), np.stack(b), np.broadcast_to(same, len(pairs)))
+
+
 def distances(bundle, *pairs):
-    """pair_distances over (a, b) tuples; the label plays no part in a distance."""
-    return pair_distances(bundle, [SequencePair(a, b, SAME_USER) for a, b in pairs])
+    """pair_distances over (a, b) tuples; the same-user flag plays no part in a distance."""
+    return pair_distances(bundle, pair_set(pairs, True))
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +116,7 @@ def test_sequences_include_space_keys(small_corpus):
 
 def test_distance_reflexive_and_symmetric(trained):
     bundle, pairs = trained
-    a, b = pairs[0].a, pairs[0].b
+    a, b = pairs.a[0], pairs.b[0]
     d_aa, d_ab, d_ba = distances(bundle, (a, a), (a, b), (b, a))
     assert d_aa == 0.0
     assert np.isclose(d_ab, d_ba)
@@ -121,7 +125,7 @@ def test_distance_reflexive_and_symmetric(trained):
 def test_distance_triangle_inequality(trained):
     bundle, pairs = trained
     rng = np.random.default_rng(3)
-    samples = [p.a for p in pairs[:30]]
+    samples = pairs.a[:30]
     for _ in range(50):
         x, y, z = (samples[i] for i in rng.choice(len(samples), 3, replace=False))
         d_xz, d_xy, d_yz = distances(bundle, (x, z), (x, y), (y, z))
@@ -137,8 +141,7 @@ def test_training_separates_users(trained, sequence_sets):
     bundle, pairs = trained
     heldout = pairs[500:]
     d = verifier.pair_distances(bundle, heldout)
-    genuine = np.array([p.label == SAME_USER for p in heldout])
-    assert d[genuine].mean() < d[~genuine].mean()
+    assert d[heldout.same].mean() < d[~heldout.same].mean()
 
 
 def test_training_loss_decreases(trained):
@@ -159,21 +162,33 @@ def test_training_is_deterministic(sequence_sets):
 
 def test_training_rejects_single_class(sequence_sets):
     rng = np.random.default_rng(5)
-    pairs = [p for p in make_pairs(sequence_sets, 60, rng) if p.label == SAME_USER]
+    pairs = make_pairs(sequence_sets, 60, rng)
+    pairs = pairs[pairs.same]
+    assert len(pairs) == 30 and pairs.same.all()
     with pytest.raises(ValueError):
         train_verifier(pairs, VerifierConfig(epochs=1), 0)
 
 
 def test_make_pairs_is_balanced(sequence_sets, rng):
     pairs = make_pairs(sequence_sets, 100, rng)
-    same = sum(p.label == SAME_USER for p in pairs)
-    assert same == 50
-    owner = {id(s): user for user, seqs in sequence_sets.items() for s in seqs}
-    for p in pairs:
-        if p.label == SAME_USER:
-            assert owner[id(p.a)] == owner[id(p.b)]
-        else:
-            assert owner[id(p.a)] != owner[id(p.b)]
+    assert len(pairs) == 100
+    assert pairs.a.shape == pairs.b.shape == (100, 15, 5)
+    assert pairs.same.dtype == bool and np.count_nonzero(pairs.same) == 50
+    owner = {s.tobytes(): user for user, seqs in sequence_sets.items() for s in seqs}
+    assert len(owner) == sum(len(seqs) for seqs in sequence_sets.values())  # values identify owners
+    for a, b, same in zip(pairs.a, pairs.b, pairs.same):
+        assert (owner[a.tobytes()] == owner[b.tobytes()]) == same
+
+
+def test_pair_set_slices_and_masks_every_array(sequence_sets, rng):
+    pairs = make_pairs(sequence_sets, 10, rng)
+    for index in (slice(2, 7), pairs.same):
+        picked = pairs[index]
+        assert isinstance(picked, PairSet)
+        assert len(picked) == len(pairs.same[index])
+        assert np.array_equal(picked.a, pairs.a[index])
+        assert np.array_equal(picked.b, pairs.b[index])
+        assert np.array_equal(picked.same, pairs.same[index])
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +208,14 @@ def identity_bundle():
 
 def test_calibrate_perfect_separation_hits_zero_error():
     bundle = identity_bundle()
-    genuine = [SequencePair(fixed_sequence(0.0), fixed_sequence(0.01), SAME_USER)
-               for _ in range(5)]
-    impostor = [SequencePair(fixed_sequence(0.0), fixed_sequence(0.5), DIFFERENT_USER)
-                for _ in range(5)]
-    tau = calibrate_threshold(bundle, genuine + impostor)
+    genuine = (fixed_sequence(0.0), fixed_sequence(0.01))
+    impostor = (fixed_sequence(0.0), fixed_sequence(0.5))
+    pairs = pair_set([genuine] * 5 + [impostor] * 5, [True] * 5 + [False] * 5)
+    tau = calibrate_threshold(bundle, pairs)
     assert bundle.metadata["far"] == 0.0
     assert bundle.metadata["frr"] == 0.0
     assert bundle.metadata["eer"] == 0.0
-    d_gen, d_imp = pair_distances(bundle, [genuine[0], impostor[0]])
+    d_gen, d_imp = distances(bundle, genuine, impostor)
     assert d_gen <= tau < d_imp
 
 
@@ -211,9 +225,8 @@ def test_calibrate_identical_distributions_gives_chance_eer():
     pairs = []
     for _ in range(100):
         a, b = fixed_sequence(rng.uniform()), fixed_sequence(rng.uniform())
-        pairs.append(SequencePair(a, b, SAME_USER))
-        pairs.append(SequencePair(a, b, DIFFERENT_USER))
-    calibrate_threshold(bundle, pairs)
+        pairs += [(a, b), (a, b)]
+    calibrate_threshold(bundle, pair_set(pairs, [True, False] * 100))
     assert abs(bundle.metadata["eer"] - 0.5) < 0.02
 
 
@@ -226,16 +239,15 @@ def test_calibrate_is_reproducible(trained):
 
 def test_verify_reflexive_symmetric_monotone(trained):
     bundle, pairs = trained
-    a, b = pairs[0].a, pairs[0].b
-    # a sequence paired with itself is accepted whatever its label says
-    assert pair_accuracy(bundle, [SequencePair(a, a, SAME_USER)]) == 1.0
-    assert pair_accuracy(bundle, [SequencePair(a, a, DIFFERENT_USER)]) == 0.0
-    assert pair_accuracy(bundle, [SequencePair(a, b, SAME_USER)]) == pair_accuracy(
-        bundle, [SequencePair(b, a, SAME_USER)])
+    a, b = pairs.a[0], pairs.b[0]
+    # a sequence paired with itself is accepted whatever its same-user flag says
+    assert pair_accuracy(bundle, pair_set([(a, a)], True)) == 1.0
+    assert pair_accuracy(bundle, pair_set([(a, a)], False)) == 0.0
+    assert pair_accuracy(bundle, pair_set([(a, b)], True)) == pair_accuracy(
+        bundle, pair_set([(b, a)], True))
     # the decision is distance <= tau: accepted pairs are exactly those within tau
     d = pair_distances(bundle, pairs[:50])
-    genuine = np.array([p.label == SAME_USER for p in pairs[:50]])
-    assert pair_accuracy(bundle, pairs[:50]) == np.mean((d <= bundle.tau) == genuine)
+    assert pair_accuracy(bundle, pairs[:50]) == np.mean((d <= bundle.tau) == pairs[:50].same)
 
 
 def test_verify_requires_calibration(sequence_sets):
