@@ -10,6 +10,7 @@ without any per-dataset statistics.
 from __future__ import annotations
 
 import math
+import re
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,52 +116,53 @@ def extract_features(events: list[KeyEvent]) -> np.ndarray:
     return out
 
 
+# normalize's divisor per column, in COL_* order
+_SCALE = np.array([T_MAX_SECONDS, T_MAX_SECONDS, T_MAX_SECONDS, T_MAX_SECONDS, 255.0])
+
+
 def normalize(features: np.ndarray) -> np.ndarray:
     """Scale an extract_features array into an (n, 5) matrix of unit-range cells.
 
     HL/PL/RL are clamped to [0, T_max] then divided by T_max; IL is clamped to
     [-T_max, T_max] then divided; keycodes divide by 255. Clamping makes the
     map total, at the cost of saturating pathological latencies.
+
+    The clamps take scalar bounds: np.clip with per-column array bounds turns
+    a -0.0 latency into +0.0, where a scalar-bound clip keeps its sign.
     """
-    out = np.empty_like(features)
-    for col in (COL_HL, COL_PL, COL_RL):
-        out[:, col] = np.clip(features[:, col], 0.0, T_MAX_SECONDS) / T_MAX_SECONDS
-    out[:, COL_IL] = np.clip(features[:, COL_IL], -T_MAX_SECONDS, T_MAX_SECONDS) / T_MAX_SECONDS
-    out[:, COL_KEYCODE] = features[:, COL_KEYCODE] / 255.0
+    out = np.clip(features, 0.0, T_MAX_SECONDS)
+    out[:, COL_IL] = np.clip(features[:, COL_IL], -T_MAX_SECONDS, T_MAX_SECONDS)
+    out[:, COL_KEYCODE] = features[:, COL_KEYCODE]
+    out /= _SCALE
     return out
 
 
-def pad_word_matrix(rows: np.ndarray) -> np.ndarray:
-    out = np.zeros((WORD_LEN, N_FEATURES), dtype=np.float64)
-    out[: rows.shape[0]] = rows
-    return out
+# a maximal run of keys other than the space key, over a sentence's chr(keycode) string
+_WORD_RUN = re.compile(f"[^{chr(SPACE_KEYCODE)}]+")
 
 
 def words_from_sentence(events: list[KeyEvent]) -> list[WordSample]:
     """Split a sentence on the space key into fixed-size word samples.
 
     Each maximal non-space run becomes one sample; runs longer than 15 keys
-    are truncated to their first 15. Features are extracted within the word
-    only, so the terminal-row zeros never leak cross-word timing.
+    are truncated to their first 15. The sentence is featurized once: a
+    word's rows are the sentence rows of its keys, and its last row's IL, PL
+    and RL are set to 0 as extract_features would over the word alone, so the
+    terminal-row zeros never leak cross-word timing. Rows past the word's
+    length stay zero.
     """
-    runs: list[list[KeyEvent]] = []
-    current: list[KeyEvent] = []
-    for ev in events:
-        if ev.keycode == SPACE_KEYCODE:
-            if current:
-                runs.append(current)
-                current = []
-        else:
-            current.append(ev)
-    if current:
-        runs.append(current)
-
+    text = "".join([chr(ev.keycode) for ev in events])
+    spans = [match.span() for match in _WORD_RUN.finditer(text)]
+    if not spans:
+        return []
+    rows = normalize(extract_features(events))
+    matrices = np.zeros((len(spans), WORD_LEN, N_FEATURES))
     samples = []
-    for run in runs:
-        run = run[:WORD_LEN]
-        matrix = pad_word_matrix(normalize(extract_features(run)))
-        text = "".join(chr(ev.keycode) for ev in run)
-        samples.append(WordSample(text=text, matrix=matrix))
+    for matrix, (start, end) in zip(matrices, spans):
+        n = min(end - start, WORD_LEN)
+        matrix[:n] = rows[start : start + n]
+        matrix[n - 1, COL_IL:COL_KEYCODE] = 0.0
+        samples.append(WordSample(text=text[start : start + n], matrix=matrix))
     return samples
 
 
@@ -182,16 +184,24 @@ def slice_windows(rows: np.ndarray, width: int = WORD_LEN) -> list[np.ndarray]:
 # Synthetic corpora
 # ---------------------------------------------------------------------------
 
-_LETTER_KEYCODES = [ord(c) for c in string.ascii_lowercase]
+# Hold-mean slot -> keycode: slot 0 is the space key, slots 1-26 the letters a-z.
+_SLOT_KEYCODES = np.array([SPACE_KEYCODE, *(ord(c) for c in string.ascii_lowercase)])
+_SPACE_SLOT = np.zeros(1, dtype=np.int64)
 
 
 def synth_corpus(n_users: int, sentences_per_user: int, seed: int) -> Corpus:
     """Generate a deterministic multi-user corpus of plausible typing logs.
 
     Each user draws one mean hold time per keycode and one mean inter-key gap
-    (hold means ~ N(90ms, 25ms), gap mean ~ N(120ms, 40ms), clamped positive),
-    then types random 3-10 letter words with 10ms jitter around those means.
-    Sentences carry 15-40 keys including separating spaces.
+    (hold means ~ N(90ms, 25ms), gap mean ~ N(120ms, 40ms), clamped to at
+    least 1ms), then types random 3-10 letter words with 10ms jitter around
+    those means. Sentences carry 15-40 keys including separating spaces.
+
+    The generator is drawn from once per word for its letters and once per
+    sentence for its timings: hold and gap draws interleave key by key
+    (hold_0, gap_0, hold_1, ...), each clamped to at least 1ms. The running
+    sum of that series is each key's release (even terms) and the next key's
+    press (odd terms); the first press is at 0.
     """
     if n_users < 2:
         raise ValueError("synth_corpus needs n_users >= 2 (impostor pairs require a second user)")
@@ -201,30 +211,34 @@ def synth_corpus(n_users: int, sentences_per_user: int, seed: int) -> Corpus:
     rng = np.random.default_rng(seed)
     users = []
     for u in range(n_users):
-        hold_means = {
-            kc: max(1.0, rng.normal(90.0, 25.0))
-            for kc in [SPACE_KEYCODE, *_LETTER_KEYCODES]
-        }
+        hold_means = np.maximum(1.0, rng.normal(90.0, 25.0, size=len(_SLOT_KEYCODES)))
         gap_mean = max(1.0, rng.normal(120.0, 40.0))
 
         sentences = []
         for _ in range(sentences_per_user):
             target_keys = int(rng.integers(15, 31))
-            keycodes: list[int] = []
-            while len(keycodes) < target_keys:
-                if keycodes:
-                    keycodes.append(SPACE_KEYCODE)
+            words: list[np.ndarray] = []
+            n_keys = 0
+            while n_keys < target_keys:
+                if words:
+                    words.append(_SPACE_SLOT)
+                    n_keys += 1
                 word_len = int(rng.integers(3, 11))
-                keycodes.extend(int(rng.choice(_LETTER_KEYCODES)) for _ in range(word_len))
+                # one uniform letter slot per key: the stream of word_len rng.integers(26)
+                words.append(1 + rng.integers(26, size=word_len))
+                n_keys += word_len
+            slots = np.concatenate(words)
 
-            events = []
-            press = 0.0
-            for kc in keycodes:
-                hold = max(1.0, rng.normal(hold_means[kc], 10.0))
-                events.append(KeyEvent(keycode=kc, press_time=press, release_time=press + hold))
-                gap = max(1.0, rng.normal(gap_mean, 10.0))
-                press = press + hold + gap
-            sentences.append(events)
+            means = np.full(2 * n_keys, gap_mean)
+            means[0::2] = hold_means[slots]
+            times = np.cumsum(np.maximum(1.0, rng.normal(means, 10.0)))
+            presses = [0.0, *times[1:-1:2].tolist()]
+            sentences.append([
+                KeyEvent(keycode=kc, press_time=press, release_time=release)
+                for kc, press, release in zip(
+                    _SLOT_KEYCODES[slots].tolist(), presses, times[0::2].tolist()
+                )
+            ])
         users.append(UserLog(user_id=f"u{u}", sentences=sentences))
     return Corpus(users=users)
 

@@ -23,7 +23,6 @@ from keyforge.data import (
     WordSample,
     extract_features,
     normalize,
-    pad_word_matrix,
     synth_corpus,
     words_from_corpus,
     words_from_sentence,
@@ -97,8 +96,10 @@ in_range_cells = arrays(np.float64, (15, 5), elements=st.floats(min_value=0.0, m
 def test_stitch_events_inverts_normalize(cells, n):
     """A word's hold and keycode cells survive stitching and re-featurization."""
     cells[:, COL_KEYCODE] = np.round(cells[:, COL_KEYCODE] * 255.0) / 255.0
+    matrix = cells.copy()
+    matrix[n:] = 0.0
     word = WordSample(text="".join(chr(int(round(k * 255))) for k in cells[:n, COL_KEYCODE]),
-                      matrix=pad_word_matrix(cells[:n]))
+                      matrix=matrix)
     events = stitch_events([word], DEFAULT_SPACES, np.random.default_rng(0))
     rows = normalize(extract_features(events))
     assert len(events) == n

@@ -67,7 +67,12 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_no_subcommand_prints_help(capsys):
     assert main([]) == 1
-    assert "subcommand" in capsys.readouterr().out.lower() or True
+    out = capsys.readouterr().out
+    assert out.startswith("usage: keyforge")
+    # each subcommand heads an indented line of its own in the help listing
+    for name in ("synth-data", "ingest", "train-verifier", "train-cgan", "attack", "evaluate",
+                 "run-all"):
+        assert re.search(rf"^ +{name}(\s|$)", out, re.MULTILINE), name
 
 
 def test_ingest_summary(corpus_file, capsys):
@@ -352,6 +357,21 @@ def test_run_all_golden_digests(tmp_path, tiny_config):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert digests == GOLDEN_SHA256
 
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}])
+def test_import_pins_blas_threads_unless_set(preset):
+    """Importing keyforge sets each BLAS thread variable to 1 unless it is already set."""
+    src = str(Path(keyforge.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = f"import json, os, keyforge; print(json.dumps([os.environ.get(v) for v in {BLAS_VARS!r}]))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True,
+                          text=True)
+    assert json.loads(done.stdout) == [preset.get(v, "1") for v in BLAS_VARS]
 
 def assert_data_error(code, capsys, path, message):
     assert code == 2

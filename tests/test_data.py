@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from keyforge.attack import stitch_events
 from keyforge.config import AttackSection
@@ -14,17 +16,18 @@ from keyforge.data import (
     COL_RL,
     Corpus,
     KeyEvent,
+    N_FEATURES,
     ParseError,
     SPACE_KEYCODE,
     T_MAX_SECONDS,
     UserLog,
     ValidationError,
+    WORD_LEN,
     WordSample,
     export_log,
     extract_features,
     ingest_log,
     normalize,
-    pad_word_matrix,
     slice_windows,
     synth_corpus,
     words_from_sentence,
@@ -252,13 +255,44 @@ def test_normalize_scales_and_clamps():
     assert math.isclose(m[1, COL_IL], -1.0)
 
 
+
+def normalize_reference(features: np.ndarray) -> np.ndarray:
+    """normalize column by column, as its docstring states it."""
+    out = np.empty_like(features)
+    for col in (COL_HL, COL_PL, COL_RL):
+        out[:, col] = np.clip(features[:, col], 0.0, T_MAX_SECONDS) / T_MAX_SECONDS
+    out[:, COL_IL] = np.clip(features[:, COL_IL], -T_MAX_SECONDS, T_MAX_SECONDS) / T_MAX_SECONDS
+    out[:, COL_KEYCODE] = features[:, COL_KEYCODE] / 255.0
+    return out
+
+
+feature_cells = st.floats(min_value=-1e4, max_value=1e4) | st.sampled_from(
+    [0.0, -0.0, T_MAX_SECONDS, -T_MAX_SECONDS, np.nextafter(T_MAX_SECONDS, 6.0), 255.0]
+)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(min_value=1, max_value=40), st.just(N_FEATURES)),
+              elements=feature_cells))
+@example(np.full((1, N_FEATURES), -0.0))
+def test_normalize_matches_per_column_formula(features):
+    """Latencies past +-T_max, negative IL and signed zeros: the same bits as the formula."""
+    assert normalize(features).tobytes() == normalize_reference(features).tobytes()
+
+
 # stitch_events is the inverse of normalize: it turns a word's unit-range
 # cells back into absolute-time events.
 DEFAULT_SPACES = AttackSection().default_space_model()
 
 
+def pad_rows(rows: np.ndarray) -> np.ndarray:
+    """rows followed by zero rows up to WORD_LEN."""
+    out = np.zeros((WORD_LEN, N_FEATURES))
+    out[: rows.shape[0]] = rows
+    return out
+
+
 def denormalize(cells: np.ndarray) -> list[KeyEvent]:
-    word = WordSample(text="x" * cells.shape[0], matrix=pad_word_matrix(cells))
+    word = WordSample(text="x" * cells.shape[0], matrix=pad_rows(cells))
     return stitch_events([word], DEFAULT_SPACES, np.random.default_rng(0))
 
 
@@ -347,10 +381,85 @@ def test_word_matrix_cells_in_declared_ranges():
         assert np.all(np.abs(valid[:, COL_IL]) <= 1.0)
 
 
+
+def words_reference(events: list[KeyEvent]) -> list[tuple[str, np.ndarray]]:
+    """words_from_sentence word by word: each run's first 15 keys featurized alone."""
+    runs, current = [], []
+    for ev in events:
+        if ev.keycode == SPACE_KEYCODE:
+            if current:
+                runs.append(current)
+                current = []
+        else:
+            current.append(ev)
+    if current:
+        runs.append(current)
+    return [("".join(chr(ev.keycode) for ev in run[:WORD_LEN]),
+             pad_rows(normalize_reference(extract_features(run[:WORD_LEN]))))
+            for run in runs]
+
+
+@st.composite
+def spaced_sentences(draw):
+    """Sentences of space keys and letter runs of 1-20 keys (any keycode but space).
+
+    Leading, trailing and repeated spaces, all-space and empty sentences all
+    occur. Holds and press steps reach 8 s, so latencies pass T_max, and a hold
+    longer than the next step makes IL negative.
+    """
+    keycodes = []
+    for token in draw(st.lists(st.integers(min_value=0, max_value=20), max_size=8)):
+        if token == 0:
+            keycodes.append(SPACE_KEYCODE)
+        else:
+            keycodes += draw(st.lists(st.integers(min_value=0, max_value=255).filter(
+                lambda kc: kc != SPACE_KEYCODE), min_size=token, max_size=token))
+    events, press = [], 0.0
+    for keycode in keycodes:
+        hold = draw(st.floats(min_value=0.0, max_value=8000.0))
+        events.append(KeyEvent(keycode, press, press + hold))
+        press += draw(st.floats(min_value=1.0, max_value=8000.0))
+    return events
+
+
+@given(spaced_sentences())
+def test_words_from_sentence_matches_per_word_reference(events):
+    words = words_from_sentence(events)
+    expected = words_reference(events)
+    assert [w.text for w in words] == [text for text, _ in expected]
+    for word, (_, matrix) in zip(words, expected):
+        assert word.matrix.shape == (WORD_LEN, N_FEATURES)
+        assert word.matrix.tobytes() == matrix.tobytes()
+
+
+def test_words_around_leading_trailing_and_double_spaces():
+    words = words_from_sentence(make_events(
+        [SPACE_KEYCODE, 72, 73, SPACE_KEYCODE, SPACE_KEYCODE, 66, SPACE_KEYCODE]))
+    assert [w.text for w in words] == ["HI", "B"]
+    # each word's last row ends its own timing, whatever key follows
+    assert words[0].matrix[1, COL_IL] == words[0].matrix[1, COL_PL] == 0.0
+    assert words[0].matrix[0, COL_PL] == pytest.approx(200.0 / 1000.0 / T_MAX_SECONDS)
+
 # ---------------------------------------------------------------------------
 # synthetic corpus
 # ---------------------------------------------------------------------------
 
+
+# sha256 of export_log(synth_corpus(users, sentences, seed)). They pin the
+# generator's draw order and the arithmetic of every timestamp: the README's
+# corpus, the benchmark's corpus-io size, and a two-user minimum.
+SYNTH_SHA256 = {
+    (25, 15, 7): "79122044a138516266dcc29217821f25a935d8f21640f199452dc6a5d3390410",
+    (200, 10, 5): "aa6367a477408612428f218d9c7876988cb22ea16a93f60008d742bee359c6db",
+    (2, 1, 123): "73869b164000c6f65c323668a5cb382c63985b73a6f3a968d71dd4126ca1ad4f",
+}
+
+
+@pytest.mark.parametrize("users, sentences, seed", sorted(SYNTH_SHA256))
+def test_synth_corpus_digest(tmp_path, users, sentences, seed):
+    path = tmp_path / "corpus.tsv"
+    export_log(synth_corpus(users, sentences, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTH_SHA256[users, sentences, seed]
 
 def test_synth_corpus_deterministic(tmp_path):
     a = tmp_path / "a.tsv"
