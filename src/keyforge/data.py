@@ -217,17 +217,17 @@ def synth_corpus(n_users: int, sentences_per_user: int, seed: int) -> Corpus:
         sentences = []
         for _ in range(sentences_per_user):
             target_keys = int(rng.integers(15, 31))
-            words: list[np.ndarray] = []
+            pieces: list[np.ndarray] = []  # words and the spaces between them, as slots
             n_keys = 0
             while n_keys < target_keys:
-                if words:
-                    words.append(_SPACE_SLOT)
+                if pieces:
+                    pieces.append(_SPACE_SLOT)
                     n_keys += 1
                 word_len = int(rng.integers(3, 11))
                 # one uniform letter slot per key: the stream of word_len rng.integers(26)
-                words.append(1 + rng.integers(26, size=word_len))
+                pieces.append(1 + rng.integers(26, size=word_len))
                 n_keys += word_len
-            slots = np.concatenate(words)
+            slots = np.concatenate(pieces)
 
             means = np.full(2 * n_keys, gap_mean)
             means[0::2] = hold_means[slots]

@@ -358,7 +358,6 @@ def test_run_all_golden_digests(tmp_path, tiny_config):
     assert digests == GOLDEN_SHA256
 
 
-
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -367,11 +366,14 @@ def test_import_pins_blas_threads_unless_set(preset):
     """Importing keyforge sets each BLAS thread variable to 1 unless it is already set."""
     src = str(Path(keyforge.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    env.update(preset, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = f"import json, os, keyforge; print(json.dumps([os.environ.get(v) for v in {BLAS_VARS!r}]))"
+    env.update(preset,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import json, os, keyforge; "
+             f"print(json.dumps([os.environ.get(v) for v in {BLAS_VARS!r}]))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True,
                           text=True)
     assert json.loads(done.stdout) == [preset.get(v, "1") for v in BLAS_VARS]
+
 
 def assert_data_error(code, capsys, path, message):
     assert code == 2

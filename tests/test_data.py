@@ -255,7 +255,6 @@ def test_normalize_scales_and_clamps():
     assert math.isclose(m[1, COL_IL], -1.0)
 
 
-
 def normalize_reference(features: np.ndarray) -> np.ndarray:
     """normalize column by column, as its docstring states it."""
     out = np.empty_like(features)
@@ -381,7 +380,6 @@ def test_word_matrix_cells_in_declared_ranges():
         assert np.all(np.abs(valid[:, COL_IL]) <= 1.0)
 
 
-
 def words_reference(events: list[KeyEvent]) -> list[tuple[str, np.ndarray]]:
     """words_from_sentence word by word: each run's first 15 keys featurized alone."""
     runs, current = [], []
@@ -440,6 +438,7 @@ def test_words_around_leading_trailing_and_double_spaces():
     assert words[0].matrix[1, COL_IL] == words[0].matrix[1, COL_PL] == 0.0
     assert words[0].matrix[0, COL_PL] == pytest.approx(200.0 / 1000.0 / T_MAX_SECONDS)
 
+
 # ---------------------------------------------------------------------------
 # synthetic corpus
 # ---------------------------------------------------------------------------
@@ -460,6 +459,7 @@ def test_synth_corpus_digest(tmp_path, users, sentences, seed):
     path = tmp_path / "corpus.tsv"
     export_log(synth_corpus(users, sentences, seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SYNTH_SHA256[users, sentences, seed]
+
 
 def test_synth_corpus_deterministic(tmp_path):
     a = tmp_path / "a.tsv"
