@@ -95,21 +95,26 @@ def build_test_pairs(
 
 
 def sample_other_sequences(
-    sequences_by_user: dict[str, list[np.ndarray]],
+    window_counts: dict[str, int],
     exclude_user: str,
     n: int,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """Draw n sequences uniformly across the non-target users (user first, then sequence)."""
-    others = sorted(u for u in sequences_by_user if u != exclude_user)
+) -> list[tuple[str, int]]:
+    """Pick n (user, window index) pairs uniformly across the non-target users.
+
+    Each pick draws the user first, from the sorted users that have at least
+    one window, then the window index below that user's count. The picks name
+    windows for verifier.windows_at, so only the picked sentences are ever
+    featurized.
+    """
+    others = sorted(u for u, count in window_counts.items() if u != exclude_user and count > 0)
     if not others:
-        raise ValueError(f"no users other than {exclude_user!r} in the sequence set")
-    out = []
+        raise ValueError(f"no users other than {exclude_user!r} with a window")
+    picks = []
     for _ in range(n):
         uid = others[rng.integers(len(others))]
-        seqs = sequences_by_user[uid]
-        out.append(seqs[rng.integers(len(seqs))])
-    return out
+        picks.append((uid, int(rng.integers(window_counts[uid]))))
+    return picks
 
 
 @dataclass

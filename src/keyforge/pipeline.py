@@ -135,10 +135,13 @@ def write_attack(
     Path(f"{path}.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2), encoding="utf-8")
 
 
-def _take_sequences(seqs, n: int, what: str):
-    if len(seqs) < n:
-        raise DataError(f"{what}: only {len(seqs)} sequences available, need {n}")
-    return seqs[:n]
+def _require_windows(count: int, n: int, what: str) -> None:
+    if count < n:
+        raise DataError(f"{what}: only {count} sequences available, need {n}")
+
+
+def _first_windows(corpus: Corpus, user_id: str, n: int) -> list[np.ndarray]:
+    return verifier_mod.windows_at(corpus, [(user_id, k) for k in range(n)])
 
 
 def evaluate_attack(
@@ -149,25 +152,43 @@ def evaluate_attack(
     cfg: RunConfig,
     metadata: dict | None = None,
 ) -> EvalReport:
-    """Run the three test protocols for every condition's (fake_a, fake_b) corpora."""
+    """Run the three test protocols for every condition's (fake_a, fake_b) corpora.
+
+    The window counts of the target, of the other users and of every fake
+    stream are checked first, so a short set fails before anything is
+    featurized or embedded. Then only the windows the tests score are
+    featurized: the target's first eval.n_sequences, as many windows of other
+    users drawn with the eval seed, and the first eval.n_sequences of each
+    fake stream. Evaluation cost scales with eval.n_sequences, not with the
+    size of the corpus.
+    """
     seeds = cfg.seeds.resolved()
     n = cfg.eval.n_sequences
-    real_sequences = verifier_mod.sequences_from_corpus(corpus)
-    if target_user not in real_sequences:
-        raise DataError(f"target user {target_user!r} yields no sequences")
-    real_alice = _take_sequences(real_sequences[target_user], n, f"real sequences of {target_user}")
-    rng = np.random.default_rng(seeds.eval)
-    real_others = sample_other_sequences(real_sequences, target_user, n, rng)
+    target_windows = verifier_mod.window_count(_get_user(corpus, target_user))
+    _require_windows(target_windows, n, f"real sequences of {target_user}")
+    counts = {user.user_id: verifier_mod.window_count(user) for user in corpus.users}
+    others = [count for user_id, count in counts.items() if user_id != target_user]
+    if not any(others):
+        raise DataError(f"no user other than {target_user!r} has a full {WORD_LEN}-key window "
+                        f"({target_user}: {target_windows} windows, "
+                        f"other users: {len(others)} with 0 windows)")
+    fakes = sorted(fakes_by_condition.items())
+    for condition, fake_corpora in fakes:
+        for tag, fake_corpus in zip("ab", fake_corpora):
+            try:
+                attacker = fake_corpus.get(ATTACKER_ID)
+            except KeyError:
+                raise DataError(
+                    f"fake corpus {condition}/{tag} has no {ATTACKER_ID!r} sequences") from None
+            _require_windows(verifier_mod.window_count(attacker), n, f"fake {condition}/{tag}")
 
+    real_alice = _first_windows(corpus, target_user, n)
+    rng = np.random.default_rng(seeds.eval)
+    real_others = verifier_mod.windows_at(corpus, sample_other_sequences(counts, target_user, n, rng))
     pairs_by_condition = {}
-    for condition, (fake_a_corpus, fake_b_corpus) in sorted(fakes_by_condition.items()):
-        fake_sets = []
-        for tag, fake_corpus in (("a", fake_a_corpus), ("b", fake_b_corpus)):
-            seqs = verifier_mod.sequences_from_corpus(fake_corpus)
-            if ATTACKER_ID not in seqs:
-                raise DataError(f"fake corpus {condition}/{tag} has no {ATTACKER_ID!r} sequences")
-            fake_sets.append(_take_sequences(seqs[ATTACKER_ID], n, f"fake {condition}/{tag}"))
-        fake_a, fake_b = fake_sets
+    for condition, (fake_a_corpus, fake_b_corpus) in fakes:
+        fake_a = _first_windows(fake_a_corpus, ATTACKER_ID, n)
+        fake_b = _first_windows(fake_b_corpus, ATTACKER_ID, n)
         pairs_by_condition[condition] = {
             test_id: build_test_pairs(test_id, real_alice, fake_a, fake_b, real_others, n)
             for test_id in (1, 2, 3)
@@ -194,10 +215,9 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     log(f"corpus: {cfg.data.users} users x {cfg.data.sentences_per_user} sentences "
         f"({corpus.n_events()} events) -> {corpus_path}")
     timings["corpus"] = time.perf_counter() - t_start
-    # fail before the verifier trains; a sentence of k keys yields k // 15 windows
-    user = _get_user(corpus, cfg.target_user)
-    n_windows = sum(len(sentence) // WORD_LEN for sentence in user.sentences)
-    _take_sequences(range(n_windows), cfg.eval.n_sequences, f"real sequences of {cfg.target_user}")
+    # fail before the verifier trains
+    _require_windows(verifier_mod.window_count(_get_user(corpus, cfg.target_user)),
+                     cfg.eval.n_sequences, f"real sequences of {cfg.target_user}")
 
     t0 = time.perf_counter()
     verifier_bundle, vsummary = prepare_verifier(corpus, cfg)

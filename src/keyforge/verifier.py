@@ -13,7 +13,10 @@ the two sides as (n, 15, 5) arrays and a bool "same user" array.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from .data import (
     Corpus,
     N_FEATURES,
     WORD_LEN,
+    UserLog,
     extract_features,
     normalize,
     slice_windows,
@@ -98,6 +102,50 @@ def sequences_from_corpus(corpus: Corpus) -> dict[str, list[np.ndarray]]:
     if total == 0:
         raise ValueError("corpus yields no 15-row sequences")
     return out
+
+
+def _window_ends(user: UserLog) -> list[int]:
+    """Running window count after each sentence; a k-key sentence gives k // 15 windows."""
+    return list(accumulate(len(sentence) // WORD_LEN for sentence in user.sentences))
+
+
+def window_count(user: UserLog) -> int:
+    """How many windows sequences_from_corpus cuts from one user's sentences."""
+    ends = _window_ends(user)
+    return ends[-1] if ends else 0
+
+
+def windows_at(corpus: Corpus, picks: Iterable[tuple[str, int]]) -> list[np.ndarray]:
+    """Window k of user u for each (u, k) pick, in pick order, without featurizing the corpus.
+
+    Each window is byte-identical to sequences_from_corpus(corpus)[u][k].
+    Only sentences that hold a picked window are featurized, each once per
+    call however often it is picked, and only up to the key after its last
+    picked window: every feature cell is an elementwise function of one key
+    and the next, so a prefix yields the same bits in the rows it shares
+    with the whole sentence.
+    """
+    users = {user.user_id: user for user in corpus.users}
+    ends: dict[str, list[int]] = {}
+    located = []  # (user, sentence index, window index within the sentence) per pick
+    last: dict[tuple[str, int], int] = {}  # (user, sentence index) -> its last picked window
+    for user_id, k in picks:
+        if user_id not in ends:
+            ends[user_id] = _window_ends(users[user_id])
+        user_ends = ends[user_id]
+        n_windows = user_ends[-1] if user_ends else 0
+        if not 0 <= k < n_windows:
+            raise IndexError(f"user {user_id!r} has {n_windows} windows, no window {k}")
+        i = bisect_right(user_ends, k)
+        j = k - (user_ends[i - 1] if i else 0)
+        located.append((user_id, i, j))
+        last[user_id, i] = max(j, last.get((user_id, i), 0))
+    cut = {
+        (user_id, i): slice_windows(normalize(extract_features(
+            users[user_id].sentences[i][: (j + 1) * WORD_LEN + 1])), WORD_LEN)
+        for (user_id, i), j in last.items()
+    }
+    return [cut[user_id, i][j] for user_id, i, j in located]
 
 
 def _embed(bundle: VerifierBundle, matrices: np.ndarray) -> np.ndarray:
@@ -181,23 +229,19 @@ def calibrate_threshold(bundle: VerifierBundle, validation_pairs: PairSet) -> fl
     if validation_pairs.same.all() or not validation_pairs.same.any():
         raise ValueError("calibration needs both genuine and impostor pairs")
     d = pair_distances(bundle, validation_pairs)
-    gen_d = d[validation_pairs.same]
-    imp_d = d[~validation_pairs.same]
-
-    best_tau = 0.0
-    best_gap = None
-    best_far = best_frr = 0.0
-    for tau in np.unique(np.concatenate([[0.0], d])):
-        far = float(np.count_nonzero(imp_d <= tau)) / imp_d.size
-        frr = float(np.count_nonzero(gen_d > tau)) / gen_d.size
-        gap = abs(far - frr)
-        if best_gap is None or gap < best_gap:
-            best_gap, best_tau, best_far, best_frr = gap, float(tau), far, frr
-    bundle.tau = best_tau
+    taus = np.unique(np.concatenate([[0.0], d]))
+    imp_d = np.sort(d[~validation_pairs.same])
+    gen_d = np.sort(d[validation_pairs.same])
+    # at each candidate tau: FAR counts impostor distances <= tau, FRR genuine distances > tau
+    far = np.searchsorted(imp_d, taus, side="right") / imp_d.size
+    frr = (gen_d.size - np.searchsorted(gen_d, taus, side="right")) / gen_d.size
+    best = int(np.argmin(np.abs(far - frr)))  # argmin keeps the first, so the smallest tau
+    best_far, best_frr = float(far[best]), float(frr[best])
+    bundle.tau = float(taus[best])
     bundle.metadata["eer"] = 0.5 * (best_far + best_frr)
     bundle.metadata["far"] = best_far
     bundle.metadata["frr"] = best_frr
-    return best_tau
+    return bundle.tau
 
 
 def pair_accuracy(bundle: VerifierBundle, pairs: PairSet) -> float:

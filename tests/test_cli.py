@@ -13,7 +13,7 @@ from keyforge import gan as gan_mod
 from keyforge import nn, pipeline
 from keyforge import verifier as verifier_mod
 from keyforge.cli import main
-from keyforge.data import synth_corpus
+from keyforge.data import WORD_LEN, export_log, synth_corpus
 
 TINY_CONFIG = {
     "target_user": "u0",
@@ -439,6 +439,46 @@ def test_evaluate_with_bad_attack_side_file_is_data_error(tmp_path, corpus_file,
     code = main(evaluate_args(path, corpus_file, out_json))
     assert_data_error(code, capsys, side, message)
     assert not out_json.exists()
+
+
+def evaluate_over(tmp_path, config, corpus):
+    """evaluate on corpus with an untrained verifier; the corpus fails before any fake stream."""
+    corpus_path = tmp_path / "short.tsv"
+    export_log(corpus, corpus_path)
+    verifier = tmp_path / "verifier.json"
+    net = nn.init_network(verifier_mod.embedding_specs(8), 0)
+    nn.save_params(net, verifier, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    out_json = tmp_path / "report.json"
+    code = main([*evaluate_args(verifier, corpus_path, out_json), "--config", str(config)])
+    assert not out_json.exists()
+    return code
+
+
+@pytest.mark.parametrize("others", ["absent", "short"])
+def test_evaluate_without_other_users_windows_is_data_error(tmp_path, tiny_config, others, capsys):
+    corpus = synth_corpus(4, 5, 7)
+    u0 = corpus.get("u0")
+    if others == "absent":
+        corpus.users = [u0]
+    else:
+        for user in corpus.users[1:]:
+            user.sentences = [sentence[:WORD_LEN - 1] for sentence in user.sentences]
+    code = evaluate_over(tmp_path, tiny_config, corpus)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "data error: no user other than 'u0' has a full 15-key window "
+        f"(u0: {verifier_mod.window_count(u0)} windows, "
+        f"other users: {len(corpus.users) - 1} with 0 windows)\n")
+
+
+def test_evaluate_over_a_corpus_without_windows_is_data_error(tmp_path, tiny_config, capsys):
+    corpus = synth_corpus(4, 5, 7)
+    for user in corpus.users:
+        user.sentences = [sentence[:WORD_LEN - 1] for sentence in user.sentences]
+    code = evaluate_over(tmp_path, tiny_config, corpus)
+    assert code == 2
+    assert (capsys.readouterr().err
+            == "data error: real sequences of u0: only 0 sequences available, need 3\n")
 
 
 def test_evaluate_over_run_all_files_reproduces_its_report(tmp_path, tiny_config, capsys):

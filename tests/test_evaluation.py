@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from keyforge import pipeline
+from keyforge.attack import ATTACKER_ID
+from keyforge.config import RunConfig
+from keyforge.data import WORD_LEN, Corpus, UserLog, synth_corpus
 from keyforge.evaluation import (
     build_test_pairs,
     metrics,
@@ -14,7 +18,7 @@ from keyforge.evaluation import (
     sample_other_sequences,
 )
 from keyforge.nn import LayerSpec, NetworkParams
-from keyforge.verifier import VerifierBundle
+from keyforge.verifier import VerifierBundle, sequences_from_corpus, window_count
 
 counts = st.integers(min_value=0, max_value=1000)
 N = 20  # the default eval.n_sequences
@@ -140,22 +144,65 @@ def test_build_test_pairs_validates_sizes():
 
 
 def test_sample_other_sequences_excludes_target(rng):
-    by_user = {
-        "alice": seq_set(0.0, n=5),
-        "bob": seq_set(0.1, n=5),
-        "carol": seq_set(0.2, n=5),
-    }
-    owner = {id(s): user for user, seqs in by_user.items() for s in seqs}
-    drawn = sample_other_sequences(by_user, "alice", 40, rng)
+    counts = {"alice": 5, "bob": 5, "carol": 5}
+    drawn = sample_other_sequences(counts, "alice", 40, rng)
     assert len(drawn) == 40
-    users = {owner[id(s)] for s in drawn}
-    assert "alice" not in users
-    assert users == {"bob", "carol"}
+    assert {user for user, _ in drawn} == {"bob", "carol"}
+    assert all(0 <= k < 5 for _, k in drawn)
 
 
 def test_sample_other_sequences_requires_other_users(rng):
     with pytest.raises(ValueError):
-        sample_other_sequences({"alice": seq_set(0.0, n=3)}, "alice", 5, rng)
+        sample_other_sequences({"alice": 3, "bob": 0}, "alice", 5, rng)
+
+
+# (user, window) picks of the eval seed, recorded when sampling still drew
+# from the fully featurized sequence set: the eval seed must keep scoring the
+# same windows. u3 has no window, so it must never be drawn.
+PINNED_PICKS = [
+    ("u4", 5), ("u1", 4), ("u2", 4), ("u4", 2), ("u5", 0), ("u2", 3), ("u4", 2), ("u1", 0),
+    ("u1", 0), ("u1", 5), ("u1", 3), ("u5", 1), ("u2", 3), ("u2", 7), ("u1", 5), ("u5", 6),
+    ("u1", 2), ("u4", 3), ("u4", 4), ("u4", 0),
+]
+
+
+def corpus_with_windowless_u3():
+    corpus = synth_corpus(6, 6, 11)
+    corpus.get("u3").sentences = [sentence[:WORD_LEN - 1] for sentence in corpus.get("u3").sentences]
+    return corpus
+
+
+def test_sample_other_sequences_picks_are_pinned():
+    counts = {user.user_id: window_count(user) for user in corpus_with_windowless_u3().users}
+    assert counts == {"u0": 8, "u1": 6, "u2": 8, "u3": 0, "u4": 7, "u5": 8}
+    assert sample_other_sequences(counts, "u0", 20, np.random.default_rng(5)) == PINNED_PICKS
+
+
+def test_evaluate_attack_scores_the_windows_of_the_full_sequence_set(monkeypatch):
+    """Reference: featurize everything, then draw arrays the way sampling did before picks."""
+    corpus = corpus_with_windowless_u3()
+    attacker = Corpus(users=[UserLog(ATTACKER_ID, corpus.get("u1").sentences)])
+    cfg = RunConfig()
+    cfg.eval.n_sequences = n = 5
+    seen = {}
+    monkeypatch.setattr(pipeline, "run_tests", lambda bundle, pairs, metadata: seen.update(pairs))
+    pipeline.evaluate_attack(identity_bundle(1.0), corpus, "u0", {"ordered": (attacker, attacker)},
+                             cfg, {})
+
+    seqs = sequences_from_corpus(corpus)
+    rng = np.random.default_rng(cfg.seeds.resolved().eval)
+    others = sorted(u for u in seqs if u != "u0")
+    real_others = []
+    for _ in range(n):
+        user_seqs = seqs[others[rng.integers(len(others))]]
+        real_others.append(user_seqs[rng.integers(len(user_seqs))])
+    fake = sequences_from_corpus(attacker)[ATTACKER_ID][:n]
+    for test_id in (1, 2, 3):
+        expected = build_test_pairs(test_id, seqs["u0"][:n], fake, fake, real_others, n)
+        got = seen["ordered"][test_id]
+        assert got.a.tobytes() == expected.a.tobytes()
+        assert got.b.tobytes() == expected.b.tobytes()
+        assert np.array_equal(got.same, expected.same)
 
 
 # ---------------------------------------------------------------------------

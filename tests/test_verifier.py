@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from keyforge import nn, verifier
 from keyforge.data import (
@@ -13,6 +13,7 @@ from keyforge.data import (
     KeyEvent,
     SPACE_KEYCODE,
     UserLog,
+    extract_features,
     synth_corpus,
 )
 from keyforge.embedding import EMBED_SEED
@@ -107,6 +108,59 @@ def test_sequences_include_space_keys(small_corpus):
         for s in user_seqs
     )
     assert found
+
+
+# the key counts around one and two windows, where slicing could go off by one
+SENTENCE_KEYS = (0, 14, 15, 16, 29, 30, 31)
+LATENCY_MS = st.sampled_from([0.0, -0.0, 5000.0]) | st.floats(0.0, 8000.0)
+
+
+@st.composite
+def sentences(draw):
+    n = draw(st.sampled_from(SENTENCE_KEYS))
+    keys = draw(st.lists(st.tuples(st.sampled_from([SPACE_KEYCODE, 97, 122]), LATENCY_MS, LATENCY_MS),
+                         min_size=n, max_size=n))
+    events, press = [], 0.0
+    for keycode, gap, hold in keys:  # a hold longer than the next gap is a rollover
+        press += gap
+        events.append(KeyEvent(keycode, press, press + hold))
+    return events
+
+
+@given(users=st.lists(st.lists(sentences(), max_size=3), min_size=1, max_size=4), data=st.data())
+def test_windows_at_matches_full_featurization(users, data):
+    corpus = Corpus(users=[UserLog(f"u{i}", user) for i, user in enumerate(users)])
+    counts = {user.user_id: verifier.window_count(user) for user in corpus.users}
+    if not any(counts.values()):
+        with pytest.raises(ValueError):
+            sequences_from_corpus(corpus)
+        return
+    full = sequences_from_corpus(corpus)
+    assert counts == {user_id: len(full.get(user_id, [])) for user_id in counts}
+    every = [(user_id, k) for user_id, count in counts.items() for k in range(count)]
+    picks = data.draw(st.lists(st.sampled_from(every), max_size=12))
+    windows = verifier.windows_at(corpus, picks)
+    assert [w.tobytes() for w in windows] == [full[u][k].tobytes() for u, k in picks]
+
+
+def test_windows_at_featurizes_each_picked_sentence_once(monkeypatch):
+    def sentence(n_keys):
+        return [KeyEvent(97, i * 150.0, i * 150.0 + 70.0) for i in range(n_keys)]
+
+    # u0's windows: 0-1 in sentence 0, none in sentence 1, 2 in sentence 2
+    corpus = Corpus(users=[UserLog("u0", [sentence(31), sentence(14), sentence(16)])])
+    featurized = []
+    monkeypatch.setattr(verifier, "extract_features",
+                        lambda events: featurized.append(len(events)) or extract_features(events))
+    windows = verifier.windows_at(corpus, [("u0", 2), ("u0", 0), ("u0", 2), ("u0", 0)])
+    # sentence 0 only up to the key after window 0, whose last row needs it
+    assert featurized == [16, 16]
+    assert windows[0] is windows[2] and windows[1] is windows[3]
+    featurized.clear()
+    verifier.windows_at(corpus, [("u0", 0), ("u0", 1)])
+    assert featurized == [31]
+    with pytest.raises(IndexError, match="user 'u0' has 3 windows, no window 3"):
+        verifier.windows_at(corpus, [("u0", 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +282,39 @@ def test_calibrate_identical_distributions_gives_chance_eer():
         pairs += [(a, b), (a, b)]
     calibrate_threshold(bundle, pair_set(pairs, [True, False] * 100))
     assert abs(bundle.metadata["eer"] - 0.5) < 0.02
+
+
+def calibrate_reference(d, same):
+    """The per-threshold loop calibrate_threshold replaced: (tau, far, frr)."""
+    gen_d, imp_d = d[same], d[~same]
+    best_tau, best_gap, best_far, best_frr = 0.0, None, 0.0, 0.0
+    for tau in np.unique(np.concatenate([[0.0], d])):
+        far = float(np.count_nonzero(imp_d <= tau)) / imp_d.size
+        frr = float(np.count_nonzero(gen_d > tau)) / gen_d.size
+        gap = abs(far - frr)
+        if best_gap is None or gap < best_gap:
+            best_gap, best_tau, best_far, best_frr = gap, float(tau), far, frr
+    return best_tau, best_far, best_frr
+
+
+# a few repeated values make duplicate distances and tied gaps likely
+CELL = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0)
+
+
+@given(cells=st.lists(st.tuples(CELL, st.booleans()), min_size=2, max_size=40))
+@example(cells=[(0.5, True), (0.5, False), (0.5, True), (0.5, False), (0.5, False)])
+@example(cells=[(0.0, True), (0.0, False)])
+@example(cells=[(0.1, True), (0.25, False), (0.25, True), (0.1, False)])
+def test_calibrate_matches_per_threshold_loop(cells):
+    same = np.array([flag for _, flag in cells])
+    assume(same.any() and not same.all())
+    bundle = identity_bundle()
+    pairs = pair_set([(fixed_sequence(0.0), fixed_sequence(value)) for value, _ in cells], same)
+    tau = calibrate_threshold(bundle, pairs)
+    ref_tau, ref_far, ref_frr = calibrate_reference(pair_distances(bundle, pairs), same)
+    meta = bundle.metadata
+    assert [x.hex() for x in (tau, meta["far"], meta["frr"], meta["eer"])] == [
+        x.hex() for x in (ref_tau, ref_far, ref_frr, 0.5 * (ref_far + ref_frr))]
 
 
 def test_calibrate_is_reproducible(trained):
