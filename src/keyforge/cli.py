@@ -109,7 +109,7 @@ def cmd_attack(args) -> int:
     bundle = gan_mod.load_bundle(args.gan_dir)
     events = pipeline.make_attack_events(corpus, args.user, bundle, args.condition, seed, cfg)
     pipeline.write_attack(events, args.out, args.condition, seed, args.user, cfg)
-    n_windows = len(events) // 15
+    n_windows = verifier_mod.window_count(pipeline.attack_events_to_corpus(events).users[0])
     print(f"attack [{args.condition}] seed={seed}: {len(events)} events "
           f"({n_windows} windows available, {cfg.attack.n_sequences} requested) -> {args.out}")
     return EXIT_OK

@@ -119,6 +119,8 @@ def _is_real(value) -> bool:
 
 
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+# make_pairs alternates genuine and impostor pairs, so a split needs two to hold both
+_PAIRS = ("an integer >= 2", lambda v: _is_int(v) and v >= 2)
 _RATE = ("a finite number > 0", lambda v: _is_real(v) and v > 0)
 _BETA = ("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1)
 _SEED = ("an integer or null", lambda v: v is None or _is_int(v))
@@ -129,8 +131,8 @@ _VALUE_CHECKS = {
               **{k: _SEED for k in ("data", "verifier", "gan", "attack", "attack_b", "eval")}},
     "data": {"users": ("an integer >= 2", lambda v: _is_int(v) and v >= 2),
              "sentences_per_user": _COUNT},
-    "verifier": {**{k: _COUNT for k in ("epochs", "batch_size", "hidden", "train_pairs",
-                                        "calibration_pairs", "test_pairs")},
+    "verifier": {**{k: _COUNT for k in ("epochs", "batch_size", "hidden", "test_pairs")},
+                 "train_pairs": _PAIRS, "calibration_pairs": _PAIRS,
                  "lr": _RATE, "margin": _RATE, "beta1": _BETA, "beta2": _BETA},
     "gan": {**{k: _COUNT for k in ("max_epochs", "check_interval", "batch_size", "g_hidden",
                                    "d_hidden1", "d_hidden2")},
@@ -186,6 +188,8 @@ def load_config(path: str | Path) -> RunConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     return config_from_dict(doc)
 
 

@@ -257,7 +257,10 @@ def ingest_log(path: str | Path) -> Corpus:
     raise validation errors naming the offending event.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     lines = text.splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file, expected header row")

@@ -122,10 +122,7 @@ def _generate_flat(
 def generate_word(bundle: GanBundle, text: str, rng: np.random.Generator) -> WordSample:
     """Sample one synthetic word sample conditioned on the given text."""
     flat, _, _, _ = _generate_flat(bundle, [text], rng)
-    matrix = flat.reshape(WORD_LEN, N_FEATURES)
-    # sigmoid output already lies in range; clip guards future activation changes
-    matrix[:, :COL_KEYCODE] = np.clip(matrix[:, :COL_KEYCODE], -1.0, 1.0)
-    return WordSample(text=text, matrix=matrix)
+    return WordSample(text=text, matrix=flat.reshape(WORD_LEN, N_FEATURES))
 
 
 def _scores(bundle: GanBundle, flat: np.ndarray, conds: np.ndarray) -> np.ndarray:

@@ -49,10 +49,19 @@ def prepare_verifier(corpus: Corpus, cfg: RunConfig) -> tuple[VerifierBundle, di
     """Train and calibrate the authenticator; returns the bundle and a summary.
 
     Pairs are sampled balanced 1:1 and split three ways: training, threshold
-    calibration, and a held-out set for the reported accuracy.
+    calibration, and a held-out set for the reported accuracy. A corpus that
+    cannot give both kinds of pair raises DataError before anything is
+    featurized.
     """
     seeds = cfg.seeds.resolved()
     vcfg = cfg.verifier
+    counts = [verifier_mod.window_count(user) for user in corpus.users]
+    with_one = sum(count >= 1 for count in counts)
+    with_two = sum(count >= 2 for count in counts)
+    if with_one < 2 or with_two < 1:
+        raise DataError(f"verifier pairs need >= 2 users with a {WORD_LEN}-key window and one "
+                        f"with >= 2 windows; the corpus has {with_one} users with a window "
+                        f"and {with_two} with >= 2")
     sequences = verifier_mod.sequences_from_corpus(corpus)
     rng = np.random.default_rng(seeds.verifier)
     n_total = vcfg.train_pairs + vcfg.calibration_pairs + vcfg.test_pairs

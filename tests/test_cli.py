@@ -114,6 +114,48 @@ def test_train_verifier_summary_format(tmp_path, tiny_config, corpus_file, capsy
     assert re.search(r"eer=\d+\.\d{4}\b", out)
 
 
+@pytest.mark.parametrize("users, keys, message", [
+    (1, None, "the corpus has 1 users with a window and 1 with >= 2"),
+    (2, WORD_LEN, "the corpus has 2 users with a window and 0 with >= 2"),
+    (4, WORD_LEN - 1, "the corpus has 0 users with a window and 0 with >= 2"),
+])
+def test_train_verifier_on_too_few_windows_is_data_error(tmp_path, tiny_config, users, keys,
+                                                         message, capsys):
+    corpus = synth_corpus(4, 5, 7)
+    corpus.users = corpus.users[:users]
+    if keys is not None:  # one sentence per user, cut to keys keys
+        for user in corpus.users:
+            user.sentences = [user.sentences[0][:keys]]
+    path = tmp_path / "short.tsv"
+    export_log(corpus, path)
+    ckpt = tmp_path / "verifier.json"
+    code = main(["train-verifier", "--corpus", str(path), "--out", str(ckpt),
+                 "--config", str(tiny_config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: verifier pairs need") and message in err
+    assert "Traceback" not in err and not ckpt.exists()
+
+
+def test_ingest_of_a_file_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.tsv"
+    bad.write_bytes("PARTICIPANT_ID\tSENTENCE_ID\tKEYCODE\tPRESS_TIME\tRELEASE_TIME\n"
+                    "u\xe9\ts1\t72\t0\t5\n".encode("latin-1"))
+    assert main(["ingest", "--log", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}: not UTF-8 text") and "Traceback" not in err
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, corpus_file, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(b'{"target_user": "u\xe9"}')
+    code = main(["train-verifier", "--corpus", str(corpus_file), "--out", str(tmp_path / "v.json"),
+                 "--config", str(cfg_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg_path}: not UTF-8 text") and "Traceback" not in err
+
+
 def test_train_verifier_missing_corpus(tmp_path, capsys):
     code = main(["train-verifier", "--corpus", str(tmp_path / "gone.tsv"),
                  "--out", str(tmp_path / "v.json")])
@@ -188,6 +230,8 @@ def test_attack_writes_tsv_and_metadata(tmp_path, tiny_config, corpus_file, trai
     assert meta["condition"] == "ordered"
     stdout = capsys.readouterr().out
     assert "seed=10" in stdout
+    events, windows = re.search(r": (\d+) events \((\d+) windows available", stdout).groups()
+    assert int(windows) == int(events) // WORD_LEN > 0
 
 
 def test_attack_invalid_condition_is_usage_error(tmp_path, corpus_file, trained_artifacts, capsys):
@@ -246,6 +290,9 @@ def test_zero_sequences_in_config_is_config_error(tmp_path, section, capsys):
     ({"gan": {"stop_threshold": 2}}, "config.gan.stop_threshold"),
     ({"verifier": {"beta1": 1}}, "config.verifier.beta1"),
     ({"conditions": ["random", "random"]}, "config.conditions"),
+    ({"verifier": {"train_pairs": 1}}, "config.verifier.train_pairs must be an integer >= 2"),
+    ({"verifier": {"calibration_pairs": 1}},
+     "config.verifier.calibration_pairs must be an integer >= 2"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, doc, key, capsys):
     cfg_path = tmp_path / "config.json"

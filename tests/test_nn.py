@@ -1,6 +1,13 @@
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,6 +495,181 @@ def test_backward_without_buffers_returns_input_gradient(activation):
     dx = backward(params, tape, dy)
     assert dx.shape == (5, 6)
     assert np.array_equal(dx, reference)
+
+
+# ---------------------------------------------------------------------------
+# helper thread
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def helper_mode(monkeypatch):
+    """helper_mode(mode) forces how a training step uses the helper thread and
+    returns a list that collects the function of each job handed to the helper.
+
+    serial: nn.WORKERS is 1, so no job is handed over. helper: each job has
+    started on the helper before submit returns, so the caller takes none back.
+    stalled: the helper is busy until the test ends, so the caller takes back
+    and runs every job.
+    """
+    release = threading.Event()
+
+    def force(mode):
+        monkeypatch.setattr(nn, "WORKERS", 1 if mode == "serial" else 2)
+        jobs, pool = [], nn._helper()
+        if pool is None:
+            return jobs
+        submit = type(pool).submit
+        if mode == "stalled":
+            submit(pool, release.wait, 30)
+
+        def recording_submit(fn, *args, **kwargs):
+            jobs.append(fn)
+            if mode == "stalled":
+                return submit(pool, fn, *args, **kwargs)
+            started = threading.Event()
+
+            def run():
+                started.set()
+                return fn(*args, **kwargs)
+
+            future = submit(pool, run)
+            assert started.wait(30)
+            return future
+
+        monkeypatch.setattr(pool, "submit", recording_submit)
+        return jobs
+
+    yield force
+    release.set()
+
+
+# 102,007 parameters: 4 chunks of 32,768 with a ragged tail; 620 parameters: one chunk
+MANY_CHUNKS = [LayerSpec(400, 250, "leaky_relu"), LayerSpec(250, 7, "sigmoid")]
+ONE_CHUNK = [LayerSpec(30, 20, "relu")]
+
+
+def adam_run(specs, steps=3):
+    params = init_network(specs, 21)
+    state = AdamState.for_params(params, lr=1e-3)
+    rng = np.random.default_rng(22)
+    for _ in range(steps):
+        state.grad[...] = rng.standard_normal(state.grad.size) * 10.0 ** rng.uniform(-6, 2)
+        adam_step(params, state)
+    return params, state
+
+
+@pytest.mark.parametrize("specs, helper_jobs", [(MANY_CHUNKS, 3), (ONE_CHUNK, 0)])
+def test_adam_gives_the_same_bits_whichever_thread_runs_a_chunk(helper_mode, specs, helper_jobs):
+    assert sum(s.in_dim * s.out_dim + s.out_dim for s in specs) % nn.ADAM_CHUNK
+    assert helper_mode("serial") == []
+    serial, serial_state = adam_run(specs)
+    for mode in ("helper", "stalled"):
+        jobs = helper_mode(mode)
+        threaded, threaded_state = adam_run(specs)
+        assert jobs == [nn._adam_chunks] * helper_jobs  # one job per step, or none
+        assert np.array_equal(threaded.flat, serial.flat)
+        assert np.array_equal(threaded_state.m, serial_state.m)
+        assert np.array_equal(threaded_state.v, serial_state.v)
+        assert threaded_state.step == serial_state.step == 3
+
+
+@pytest.mark.parametrize("mode", ["serial", "helper", "stalled"])
+def test_adam_non_finite_gradient_on_any_chunk_changes_nothing(helper_mode, mode):
+    helper_mode(mode)
+    params, state = adam_run(MANY_CHUNKS, steps=1)
+    before, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
+    for index in (0, nn.ADAM_CHUNK + 5, params.flat.size - 1):  # the first, second and last chunk
+        state.grad[index] = np.nan
+        with pytest.raises(TrainingError, match="non-finite gradient"):
+            adam_step(params, state)
+        state.grad[index] = 0.0
+    assert state.step == 1
+    assert np.array_equal(params.flat, before)
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+
+def test_adam_error_on_the_helper_reaches_the_caller(helper_mode, monkeypatch):
+    helper_mode("helper")
+    chunks = nn._adam_chunks
+
+    def fail_off_the_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper chunk failed")
+        chunks(*args)
+
+    monkeypatch.setattr(nn, "_adam_chunks", fail_off_the_main_thread)
+    params = init_network(MANY_CHUNKS, 23)
+    with pytest.raises(RuntimeError, match="helper chunk failed"):
+        adam_step(params, AdamState.for_params(params))
+
+
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+@pytest.mark.parametrize("overlap_macs", [1, None])  # every layer above the first, or the default
+def test_backward_gives_the_same_bits_whichever_thread_runs_a_product(helper_mode, monkeypatch,
+                                                                      activation, overlap_macs):
+    if overlap_macs is None:  # default shapes: one product of the three passes the threshold
+        rng = np.random.default_rng(24)
+        params = init_network([LayerSpec(600, 512, activation), LayerSpec(512, 512, activation),
+                               LayerSpec(512, 75, "sigmoid")], 24)
+        _, tape = forward(params, rng.standard_normal((32, 600)))
+        dy, helper_jobs = rng.standard_normal((32, 75)), 1
+    else:
+        monkeypatch.setattr(nn, "OVERLAP_MACS", overlap_macs)
+        params, tape, dy = taped_net(activation, 25)
+        helper_jobs = len(params.specs) - 1
+    buffers = []
+    for mode in ("serial", "helper", "stalled"):
+        jobs = helper_mode(mode)
+        flat, grads = nn.gradient_buffers(params)
+        flat.fill(np.nan)
+        assert backward(params, tape, dy, grads) is None
+        assert jobs == ([] if mode == "serial" else [np.matmul] * helper_jobs)
+        buffers.append(flat)
+    assert np.array_equal(buffers[0], buffers[1]) and np.array_equal(buffers[0], buffers[2])
+
+
+@pytest.mark.parametrize("mode", ["helper", "stalled"])
+def test_backward_error_in_a_helper_job_reaches_the_caller(helper_mode, monkeypatch, mode):
+    jobs = helper_mode(mode)
+    monkeypatch.setattr(nn, "OVERLAP_MACS", 1)
+    params, tape, dy = taped_net("relu", 26)
+    flat, grads = nn.gradient_buffers(params)
+    flat.fill(np.nan)
+    grads[2] = (np.empty((3, 3)), grads[2][1])  # the last layer's product cannot fit
+    with pytest.raises(ValueError):
+        backward(params, tape, dy, grads)
+    assert jobs == [np.matmul, np.matmul]  # layers 2 and 1
+    reference, _ = reference_backward(params, tape, dy)
+    assert np.array_equal(grads[1][0], reference[1][0])  # the other job still finished
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_helper(helper_mode):
+    helper_mode("helper")
+    params, state = adam_run(MANY_CHUNKS, steps=1)  # the parent's helper now exists
+    pid = os.fork()
+    if pid == 0:  # the parent's helper thread does not exist here
+        adam_step(params, state)
+        os._exit(0)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_import_starts_no_helper():
+    probe = ("import sys, keyforge.cli, keyforge.nn as nn; "
+             "print(nn._helper_pool is None, 'concurrent.futures' in sys.modules)")
+    src = str(Path(nn.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == ["True", "False"]
 
 
 # ---------------------------------------------------------------------------
