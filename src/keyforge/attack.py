@@ -15,6 +15,7 @@ identical per-word cells and differ only in arrangement.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,11 +25,16 @@ from .data import (
     COL_HL,
     COL_KEYCODE,
     COL_PL,
+    KEY_COL,
     KeyEvent,
+    PRESS_COL,
+    RELEASE_COL,
     SPACE_KEYCODE,
     T_MAX_SECONDS,
     WORD_LEN,
+    Sentence,
     WordSample,
+    as_sentence,
 )
 from .gan import GanBundle, generate_word
 
@@ -52,23 +58,27 @@ class SpaceModel:
     gap_std: float
 
 
-def fit_space_model(sentences: list[list[KeyEvent]], fallback: SpaceModel) -> SpaceModel:
+def fit_space_model(sentences: Sequence[Sentence | Sequence[KeyEvent]], fallback: SpaceModel) -> SpaceModel:
     """Estimate space-key hold and surrounding-gap statistics from real typing.
 
-    Pre- and post-space gaps are pooled into one distribution. Returns
+    Pre- and post-space gaps are pooled into one distribution, space by space
+    in sentence order (each space's gap before it, then after it). Returns
     fallback when the sentences contain no space keys.
     """
     holds, gaps = [], []
-    for sentence in sentences:
-        for i, ev in enumerate(sentence):
-            if ev.keycode != SPACE_KEYCODE:
-                continue
-            holds.append((ev.release_time - ev.press_time) / 1000.0)
-            if i > 0:
-                gaps.append((ev.press_time - sentence[i - 1].release_time) / 1000.0)
-            if i + 1 < len(sentence):
-                gaps.append((sentence[i + 1].press_time - ev.release_time) / 1000.0)
-    if not holds or not gaps:
+    for sentence in map(as_sentence, sentences):
+        press, release = sentence.presses, sentence.releases
+        at = np.flatnonzero(sentence.keycodes == SPACE_KEYCODE)
+        holds.append((release[at] - press[at]) / 1000.0)
+        # one (before, after) pair per space; a space that starts or ends the sentence lacks one
+        has = np.column_stack([at > 0, at + 1 < len(sentence)])
+        pair = np.zeros(has.shape)
+        pair[has[:, 0], 0] = (press[at[has[:, 0]]] - release[at[has[:, 0]] - 1]) / 1000.0
+        pair[has[:, 1], 1] = (press[at[has[:, 1]] + 1] - release[at[has[:, 1]]]) / 1000.0
+        gaps.append(pair[has])
+    holds = np.concatenate(holds) if holds else np.empty(0)
+    gaps = np.concatenate(gaps) if gaps else np.empty(0)
+    if not holds.size or not gaps.size:
         return fallback
     return SpaceModel(
         hold_mean=float(np.mean(holds)),
@@ -89,42 +99,59 @@ def plan_words(corpus_words: list[str], condition: str, rng: np.random.Generator
     return [corpus_words[i] for i in rng.permutation(len(corpus_words))]
 
 
-def _sample_ms(rng: np.random.Generator, mean_s: float, std_s: float) -> float:
-    return max(rng.normal(mean_s, std_s) * 1000.0, _MIN_GAP_MS)
-
-
 def stitch_events(
     words: list[WordSample], space_model: SpaceModel, rng: np.random.Generator
-) -> list[KeyEvent]:
+) -> Sentence:
     """Integrate word samples into one absolute-time event stream with spaces.
 
     Within a word, presses advance by the press-to-press latency (floored at
     1ms so the stream stays strictly press-monotone even for degenerate
     generator output); between words a space key is inserted with sampled
     hold and pre/post gaps. Keycode cells round to the nearest code in 0..255.
+
+    Each boundary draws its pre-gap, hold and post-gap in turn, floored at
+    1ms. The clock runs as one left-to-right sum: from a word's first press
+    by its steps to its last press, then by that key's hold to its release,
+    by the pre-gap to the space's press, by the space's hold to its release,
+    and by the post-gap to the next word's first press.
     """
     if not words:
         raise ValueError("stitch needs at least one word sample")
-    events: list[KeyEvent] = []
-    clock = 0.0  # next press time, ms
-    for w_index, word in enumerate(words):
-        if w_index > 0:
-            pre_gap = _sample_ms(rng, space_model.gap_mean, space_model.gap_std)
-            hold = _sample_ms(rng, space_model.hold_mean, space_model.hold_std)
-            post_gap = _sample_ms(rng, space_model.gap_mean, space_model.gap_std)
-            press = events[-1].release_time + pre_gap
-            events.append(KeyEvent(SPACE_KEYCODE, press, press + hold))
-            clock = press + hold + post_gap
-        cells = word.matrix[: word.valid_len]
-        holds = ((cells[:, COL_HL] * T_MAX_SECONDS) * 1000.0).tolist()
-        steps = ((cells[:, COL_PL] * T_MAX_SECONDS) * 1000.0).tolist()
-        keycodes = np.clip(np.rint(cells[:, COL_KEYCODE] * 255.0), 0, 255).astype(int).tolist()
-        press = clock
-        for i, (keycode, hold_ms) in enumerate(zip(keycodes, holds)):
-            events.append(KeyEvent(keycode, press, press + hold_ms))
-            if i + 1 < len(holds):
-                press += max(steps[i], _MIN_GAP_MS)
-    return events
+    lens = np.array([word.valid_len for word in words])
+    cells = np.concatenate([word.matrix[: word.valid_len] for word in words])
+    holds = (cells[:, COL_HL] * T_MAX_SECONDS) * 1000.0
+    steps = np.maximum((cells[:, COL_PL] * T_MAX_SECONDS) * 1000.0, _MIN_GAP_MS)
+    n_spaces = len(words) - 1
+    m = space_model
+    draws = rng.normal(np.tile([m.gap_mean, m.hold_mean, m.gap_mean], n_spaces),
+                       np.tile([m.gap_std, m.hold_std, m.gap_std], n_spaces))
+    pre_gap, space_hold, post_gap = np.maximum(draws * 1000.0, _MIN_GAP_MS).reshape(-1, 3).T
+
+    # clock slots per word: its presses, its last release, then the space's press and release
+    first_slot = np.zeros(len(words), dtype=np.int64)
+    first_slot[1:] = np.cumsum(lens[:-1] + 3)
+    key_word = np.repeat(np.arange(len(words)), lens)
+    key_slot = np.arange(len(cells)) + first_slot[key_word] - (np.cumsum(lens) - lens)[key_word]
+    last_slot = first_slot + lens  # the last key's release
+    steps_in = np.empty(last_slot[-1] + 1)
+    steps_in[0] = 0.0
+    steps_in[key_slot[1:]] = steps[:-1]
+    steps_in[first_slot[1:]] = post_gap
+    steps_in[last_slot] = holds[np.cumsum(lens) - 1]
+    steps_in[last_slot[:-1] + 1] = pre_gap
+    steps_in[last_slot[:-1] + 2] = space_hold
+    clock = np.cumsum(steps_in)
+
+    rows = np.empty((len(cells) + n_spaces, 3))
+    key_rows = np.arange(len(cells)) + key_word
+    rows[key_rows, KEY_COL] = np.clip(np.rint(cells[:, COL_KEYCODE] * 255.0), 0, 255)
+    rows[key_rows, PRESS_COL] = clock[key_slot]
+    rows[key_rows, RELEASE_COL] = clock[key_slot] + holds
+    space_rows = np.cumsum(lens)[:-1] + np.arange(n_spaces)
+    rows[space_rows, KEY_COL] = SPACE_KEYCODE
+    rows[space_rows, PRESS_COL] = clock[last_slot[:-1] + 1]
+    rows[space_rows, RELEASE_COL] = clock[last_slot[:-1] + 2]
+    return Sentence(rows)
 
 
 def _generate_plan_samples(
@@ -148,7 +175,7 @@ def build_attack_stream(
     config: AttackSection,
     space_model: SpaceModel,
     rng: np.random.Generator,
-) -> list[KeyEvent]:
+) -> Sentence:
     """Generate and stitch enough events to window config.n_sequences full sequences.
 
     The plan repeats, with fresh latents per pass, until the stream is long

@@ -149,7 +149,10 @@ def cmd_evaluate(args) -> int:
             if not isinstance(side, dict):
                 raise DataError(f"{meta_path}: expected a JSON object, got {type(side).__name__}")
             metadata["seeds"][f"attack:{Path(path).name}"] = side.get("seed")
-    report = pipeline.evaluate_attack(bundle, corpus, args.user, fakes, cfg, metadata)
+    try:
+        report = pipeline.evaluate_attack(bundle, corpus, args.user, fakes, cfg, metadata)
+    except verifier_mod.NonFiniteDistanceError as exc:
+        raise DataError(f"{args.verifier}: {exc}") from None
     doc = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
     if args.out_json:
         Path(args.out_json).write_text(doc, encoding="utf-8")

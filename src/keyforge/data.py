@@ -10,10 +10,14 @@ without any per-dataset statistics.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import string
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -23,6 +27,9 @@ WORD_LEN = 15
 N_FEATURES = 5
 
 COL_HL, COL_IL, COL_PL, COL_RL, COL_KEYCODE = range(N_FEATURES)
+
+# columns of a Sentence's (n, 3) rows
+KEY_COL, PRESS_COL, RELEASE_COL = range(3)
 
 TSV_COLUMNS = ("PARTICIPANT_ID", "SENTENCE_ID", "KEYCODE", "PRESS_TIME", "RELEASE_TIME")
 
@@ -35,32 +42,139 @@ class ValidationError(ValueError):
     """Structurally readable data that violates a corpus invariant."""
 
 
+def _event_problem(keycode, press, release) -> str | None:
+    """The first keystroke rule one event breaks, as ValidationError text; None if it breaks none.
+
+    The one statement of the rules and their messages: KeyEvent checks its
+    fields with it, and the array checks name their first bad row with it.
+    A keycode is compared as given, so an int of any size gets its message.
+    """
+    if not 0 <= keycode <= 255:
+        return f"keycode {keycode} outside 0..255"
+    if keycode != int(keycode):
+        return f"keycode {keycode} is not an integer"
+    if not (math.isfinite(press) and math.isfinite(release)):
+        return f"non-finite timestamp on keycode {keycode}: press={press}, release={release}"
+    if press < 0 or release < 0:
+        return f"negative timestamp on keycode {keycode}: press={press}, release={release}"
+    if release < press:
+        return f"release before press on keycode {keycode}: press={press}, release={release}"
+    return None
+
+
+def _bad_rows(rows: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, 3) [keycode, press, release] array _event_problem rejects.
+
+    0 <= press <= release < inf holds exactly when both times are finite and
+    non-negative and release is not before press; NaN fails every comparison.
+    """
+    keycodes, presses, releases = rows[:, KEY_COL], rows[:, PRESS_COL], rows[:, RELEASE_COL]
+    good = (keycodes >= 0) & (keycodes <= 255) & (keycodes == np.floor(keycodes))
+    good &= (presses >= 0) & (presses <= releases) & (releases < math.inf)
+    return ~good
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """Raise ValidationError for the first row that breaks a keystroke rule."""
+    bad = np.flatnonzero(_bad_rows(rows))
+    if bad.size:
+        keycode, press, release = rows[bad[0]].tolist()
+        raise ValidationError(_event_problem(
+            int(keycode) if keycode.is_integer() else keycode, press, release))
+
+
 @dataclass(frozen=True)
 class KeyEvent:
-    """One keystroke: ASCII keycode plus press/release times in milliseconds."""
+    """One keystroke: ASCII keycode plus press/release times in milliseconds.
+
+    A Sentence yields its rows as KeyEvents, and callers that build events one
+    at a time construct them; keyforge's own paths work on Sentence arrays.
+    """
 
     keycode: int
     press_time: float
     release_time: float
 
     def __post_init__(self):
-        if not 0 <= self.keycode <= 255:
-            raise ValidationError(f"keycode {self.keycode} outside 0..255")
-        if not (math.isfinite(self.press_time) and math.isfinite(self.release_time)):
-            raise ValidationError(
-                f"non-finite timestamp on keycode {self.keycode}: "
-                f"press={self.press_time}, release={self.release_time}"
-            )
-        if self.press_time < 0 or self.release_time < 0:
-            raise ValidationError(
-                f"negative timestamp on keycode {self.keycode}: "
-                f"press={self.press_time}, release={self.release_time}"
-            )
-        if self.release_time < self.press_time:
-            raise ValidationError(
-                f"release before press on keycode {self.keycode}: "
-                f"press={self.press_time}, release={self.release_time}"
-            )
+        problem = _event_problem(self.keycode, self.press_time, self.release_time)
+        if problem is not None:
+            raise ValidationError(problem)
+
+
+class Sentence:
+    """One typed sentence: a read-only (n, 3) float64 array of [keycode, press_ms, release_ms] rows.
+
+    Every row obeys the KeyEvent rules, checked in one vectorized pass when
+    the sentence is built. len() counts keys; an int index or iteration gives
+    KeyEvents, and a slice gives a Sentence that views the same rows. A
+    Sentence equals another with equal rows, and any sequence of KeyEvents
+    equal to its own.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        rows = np.array(rows, dtype=np.float64)
+        if rows.size == 0:
+            rows = rows.reshape(0, 3)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"sentence rows must be shaped (n, 3), got {rows.shape}")
+        _check_rows(rows)
+        rows.flags.writeable = False
+        self.rows = rows
+
+    @classmethod
+    def _of(cls, rows: np.ndarray) -> Sentence:
+        """Wrap read-only rows already checked, without copying them."""
+        sentence = cls.__new__(cls)
+        sentence.rows = rows
+        return sentence
+
+    @classmethod
+    def from_events(cls, events) -> Sentence:
+        return cls([(ev.keycode, ev.press_time, ev.release_time) for ev in events])
+
+    @property
+    def keycodes(self) -> np.ndarray:
+        return self.rows[:, KEY_COL]
+
+    @property
+    def presses(self) -> np.ndarray:
+        return self.rows[:, PRESS_COL]
+
+    @property
+    def releases(self) -> np.ndarray:
+        return self.rows[:, RELEASE_COL]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Sentence._of(self.rows[index])
+        keycode, press, release = self.rows[operator.index(index)].tolist()
+        return KeyEvent(int(keycode), press, release)
+
+    def __iter__(self):
+        for keycode, press, release in self.rows.tolist():
+            yield KeyEvent(int(keycode), press, release)
+
+    def __eq__(self, other):
+        if isinstance(other, Sentence):
+            return np.array_equal(self.rows, other.rows)
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Sentence({self.rows.tolist()!r})"
+
+
+def as_sentence(events) -> Sentence:
+    """events as a Sentence: a Sentence itself, else built from a sequence of KeyEvents."""
+    return events if isinstance(events, Sentence) else Sentence.from_events(events)
 
 
 @dataclass(frozen=True)
@@ -77,8 +191,13 @@ class WordSample:
 
 @dataclass
 class UserLog:
+    """One user's sentences, each turned into a Sentence on construction."""
+
     user_id: str
-    sentences: list[list[KeyEvent]]
+    sentences: list[Sentence]
+
+    def __post_init__(self):
+        self.sentences = [as_sentence(sentence) for sentence in self.sentences]
 
 
 @dataclass
@@ -95,7 +214,7 @@ class Corpus:
         return sum(len(s) for u in self.users for s in u.sentences)
 
 
-def extract_features(events: list[KeyEvent]) -> np.ndarray:
+def extract_features(events: Sentence | Sequence[KeyEvent]) -> np.ndarray:
     """Derive the (n, 5) [hl, il, pl, rl, keycode] array (seconds) from press-sorted events.
 
     Row i uses events i and i+1: hl = release-press of the same key, il = next
@@ -103,16 +222,16 @@ def extract_features(events: list[KeyEvent]) -> np.ndarray:
     rl = release-to-release. The terminal row keeps il = pl = rl = 0 so it
     merges cleanly with zero padding.
     """
-    if not events:
+    sentence = as_sentence(events)
+    if not len(sentence):
         raise ValueError("extract_features requires at least one event")
-    raw = np.array([(ev.press_time, ev.release_time, ev.keycode) for ev in events], dtype=np.float64)
-    press, release = raw[:, 0], raw[:, 1]
-    out = np.zeros((len(events), N_FEATURES), dtype=np.float64)
+    press, release = sentence.presses, sentence.releases
+    out = np.zeros((len(sentence), N_FEATURES), dtype=np.float64)
     out[:, COL_HL] = (release - press) / 1000.0
     out[:-1, COL_IL] = (press[1:] - release[:-1]) / 1000.0
     out[:-1, COL_PL] = (press[1:] - press[:-1]) / 1000.0
     out[:-1, COL_RL] = (release[1:] - release[:-1]) / 1000.0
-    out[:, COL_KEYCODE] = raw[:, 2]
+    out[:, COL_KEYCODE] = sentence.keycodes
     return out
 
 
@@ -138,10 +257,11 @@ def normalize(features: np.ndarray) -> np.ndarray:
 
 
 # a maximal run of keys other than the space key, over a sentence's chr(keycode) string
+# (keycodes 0..255 are the Latin-1 code points, so that string decodes from one byte per key)
 _WORD_RUN = re.compile(f"[^{chr(SPACE_KEYCODE)}]+")
 
 
-def words_from_sentence(events: list[KeyEvent]) -> list[WordSample]:
+def words_from_sentence(events: Sentence | Sequence[KeyEvent]) -> list[WordSample]:
     """Split a sentence on the space key into fixed-size word samples.
 
     Each maximal non-space run becomes one sample; runs longer than 15 keys
@@ -151,11 +271,12 @@ def words_from_sentence(events: list[KeyEvent]) -> list[WordSample]:
     terminal-row zeros never leak cross-word timing. Rows past the word's
     length stay zero.
     """
-    text = "".join([chr(ev.keycode) for ev in events])
+    sentence = as_sentence(events)
+    text = sentence.keycodes.astype(np.uint8).tobytes().decode("latin-1")
     spans = [match.span() for match in _WORD_RUN.finditer(text)]
     if not spans:
         return []
-    rows = normalize(extract_features(events))
+    rows = normalize(extract_features(sentence))
     matrices = np.zeros((len(spans), WORD_LEN, N_FEATURES))
     samples = []
     for matrix, (start, end) in zip(matrices, spans):
@@ -232,13 +353,12 @@ def synth_corpus(n_users: int, sentences_per_user: int, seed: int) -> Corpus:
             means = np.full(2 * n_keys, gap_mean)
             means[0::2] = hold_means[slots]
             times = np.cumsum(np.maximum(1.0, rng.normal(means, 10.0)))
-            presses = [0.0, *times[1:-1:2].tolist()]
-            sentences.append([
-                KeyEvent(keycode=kc, press_time=press, release_time=release)
-                for kc, press, release in zip(
-                    _SLOT_KEYCODES[slots].tolist(), presses, times[0::2].tolist()
-                )
-            ])
+            rows = np.empty((n_keys, 3))
+            rows[:, KEY_COL] = _SLOT_KEYCODES[slots]
+            rows[0, PRESS_COL] = 0.0
+            rows[1:, PRESS_COL] = times[1:-1:2]
+            rows[:, RELEASE_COL] = times[0::2]
+            sentences.append(Sentence(rows))
         users.append(UserLog(user_id=f"u{u}", sentences=sentences))
     return Corpus(users=users)
 
@@ -248,6 +368,36 @@ def synth_corpus(n_users: int, sentences_per_user: int, seed: int) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
+def _parse_line(path: Path, lineno: int, line: str) -> tuple[str, str, KeyEvent]:
+    """One non-blank log line as (participant, sentence, event), or the error that names its line."""
+    cells = line.split("\t")
+    if len(cells) != len(TSV_COLUMNS):
+        raise ParseError(f"{path}:{lineno}: expected {len(TSV_COLUMNS)} columns, got {len(cells)}")
+    pid, sid, kc_text, press_text, release_text = cells
+    try:
+        keycode = int(kc_text)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: keycode {kc_text!r} is not an integer") from None
+    try:
+        press = float(press_text)
+        release = float(release_text)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: non-numeric time in {cells!r}") from None
+    try:
+        event = KeyEvent(keycode=keycode, press_time=press, release_time=release)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    return pid, sid, event
+
+
+def _raise_first_bad_line(path: Path, lines: list[str]) -> NoReturn:
+    """Raise the error of the first body line that does not parse into a valid event."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            _parse_line(path, lineno, line)
+    raise AssertionError(f"{path}: the bulk reader rejected a log whose every line is valid")
+
+
 def ingest_log(path: str | Path) -> Corpus:
     """Read a keystroke TSV into a corpus, sorting each sentence by press time.
 
@@ -255,6 +405,11 @@ def ingest_log(path: str | Path) -> Corpus:
     KEYCODE, PRESS_TIME, RELEASE_TIME. Parse problems report the line number;
     events that violate invariants (release < press, duplicate press times)
     raise validation errors naming the offending event.
+
+    Lines are split, parsed with int and float and checked in bulk; only a
+    log that fails is read again line by line, to name its first bad line.
+    Sentences are grouped by (participant, sentence) in order of first
+    appearance and sorted stably by press time, as views into one array.
     """
     path = Path(path)
     try:
@@ -268,51 +423,72 @@ def ingest_log(path: str | Path) -> Corpus:
     if header != TSV_COLUMNS:
         raise ParseError(f"{path}:1: bad header {header!r}, expected {TSV_COLUMNS!r}")
 
-    grouped: dict[tuple[str, str], list[KeyEvent]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(TSV_COLUMNS):
-            raise ParseError(f"{path}:{lineno}: expected {len(TSV_COLUMNS)} columns, got {len(cells)}")
-        pid, sid, kc_text, press_text, release_text = cells
-        try:
-            keycode = int(kc_text)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: keycode {kc_text!r} is not an integer") from None
-        try:
-            press = float(press_text)
-            release = float(release_text)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric time in {cells!r}") from None
-        try:
-            event = KeyEvent(keycode=keycode, press_time=press, release_time=release)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        grouped.setdefault((pid, sid), []).append(event)
+    body = list(filter(str.strip, lines[1:]))  # blank and whitespace-only lines carry nothing
+    n = len(body)
+    if n == 0:
+        return Corpus(users=[])
+    # Joined with "\t\n", a line's first cell is the only one to start with "\n": every
+    # line has 5 cells exactly when the first cells hold all n - 1 of them.
+    cells = "\t\n".join(body).split("\t")
+    pids = "".join(cells[0::5]).split("\n")
+    if len(cells) != 5 * n or len(pids) != n:
+        _raise_first_bad_line(path, lines)
+    sids = cells[1::5]
+    try:
+        keycodes = list(map(int, cells[2::5]))
+        rows = np.empty((n, 3))
+        rows[:, PRESS_COL] = np.fromiter(map(float, cells[3::5]), np.float64, n)
+        rows[:, RELEASE_COL] = np.fromiter(map(float, cells[4::5]), np.float64, n)
+    except ValueError:
+        _raise_first_bad_line(path, lines)
+    if not 0 <= min(keycodes) <= max(keycodes) <= 255:  # compared as ints: any size is fine
+        _raise_first_bad_line(path, lines)
+    rows[:, KEY_COL] = keycodes
+    if _bad_rows(rows).any():
+        _raise_first_bad_line(path, lines)
 
-    users: dict[str, UserLog] = {}
-    for (pid, sid), events in grouped.items():
-        events.sort(key=lambda ev: ev.press_time)
-        for a, b in zip(events, events[1:]):
-            if b.press_time <= a.press_time:
-                raise ValidationError(
-                    f"{path}: user {pid!r} sentence {sid!r}: non-increasing press time "
-                    f"{b.press_time} after {a.press_time}"
-                )
-        users.setdefault(pid, UserLog(user_id=pid, sentences=[])).sentences.append(events)
-    return Corpus(users=list(users.values()))
+    # one group id per row, by first appearance; the dict sees one key per run of equal keys
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = (np.fromiter(map(operator.ne, pids[1:], pids[:-1]), bool, n - 1)
+                   | np.fromiter(map(operator.ne, sids[1:], sids[:-1]), bool, n - 1))
+    run_starts = np.flatnonzero(new_run)
+    group_of: dict[tuple[str, str], int] = {}
+    run_groups = [group_of.setdefault((pids[i], sids[i]), len(group_of)) for i in run_starts.tolist()]
+    groups = np.repeat(run_groups, np.diff(run_starts, append=n))
+    order = np.lexsort((rows[:, PRESS_COL], groups))  # stable: equal presses keep file order
+    rows, groups = rows[order], groups[order]
+    presses = rows[:, PRESS_COL]
+    repeated = np.flatnonzero((presses[1:] <= presses[:-1]) & (groups[1:] == groups[:-1]))
+    if repeated.size:
+        i = repeated[0]
+        pid, sid = list(group_of)[groups[i]]
+        raise ValidationError(
+            f"{path}: user {pid!r} sentence {sid!r}: non-increasing press time "
+            f"{presses[i + 1].item()} after {presses[i].item()}"
+        )
+
+    rows.flags.writeable = False
+    sentences = np.split(rows, np.cumsum(np.bincount(groups))[:-1])
+    users: dict[str, list[Sentence]] = {}
+    for (pid, _), sentence in zip(group_of, sentences):
+        users.setdefault(pid, []).append(Sentence._of(sentence))
+    return Corpus(users=[UserLog(user_id=pid, sentences=s) for pid, s in users.items()])
 
 
 def export_log(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus in the same TSV layout ingest_log reads."""
+    """Write a corpus in the same TSV layout ingest_log reads.
+
+    Keycodes are written as ints and times by repr, so ingest_log reads back
+    the same bits.
+    """
     path = Path(path)
     lines = ["\t".join(TSV_COLUMNS)]
     for user in corpus.users:
         for s_index, sentence in enumerate(user.sentences):
-            sid = f"s{s_index}"
-            for ev in sentence:
-                lines.append(
-                    f"{user.user_id}\t{sid}\t{ev.keycode}\t{ev.press_time!r}\t{ev.release_time!r}"
-                )
+            n = len(sentence)
+            if n:
+                lines.append("\n".join(map("\t".join, zip(
+                    repeat(user.user_id, n), repeat(f"s{s_index}", n),
+                    map(str, sentence.keycodes.astype(np.int64).tolist()),
+                    map(repr, sentence.presses.tolist()), map(repr, sentence.releases.tolist())))))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

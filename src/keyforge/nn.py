@@ -235,15 +235,16 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z  # identity
 
 
-def _activation_grad(name: str, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _activation_backward(name: str, g: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """dLoss/dz from g = dLoss/dh: g times the activation's derivative at z, whose output is h."""
     if name == "relu":
-        return (z > 0).astype(np.float64)
+        return g * (z > 0)  # the bool mask multiplies as 0.0 / 1.0
     if name == "leaky_relu":
         # equals np.where(z > 0, 1.0, LEAKY_SLOPE) for 0 <= slope <= 1, at a tenth of the cost
-        return np.maximum(z > 0, LEAKY_SLOPE)
+        return g * np.maximum(z > 0, LEAKY_SLOPE)
     if name == "sigmoid":
-        return h * (1.0 - h)
-    return np.ones_like(z)
+        return g * (h * (1.0 - h))
+    return g  # identity
 
 
 def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTape]:
@@ -301,7 +302,7 @@ def backward(
         for k in range(n_layers - 1, -1, -1):
             z = tape.pre_activations[k]
             h = tape.inputs[k + 1] if k + 1 < n_layers else tape.output
-            dz = g * _activation_grad(params.specs[k].activation, z, h)
+            dz = _activation_backward(params.specs[k].activation, g, z, h)
             if grads is not None:
                 w_grad = grads[k][0]
                 if helper is not None and k > 0 and len(dz) * w_grad.size >= OVERLAP_MACS:
@@ -428,7 +429,9 @@ def adam_step(params: NetworkParams, state: AdamState) -> tuple[NetworkParams, A
     p, g, m, v = params.flat, state.grad, state.m, state.v
     if not p.size == g.size == m.size == v.size:
         raise ValueError(f"Adam state holds {g.size} values for a network of {p.size}")
-    if not np.all(np.isfinite(g)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(g)  # finite only if every entry is
+    if not np.isfinite(total) and not np.all(np.isfinite(g)):
         raise TrainingError(f"non-finite gradient in layer {_non_finite_layer(state.grads)}")
     state.step += 1
     t = state.step

@@ -19,7 +19,7 @@ from . import gan as gan_mod
 from . import verifier as verifier_mod
 from .attack import ATTACKER_ID
 from .config import RunConfig, config_hash
-from .data import WORD_LEN, Corpus, KeyEvent, UserLog, export_log, synth_corpus, words_from_corpus
+from .data import WORD_LEN, Corpus, KeyEvent, Sentence, UserLog, export_log, synth_corpus, words_from_corpus
 from .evaluation import EvalReport, build_test_pairs, render_table, report_to_dict, run_tests, sample_other_sequences
 from .verifier import VerifierBundle
 
@@ -116,7 +116,7 @@ def make_attack_events(
     condition: str,
     seed: int,
     cfg: RunConfig,
-) -> list[KeyEvent]:
+) -> Sentence:
     """One attack stream: plan the user's words, generate, and stitch."""
     user = _get_user(corpus, user_id)
     texts = [w.text for w in words_from_corpus(user)]
@@ -130,12 +130,13 @@ def make_attack_events(
     return attack_mod.build_attack_stream(bundle, plan, cfg.attack, space_model, rng)
 
 
-def attack_events_to_corpus(events: list[KeyEvent]) -> Corpus:
+def attack_events_to_corpus(events: Sentence | list[KeyEvent]) -> Corpus:
+    """One attack stream as the attacker's one-sentence corpus; a KeyEvent list becomes a Sentence."""
     return Corpus(users=[UserLog(user_id=ATTACKER_ID, sentences=[events])])
 
 
 def write_attack(
-    events: list[KeyEvent], path: str | Path, condition: str, seed: int, user_id: str, cfg: RunConfig
+    events: Sentence, path: str | Path, condition: str, seed: int, user_id: str, cfg: RunConfig
 ) -> None:
     """Write one attack stream as TSV plus its provenance in <path>.meta.json."""
     export_log(attack_events_to_corpus(events), path)

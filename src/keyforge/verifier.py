@@ -66,6 +66,10 @@ class VerifierBundle:
     metadata: dict = field(default_factory=dict)
 
 
+class NonFiniteDistanceError(ValueError):
+    """The verifier network maps some sequence to a NaN or infinite distance."""
+
+
 @dataclass(frozen=True)
 class PairSet:
     """n pairs of normalized (15, 5) sequences and whether each pair comes from one user."""
@@ -85,22 +89,22 @@ class PairSet:
 def sequences_from_corpus(corpus: Corpus) -> dict[str, list[np.ndarray]]:
     """Cut every sentence into non-overlapping normalized (15, 5) windows per user.
 
-    Features are extracted over the whole sentence, so space keys and
+    Windows are cut from whole-sentence features, so space keys and
     cross-word latencies are present. Trailing remainders are dropped; users
-    whose sentences all fall short contribute nothing.
+    whose sentences all fall short contribute nothing. This is windows_at
+    over every window of every user.
     """
-    out: dict[str, list[np.ndarray]] = {}
-    total = 0
-    for user in corpus.users:
-        seqs = []
-        for sentence in user.sentences:
-            if sentence:
-                seqs.extend(slice_windows(normalize(extract_features(sentence)), WORD_LEN))
-        if seqs:
-            out[user.user_id] = seqs
-            total += len(seqs)
-    if total == 0:
+    counts = {user.user_id: window_count(user) for user in corpus.users}
+    picks = [(user_id, k) for user_id, count in counts.items() for k in range(count)]
+    if not picks:
         raise ValueError("corpus yields no 15-row sequences")
+    windows = windows_at(corpus, picks)
+    out: dict[str, list[np.ndarray]] = {}
+    start = 0
+    for user_id, count in counts.items():
+        if count:
+            out[user_id] = windows[start : start + count]
+            start += count
     return out
 
 
@@ -118,7 +122,6 @@ def window_count(user: UserLog) -> int:
 def windows_at(corpus: Corpus, picks: Iterable[tuple[str, int]]) -> list[np.ndarray]:
     """Window k of user u for each (u, k) pick, in pick order, without featurizing the corpus.
 
-    Each window is byte-identical to sequences_from_corpus(corpus)[u][k].
     Only sentences that hold a picked window are featurized, each once per
     call however often it is picked, and only up to the key after its last
     picked window: every feature cell is an elementwise function of one key
@@ -154,8 +157,18 @@ def _embed(bundle: VerifierBundle, matrices: np.ndarray) -> np.ndarray:
 
 
 def pair_distances(bundle: VerifierBundle, pairs: PairSet) -> np.ndarray:
-    """Euclidean distance between the embedded sequences of each pair."""
-    return np.linalg.norm(_embed(bundle, pairs.a) - _embed(bundle, pairs.b), axis=1)
+    """Euclidean distance between the embedded sequences of each pair.
+
+    Raises NonFiniteDistanceError when a distance is NaN or infinite, as
+    overflowing weights give; the overflow itself stays silent.
+    """
+    with np.errstate(all="ignore"):
+        d = np.linalg.norm(_embed(bundle, pairs.a) - _embed(bundle, pairs.b), axis=1)
+    if not np.isfinite(d).all():
+        bad = np.flatnonzero(~np.isfinite(d))
+        raise NonFiniteDistanceError(
+            f"verifier gives {bad.size} non-finite distances of {d.size}, first at pair {bad[0]}")
+    return d
 
 
 def make_pairs(
@@ -206,7 +219,7 @@ def train_verifier(pairs: PairSet, config: VerifierConfig, seed: int) -> Verifie
             ea, tape_a = nn.forward(net, a_all[idx])
             eb, tape_b = nn.forward(net, b_all[idx])
             diff = ea - eb
-            d = np.linalg.norm(diff, axis=1)
+            d = np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm's own sum for real input
             losses, dldd = nn.contrastive_loss(d, pairs.same[idx], config.margin)
             epoch_loss += float(losses.sum())
             # unit direction of d wrt ea; zero where d == 0 (valid subgradient)

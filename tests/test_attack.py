@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from keyforge import gan, pipeline
 from keyforge.attack import (
+    SpaceModel,
     build_attack_stream,
     fit_space_model,
     plan_words,
@@ -20,6 +21,8 @@ from keyforge.data import (
     COL_PL,
     KeyEvent,
     SPACE_KEYCODE,
+    Sentence,
+    T_MAX_SECONDS,
     WordSample,
     extract_features,
     normalize,
@@ -153,6 +156,47 @@ def test_stitch_round_trip_preserves_word_cells(user_words, rng):
         assert np.allclose(rec.matrix, orig.matrix, atol=1e-6)
 
 
+def stitch_reference(words, space_model, rng):
+    """stitch_events as a loop over keys, one KeyEvent and one clock addition at a time."""
+    def sample_ms(mean_s, std_s):
+        return max(rng.normal(mean_s, std_s) * 1000.0, 1.0)
+
+    events, clock = [], 0.0
+    for w_index, word in enumerate(words):
+        if w_index > 0:
+            pre_gap = sample_ms(space_model.gap_mean, space_model.gap_std)
+            hold = sample_ms(space_model.hold_mean, space_model.hold_std)
+            post_gap = sample_ms(space_model.gap_mean, space_model.gap_std)
+            press = events[-1].release_time + pre_gap
+            events.append(KeyEvent(SPACE_KEYCODE, press, press + hold))
+            clock = press + hold + post_gap
+        cells = word.matrix[: word.valid_len]
+        holds = ((cells[:, COL_HL] * T_MAX_SECONDS) * 1000.0).tolist()
+        steps = ((cells[:, COL_PL] * T_MAX_SECONDS) * 1000.0).tolist()
+        keycodes = np.clip(np.rint(cells[:, COL_KEYCODE] * 255.0), 0, 255).astype(int).tolist()
+        press = clock
+        for i, (keycode, hold_ms) in enumerate(zip(keycodes, holds)):
+            events.append(KeyEvent(keycode, press, press + hold_ms))
+            if i + 1 < len(holds):
+                press += max(steps[i], 1.0)
+    return events
+
+
+@pytest.mark.parametrize("n_words", [1, 2, 7, 40])
+def test_stitch_matches_per_key_reference(bundle, user_words, n_words):
+    """Same rng draws and the same bits as adding up the clock one key at a time."""
+    texts = ["a", "qwertyuiopasdfg", "mid"]
+    words = [gan.generate_word(bundle, texts[i % 3], np.random.default_rng(i)) if i % 4 == 3
+             else user_words[i % len(user_words)] for i in range(n_words)]
+    space_model = fit_space_model(synth_corpus(2, 3, 1).users[1].sentences, DEFAULT_SPACES)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = stitch_events(words, space_model, got_rng)
+    want = stitch_reference(words, space_model, want_rng)
+    assert got == want
+    assert got.rows.tobytes() == Sentence.from_events(want).rows.tobytes()
+    assert got_rng.random() == want_rng.random()
+
+
 def test_stitch_rejects_empty(rng):
     with pytest.raises(ValueError):
         stitch_events([], DEFAULT_SPACES, rng)
@@ -179,6 +223,36 @@ def test_fit_space_model_matches_hand_stats():
     assert np.isclose(model.hold_mean, 0.060)
     assert np.isclose(model.gap_mean, 0.045)
     assert np.isclose(model.gap_std, 0.005)
+
+
+def fit_space_reference(sentences):
+    """(holds, gaps) of fit_space_model, pooled key by key as Python floats."""
+    holds, gaps = [], []
+    for sentence in sentences:
+        for i, ev in enumerate(sentence):
+            if ev.keycode != SPACE_KEYCODE:
+                continue
+            holds.append((ev.release_time - ev.press_time) / 1000.0)
+            if i > 0:
+                gaps.append((ev.press_time - sentence[i - 1].release_time) / 1000.0)
+            if i + 1 < len(sentence):
+                gaps.append((sentence[i + 1].press_time - ev.release_time) / 1000.0)
+    return holds, gaps
+
+
+def test_fit_space_model_pools_gaps_in_key_order():
+    """Spaces at either end of a sentence and back to back: the same bits as the key loop."""
+    sentences = [list(s) for s in synth_corpus(3, 4, 8).users[2].sentences]
+    sentences[0] = [KeyEvent(SPACE_KEYCODE, 0.0, 70.0)] + [
+        KeyEvent(ev.keycode, ev.press_time + 100.0, ev.release_time + 100.0) for ev in sentences[0]]
+    sentences[1][-1] = KeyEvent(SPACE_KEYCODE, sentences[1][-1].press_time, sentences[1][-1].release_time)
+    sentences[2][5] = KeyEvent(SPACE_KEYCODE, sentences[2][5].press_time, sentences[2][5].release_time)
+    sentences[2][6] = KeyEvent(SPACE_KEYCODE, sentences[2][6].press_time, sentences[2][6].release_time)
+    holds, gaps = fit_space_reference(sentences)
+    model = fit_space_model(sentences, DEFAULT_SPACES)
+    assert model == SpaceModel(float(np.mean(holds)), float(np.std(holds)),
+                               float(np.mean(gaps)), float(np.std(gaps)))
+    assert fit_space_model([[KeyEvent(SPACE_KEYCODE, 0.0, 50.0)]], DEFAULT_SPACES) is DEFAULT_SPACES
 
 
 def test_fit_space_model_on_synthetic_corpus_is_plausible():

@@ -13,7 +13,7 @@ from keyforge import gan as gan_mod
 from keyforge import nn, pipeline
 from keyforge import verifier as verifier_mod
 from keyforge.cli import main
-from keyforge.data import WORD_LEN, export_log, synth_corpus
+from keyforge.data import WORD_LEN, Corpus, UserLog, export_log, synth_corpus
 
 TINY_CONFIG = {
     "target_user": "u0",
@@ -485,6 +485,27 @@ def test_evaluate_with_bad_attack_side_file_is_data_error(tmp_path, corpus_file,
     out_json = tmp_path / "report.json"
     code = main(evaluate_args(path, corpus_file, out_json))
     assert_data_error(code, capsys, side, message)
+    assert not out_json.exists()
+
+
+def test_evaluate_with_overflowing_verifier_is_data_error(tmp_path, tiny_config, corpus_file, capsys):
+    """Weights scaled by 1e306 load as finite but embed to inf; no NaN distance reaches a report."""
+    path = tmp_path / "verifier.json"
+    net = nn.init_network(verifier_mod.embedding_specs(8), 0)
+    net.flat *= 1e306
+    nn.save_params(net, path, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    corpus = synth_corpus(4, 5, 7)
+    fakes = []
+    for tag, user_id in (("a", "u1"), ("b", "u2")):
+        fake = tmp_path / f"fake_{tag}.tsv"
+        export_log(Corpus(users=[UserLog(pipeline.ATTACKER_ID, corpus.get(user_id).sentences)]), fake)
+        fakes.append(str(fake))
+    out_json = tmp_path / "report.json"
+    code = main(["evaluate", "--verifier", str(path), "--corpus", str(corpus_file), "--user", "u0",
+                 "--fake-ordered-a", fakes[0], "--fake-ordered-b", fakes[1],
+                 "--fake-random-a", fakes[0], "--fake-random-b", fakes[1],
+                 "--out-json", str(out_json), "--config", str(tiny_config)])
+    assert_data_error(code, capsys, path, "verifier gives ")
     assert not out_json.exists()
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +20,14 @@ from keyforge.data import (
     N_FEATURES,
     ParseError,
     SPACE_KEYCODE,
+    Sentence,
     T_MAX_SECONDS,
+    TSV_COLUMNS,
     UserLog,
     ValidationError,
     WORD_LEN,
     WordSample,
+    as_sentence,
     export_log,
     extract_features,
     ingest_log,
@@ -154,6 +158,170 @@ def test_ingest_inverts_export(tmp_path_factory, corpus):
     path = tmp_path_factory.getbasetemp() / "round_trip.tsv"
     export_log(corpus, path)
     assert ingest_log(path) == corpus
+
+
+def ingest_reference(path) -> Corpus:
+    """ingest_log as a loop over lines and KeyEvents: the reader before sentences were arrays."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file, expected header row")
+    header = tuple(lines[0].rstrip("\n").split("\t"))
+    if header != TSV_COLUMNS:
+        raise ParseError(f"{path}:1: bad header {header!r}, expected {TSV_COLUMNS!r}")
+    grouped = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(TSV_COLUMNS):
+            raise ParseError(f"{path}:{lineno}: expected {len(TSV_COLUMNS)} columns, got {len(cells)}")
+        pid, sid, kc_text, press_text, release_text = cells
+        try:
+            keycode = int(kc_text)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: keycode {kc_text!r} is not an integer") from None
+        try:
+            press = float(press_text)
+            release = float(release_text)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric time in {cells!r}") from None
+        try:
+            event = KeyEvent(keycode=keycode, press_time=press, release_time=release)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        grouped.setdefault((pid, sid), []).append(event)
+    users = {}
+    for (pid, sid), events in grouped.items():
+        events.sort(key=lambda ev: ev.press_time)
+        for a, b in zip(events, events[1:]):
+            if b.press_time <= a.press_time:
+                raise ValidationError(
+                    f"{path}: user {pid!r} sentence {sid!r}: non-increasing press time "
+                    f"{b.press_time} after {a.press_time}"
+                )
+        users.setdefault(pid, []).append(events)
+    return Corpus(users=[UserLog(user_id=pid, sentences=events) for pid, events in users.items()])
+
+
+# cells that int() or float() reads in some unusual way, or refuses
+ODD_KEYCODES = ["1_0", "+65", " 72 ", "0x41", "72.0", "", "x", "-1", "256", "٧٢", "9" * 400, "-" + "9" * 400]
+ODD_TIMES = ["nan", "NaN", "inf", "-inf", "infinity", "-1.5", "-0.0", "1_000", " 2e3 ", "1e400", "abc", ""]
+# lines with nothing to read, and lines with the wrong number of cells
+ODD_LINES = ["", "   ", "\t\t\t\t", "u0\ts0\t72\t1.0", "u0\ts0\t72\t1.0\t2.0\t3.0", "u0"]
+
+
+@st.composite
+def log_rows(draw):
+    """Rows of a log: valid keystrokes of a few interleaved sentences, plus a few broken ones.
+
+    Presses come from a small grid, so repeated presses in a sentence occur,
+    and the rows are in no particular order.
+    """
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        press = draw(st.integers(min_value=0, max_value=20)) * 7.5
+        cells = [draw(st.sampled_from(["u0", "u1", " u2"])), draw(st.sampled_from(["s0", "s1"])),
+                 str(draw(st.integers(min_value=0, max_value=255))),
+                 repr(press), repr(press + draw(st.floats(min_value=0.0, max_value=500.0)))]
+        rows.append("\t".join(cells))
+    valid = list(rows)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=len(rows)))
+        kind = draw(st.sampled_from(["line", "keycode", "press", "release", "backwards"]))
+        if kind == "line" or not valid:
+            rows.insert(at, draw(st.sampled_from(ODD_LINES)))
+            continue
+        cells = draw(st.sampled_from(valid)).split("\t")
+        if kind == "keycode":
+            cells[2] = draw(st.sampled_from(ODD_KEYCODES))
+        elif kind in ("press", "release"):
+            cells[3 if kind == "press" else 4] = draw(st.sampled_from(ODD_TIMES))
+        else:
+            cells[3], cells[4] = cells[4], repr(float(cells[3]) - 1.0)
+        rows.insert(at, "\t".join(cells))
+    return rows
+
+
+def ingest_outcome(reader, path):
+    try:
+        return reader(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@given(log_rows())
+@example(["u0\ts0\t9999\t1.0\t2.0", "u0\ts0\t65\t1.0"])
+@example(["u0\ts0\t65\tnan\t2.0", "u0\ts0\t" + "9" * 400 + "\t1.0\t2.0"])
+@example(["u0\ts0\t65\t2.0\t3.0", "u1\ts0\t66\t1.0\t2.0", "u0\ts0\t67\t2.0\t4.0"])
+def test_ingest_matches_per_line_reader(tmp_path_factory, rows):
+    """The bulk reader gives the same corpus as the line loop, or the same error class and text."""
+    path = tmp_path_factory.getbasetemp() / "rows.tsv"
+    path.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
+    got, want = ingest_outcome(ingest_log, path), ingest_outcome(ingest_reference, path)
+    assert got == want
+    if isinstance(want, Corpus):
+        for u_got, u_want in zip(got.users, want.users):
+            assert all(a.rows.tobytes() == b.rows.tobytes()
+                       for a, b in zip(u_got.sentences, u_want.sentences))
+
+
+def export_reference(corpus: Corpus, path) -> None:
+    """export_log as one f-string per KeyEvent: the writer before sentences were arrays."""
+    lines = ["\t".join(TSV_COLUMNS)]
+    for user in corpus.users:
+        for s_index, sentence in enumerate(user.sentences):
+            for ev in sentence:
+                lines.append(
+                    f"{user.user_id}\t{f's{s_index}'}\t{ev.keycode}\t{ev.press_time!r}\t{ev.release_time!r}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@given(corpora())
+@example(synth_corpus(3, 2, 5))
+def test_export_matches_per_event_writer(tmp_path_factory, corpus):
+    base = tmp_path_factory.getbasetemp()
+    export_log(corpus, base / "arrays.tsv")
+    export_reference(corpus, base / "events.tsv")
+    assert (base / "arrays.tsv").read_bytes() == (base / "events.tsv").read_bytes()
+
+
+@given(sentences(), st.slices(8))
+def test_sentence_agrees_with_its_events(events, part):
+    sentence = as_sentence(events)
+    assert isinstance(sentence, Sentence) and as_sentence(sentence) is sentence
+    assert len(sentence) == len(events)
+    assert list(sentence) == events
+    assert [sentence[i] for i in range(-len(events), len(events))] == events + events
+    assert sentence[part] == events[part] and isinstance(sentence[part], Sentence)
+    assert sentence == events and events == sentence and sentence == Sentence.from_events(events)
+    assert sentence != events[:-1] and sentence != events[::-1] or len(events) == 1
+    assert not sentence.rows.flags.writeable
+    with pytest.raises(IndexError):
+        sentence[len(events)]
+
+
+@pytest.mark.parametrize("keycode, press, release", [
+    (300, 0.0, 10.0), (-1, 0.0, 10.0), (10**400, 0.0, 1.0), (72.5, 0.0, 10.0), (72, math.nan, 10.0),
+    (72, 0.0, math.inf), (72, -1.0, 10.0), (72, 1000.0, 900.0),
+])
+def test_sentence_rows_and_key_events_share_rules_and_messages(keycode, press, release):
+    with pytest.raises(ValidationError) as by_event:
+        KeyEvent(keycode, press, release)
+    if keycode < 10**300:  # a row is float64, so only ingest and KeyEvent see such an int
+        with pytest.raises(ValidationError) as by_row:
+            Sentence([(0, 0.0, 1.0), (keycode, press, release)])
+        assert str(by_row.value) == str(by_event.value)
+
+
+def test_ingest_of_a_huge_keycode_names_its_line(tmp_path):
+    path = write_log(tmp_path, ["u1\ts1\t72\t1000\t1080", "u1\ts1\t" + "9" * 400 + "\t1100\t1180"])
+    with pytest.raises(ValidationError, match=f":3: keycode {'9' * 400} outside 0..255"):
+        ingest_log(path)
 
 
 # ---------------------------------------------------------------------------

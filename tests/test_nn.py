@@ -317,6 +317,18 @@ def test_adam_descends_against_constant_gradient():
     assert state.step == 20
 
 
+def test_adam_steps_on_finite_gradient_whose_sum_overflows():
+    """A sum past float range is no proof of a bad entry: the step runs, with no RuntimeWarning."""
+    params = init_network([LayerSpec(2, 2, "relu"), LayerSpec(2, 1, "identity")], 9)
+    state = AdamState.for_params(params)
+    state.grad.fill(1e308)
+    adam_step(params, state)  # pytest turns a RuntimeWarning into an error
+    assert state.step == 1 and np.all(np.isfinite(params.flat))
+    state.grad[::2] = -1e308  # inf - inf: the sum is NaN, each entry still finite
+    adam_step(params, state)
+    assert state.step == 2
+
+
 def test_adam_rejects_non_finite_gradient_naming_layer():
     params = init_network([LayerSpec(2, 2, "relu"), LayerSpec(2, 3, "relu"),
                            LayerSpec(3, 1, "sigmoid")], 9)
