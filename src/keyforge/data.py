@@ -5,13 +5,18 @@ rows are in seconds. Normalized matrices scale hold/press/release latencies by
 a fixed 5-second ceiling (inter-key latency symmetrically, since key rollover
 makes it negative) and keycodes by 255, so model outputs stay interpretable
 without any per-dataset statistics.
+
+Features are computed in one pass over stacked rows: a featurizer stacks the
+sentences it needs (stack_sentences), calls extract_features and normalize
+once with each sentence's length, and cuts every sample with one gather.
+Each sentence's last row is a terminal row, so no word or window spans two
+sentences.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import re
 import string
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -214,23 +219,55 @@ class Corpus:
         return sum(len(s) for u in self.users for s in u.sentences)
 
 
-def extract_features(events: Sentence | Sequence[KeyEvent]) -> np.ndarray:
+def stack_sentences(
+    sentences: Sequence[Sentence | Sequence[KeyEvent]], stops: Sequence[int] | None = None
+) -> tuple[Sentence, np.ndarray]:
+    """The rows of every sentence stacked in order as one Sentence, and each sentence's key count.
+
+    With stops, sentence i gives only its first stops[i] rows, and its count
+    is of those. A KeyEvent list is read through as_sentence, so it is
+    checked as any Sentence is. Give extract_features the counts with the
+    stack, so that it ends every sentence where it ends.
+    """
+    parts = [as_sentence(sentence).rows for sentence in sentences]
+    if stops is not None:
+        parts = [rows[:stop] for rows, stop in zip(parts, stops)]
+    lengths = np.fromiter(map(len, parts), np.int64, len(parts))
+    rows = np.concatenate(parts) if parts else np.empty((0, 3))
+    rows.flags.writeable = False
+    return Sentence._of(rows), lengths
+
+
+def extract_features(events: Sentence | Sequence[KeyEvent], lengths: Sequence[int] | None = None) -> np.ndarray:
     """Derive the (n, 5) [hl, il, pl, rl, keycode] array (seconds) from press-sorted events.
 
     Row i uses events i and i+1: hl = release-press of the same key, il = next
     press minus current release (negative under rollover), pl = press-to-press,
     rl = release-to-release. The terminal row keeps il = pl = rl = 0 so it
     merges cleanly with zero padding.
+
+    events may be several sentences stacked (stack_sentences), given with
+    each one's key count in lengths; every sentence's last row is then a
+    terminal row, so no feature spans two sentences. Without lengths, events
+    is one sentence.
     """
     sentence = as_sentence(events)
-    if not len(sentence):
+    n = len(sentence)
+    if not n:
         raise ValueError("extract_features requires at least one event")
-    press, release = sentence.presses, sentence.releases
-    out = np.zeros((len(sentence), N_FEATURES), dtype=np.float64)
+    lengths = np.array([n]) if lengths is None else np.asarray(lengths)
+    ends = np.cumsum(lengths)
+    if lengths.ndim != 1 or not lengths.size or ends[-1] != n or lengths.min() < 0:
+        raise ValueError(f"sentence lengths {lengths} are not counts that sum to the {n} stacked rows")
+    rows, press, release = sentence.rows, sentence.presses, sentence.releases
+    out = np.empty((n, N_FEATURES), dtype=np.float64)
     out[:, COL_HL] = (release - press) / 1000.0
     out[:-1, COL_IL] = (press[1:] - release[:-1]) / 1000.0
-    out[:-1, COL_PL] = (press[1:] - press[:-1]) / 1000.0
-    out[:-1, COL_RL] = (release[1:] - release[:-1]) / 1000.0
+    # pl and rl: next press minus press, next release minus release
+    out[:-1, COL_PL : COL_RL + 1] = (rows[1:, PRESS_COL:] - rows[:-1, PRESS_COL:]) / 1000.0
+    # each sentence's last row; a sentence with no keys names the previous sentence's last
+    # row again, or, first in the stack, row -1, which is the last row of all
+    out[ends - 1, COL_IL:COL_KEYCODE] = 0.0
     out[:, COL_KEYCODE] = sentence.keycodes
     return out
 
@@ -256,49 +293,45 @@ def normalize(features: np.ndarray) -> np.ndarray:
     return out
 
 
-# a maximal run of keys other than the space key, over a sentence's chr(keycode) string
-# (keycodes 0..255 are the Latin-1 code points, so that string decodes from one byte per key)
-_WORD_RUN = re.compile(f"[^{chr(SPACE_KEYCODE)}]+")
-
-
-def words_from_sentence(events: Sentence | Sequence[KeyEvent]) -> list[WordSample]:
-    """Split a sentence on the space key into fixed-size word samples.
-
-    Each maximal non-space run becomes one sample; runs longer than 15 keys
-    are truncated to their first 15. The sentence is featurized once: a
-    word's rows are the sentence rows of its keys, and its last row's IL, PL
-    and RL are set to 0 as extract_features would over the word alone, so the
-    terminal-row zeros never leak cross-word timing. Rows past the word's
-    length stay zero.
-    """
-    sentence = as_sentence(events)
-    text = sentence.keycodes.astype(np.uint8).tobytes().decode("latin-1")
-    spans = [match.span() for match in _WORD_RUN.finditer(text)]
-    if not spans:
-        return []
-    rows = normalize(extract_features(sentence))
-    matrices = np.zeros((len(spans), WORD_LEN, N_FEATURES))
-    samples = []
-    for matrix, (start, end) in zip(matrices, spans):
-        n = min(end - start, WORD_LEN)
-        matrix[:n] = rows[start : start + n]
-        matrix[n - 1, COL_IL:COL_KEYCODE] = 0.0
-        samples.append(WordSample(text=text[start : start + n], matrix=matrix))
-    return samples
-
-
 def words_from_corpus(user: UserLog) -> list[WordSample]:
-    """All of one user's word samples in corpus order."""
-    out: list[WordSample] = []
-    for sentence in user.sentences:
-        out.extend(words_from_sentence(sentence))
-    return out
+    """All of one user's word samples in corpus order, from one pass over their stacked sentences.
+
+    A word is a maximal run of keys other than the space key within one
+    sentence: it starts at a non-space key after a space or at the start of
+    a sentence and ends at a non-space key before a space or at the end of
+    one, so no word spans two sentences. Runs longer than 15 keys are
+    truncated to their first 15. A word's rows are the featurized sentence
+    rows of its keys, and its last row's IL, PL and RL are set to 0 as
+    extract_features would over the word alone, so no cross-word timing
+    leaks in. Rows past the word's length stay zero.
+    """
+    stacked, lengths = stack_sentences(user.sentences)
+    keycodes = stacked.keycodes
+    key = keycodes != SPACE_KEYCODE
+    # cut[i]: no word runs on from key i - 1 to key i, as at either end of every sentence
+    cut = np.ones(len(keycodes) + 1, dtype=bool)
+    np.logical_not(key[1:] & key[:-1], out=cut[1:-1])
+    cut[np.cumsum(lengths)] = True
+    starts = np.flatnonzero(key & cut[:-1])
+    if not starts.size:
+        return []
+    ends = np.flatnonzero(key & cut[1:]) + 1
+    sizes = np.minimum(ends - starts, WORD_LEN)
+    rows = normalize(extract_features(stacked, lengths))
+    offsets = np.arange(WORD_LEN)
+    filled = offsets < sizes[:, None]
+    matrices = np.zeros((starts.size, WORD_LEN, N_FEATURES))
+    matrices[filled] = rows[(starts[:, None] + offsets)[filled]]
+    matrices[np.arange(starts.size), sizes - 1, COL_IL:COL_KEYCODE] = 0.0
+    text = keycodes.astype(np.uint8).tobytes().decode("latin-1")
+    texts = [text[start : start + size] for start, size in zip(starts.tolist(), sizes.tolist())]
+    return list(map(WordSample, texts, matrices))
 
 
 def slice_windows(rows: np.ndarray, width: int = WORD_LEN) -> list[np.ndarray]:
-    """Non-overlapping width-row windows; the trailing remainder is dropped."""
+    """Non-overlapping width-row windows, copied out of rows; the trailing remainder is dropped."""
     n = rows.shape[0] // width
-    return [rows[i * width : (i + 1) * width].copy() for i in range(n)]
+    return list(rows[: n * width].reshape(n, width, *rows.shape[1:]).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +512,13 @@ def export_log(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus in the same TSV layout ingest_log reads.
 
     Keycodes are written as ints and times by repr, so ingest_log reads back
-    the same bits.
+    the same bits. Each sentence is read through as_sentence, so a KeyEvent
+    list appended to a user after construction is checked and written too.
     """
     path = Path(path)
     lines = ["\t".join(TSV_COLUMNS)]
     for user in corpus.users:
-        for s_index, sentence in enumerate(user.sentences):
+        for s_index, sentence in enumerate(map(as_sentence, user.sentences)):
             n = len(sentence)
             if n:
                 lines.append("\n".join(map("\t".join, zip(

@@ -21,6 +21,7 @@ from .attack import ATTACKER_ID
 from .config import RunConfig, config_hash
 from .data import WORD_LEN, Corpus, KeyEvent, Sentence, UserLog, export_log, synth_corpus, words_from_corpus
 from .evaluation import EvalReport, build_test_pairs, render_table, report_to_dict, run_tests, sample_other_sequences
+from .nn import TrainingError
 from .verifier import VerifierBundle
 
 
@@ -51,7 +52,8 @@ def prepare_verifier(corpus: Corpus, cfg: RunConfig) -> tuple[VerifierBundle, di
     Pairs are sampled balanced 1:1 and split three ways: training, threshold
     calibration, and a held-out set for the reported accuracy. A corpus that
     cannot give both kinds of pair raises DataError before anything is
-    featurized.
+    featurized. A trained network that maps some pair to a NaN or infinite
+    distance raises TrainingError naming the phase that met it.
     """
     seeds = cfg.seeds.resolved()
     vcfg = cfg.verifier
@@ -71,8 +73,13 @@ def prepare_verifier(corpus: Corpus, cfg: RunConfig) -> tuple[VerifierBundle, di
     test = pairs[vcfg.train_pairs + vcfg.calibration_pairs :]
 
     bundle = verifier_mod.train_verifier(train, vcfg, seeds.verifier)
-    tau = verifier_mod.calibrate_threshold(bundle, calib)
-    accuracy = verifier_mod.pair_accuracy(bundle, test)
+    phase = "threshold calibration"
+    try:
+        tau = verifier_mod.calibrate_threshold(bundle, calib)
+        phase = "held-out accuracy"
+        accuracy = verifier_mod.pair_accuracy(bundle, test)
+    except verifier_mod.NonFiniteDistanceError as exc:
+        raise TrainingError(f"trained verifier fails {phase}: {exc}") from None
     bundle.metadata["heldout_accuracy"] = accuracy
     summary = {
         "tau": tau,

@@ -13,10 +13,8 @@ the two sides as (n, 15, 5) arrays and a bool "same user" array.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +27,7 @@ from .data import (
     extract_features,
     normalize,
     slice_windows,
+    stack_sentences,
 )
 from . import nn
 from .nn import AdamState, LayerSpec, NetworkParams
@@ -92,63 +91,76 @@ def sequences_from_corpus(corpus: Corpus) -> dict[str, list[np.ndarray]]:
     Windows are cut from whole-sentence features, so space keys and
     cross-word latencies are present. Trailing remainders are dropped; users
     whose sentences all fall short contribute nothing. This is windows_at
-    over every window of every user.
+    over every window of every user, with the picks built as arrays rather
+    than as one (user, k) tuple per window.
     """
-    counts = {user.user_id: window_count(user) for user in corpus.users}
-    picks = [(user_id, k) for user_id, count in counts.items() for k in range(count)]
-    if not picks:
+    users = list({user.user_id: user for user in corpus.users}.values())
+    counts = np.array([window_count(user) for user in users], dtype=np.int64)
+    if not counts.any():
         raise ValueError("corpus yields no 15-row sequences")
-    windows = windows_at(corpus, picks)
-    out: dict[str, list[np.ndarray]] = {}
-    start = 0
-    for user_id, count in counts.items():
-        if count:
-            out[user_id] = windows[start : start + count]
-            start += count
-    return out
-
-
-def _window_ends(user: UserLog) -> list[int]:
-    """Running window count after each sentence; a k-key sentence gives k // 15 windows."""
-    return list(accumulate(len(sentence) // WORD_LEN for sentence in user.sentences))
+    firsts = np.cumsum(counts) - counts
+    user = np.repeat(np.arange(len(users)), counts)
+    windows = _windows(users, user, np.arange(user.size) - firsts[user])
+    return {u.user_id: windows[first : first + count]
+            for u, first, count in zip(users, firsts.tolist(), counts.tolist()) if count}
 
 
 def window_count(user: UserLog) -> int:
-    """How many windows sequences_from_corpus cuts from one user's sentences."""
-    ends = _window_ends(user)
-    return ends[-1] if ends else 0
+    """How many windows sequences_from_corpus cuts from one user's sentences: k keys give k // 15."""
+    return sum(len(sentence) // WORD_LEN for sentence in user.sentences)
 
 
 def windows_at(corpus: Corpus, picks: Iterable[tuple[str, int]]) -> list[np.ndarray]:
     """Window k of user u for each (u, k) pick, in pick order, without featurizing the corpus.
 
-    Only sentences that hold a picked window are featurized, each once per
-    call however often it is picked, and only up to the key after its last
-    picked window: every feature cell is an elementwise function of one key
-    and the next, so a prefix yields the same bits in the rows it shares
-    with the whole sentence.
+    The sentences that hold a picked window are stacked, each once however
+    often it is picked and only up to the key after its last picked window,
+    and featurized in one extract_features call that ends every sentence
+    with a terminal row. Every feature cell is an elementwise function of
+    one key and the next within a sentence, so a prefix yields the same bits
+    in the rows it shares with the whole sentence, and no window spans two
+    sentences. A window picked twice is one array.
     """
+    picks = list(picks)
+    if not picks:
+        return []
     users = {user.user_id: user for user in corpus.users}
-    ends: dict[str, list[int]] = {}
-    located = []  # (user, sentence index, window index within the sentence) per pick
-    last: dict[tuple[str, int], int] = {}  # (user, sentence index) -> its last picked window
-    for user_id, k in picks:
-        if user_id not in ends:
-            ends[user_id] = _window_ends(users[user_id])
-        user_ends = ends[user_id]
-        n_windows = user_ends[-1] if user_ends else 0
-        if not 0 <= k < n_windows:
-            raise IndexError(f"user {user_id!r} has {n_windows} windows, no window {k}")
-        i = bisect_right(user_ends, k)
-        j = k - (user_ends[i - 1] if i else 0)
-        located.append((user_id, i, j))
-        last[user_id, i] = max(j, last.get((user_id, i), 0))
-    cut = {
-        (user_id, i): slice_windows(normalize(extract_features(
-            users[user_id].sentences[i][: (j + 1) * WORD_LEN + 1])), WORD_LEN)
-        for (user_id, i), j in last.items()
-    }
-    return [cut[user_id, i][j] for user_id, i, j in located]
+    # the picked users in order of first pick
+    picked = {user_id: n for n, user_id in enumerate(dict.fromkeys(user_id for user_id, _ in picks))}
+    user = np.fromiter((picked[user_id] for user_id, _ in picks), np.int64, len(picks))
+    k = np.fromiter((k for _, k in picks), np.int64, len(picks))
+    return _windows([users[user_id] for user_id in picked], user, k)
+
+
+def _windows(users: list[UserLog], user: np.ndarray, k: np.ndarray) -> list[np.ndarray]:
+    """Window k[i] of users[user[i]] for each i, in order: the body of windows_at."""
+    # all the users' sentences end to end
+    sentences = [sentence for u in users for sentence in u.sentences]
+    n_sentences = np.array([len(u.sentences) for u in users], dtype=np.int64)
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    before = np.concatenate(([0], np.cumsum(lengths // WORD_LEN)))  # windows before each sentence
+    user_first = np.cumsum(n_sentences) - n_sentences  # each user's first sentence
+    first_window = before[user_first]
+    n_windows = before[user_first + n_sentences] - first_window
+
+    bad = np.flatnonzero((k < 0) | (k >= n_windows[user]))
+    if bad.size:
+        i = bad[0]
+        raise IndexError(f"user {users[user[i]].user_id!r} has {n_windows[user[i]]} windows, no window {k[i]}")
+
+    # each distinct picked window, numbered across the sentences above, and where it sits
+    windows, inverse = np.unique(first_window[user] + k, return_inverse=True)
+    sentence = np.searchsorted(before, windows, side="right") - 1
+    j = windows - before[sentence]  # the window's index within its sentence
+    # windows come sorted, so each sentence's last one is its last picked window
+    last = np.flatnonzero(np.append(sentence[1:] != sentence[:-1], True))
+    held = sentence[last]
+    # each held sentence only up to the key after its last picked window
+    stacked, stops = stack_sentences([sentences[i] for i in held.tolist()], (j[last] + 1) * WORD_LEN + 1)
+    rows = normalize(extract_features(stacked, stops))
+    starts = (np.cumsum(stops) - stops)[np.searchsorted(held, sentence)] + j * WORD_LEN
+    cut = slice_windows(rows[(starts[:, None] + np.arange(WORD_LEN)).ravel()], WORD_LEN)
+    return [cut[i] for i in inverse.tolist()]
 
 
 def _embed(bundle: VerifierBundle, matrices: np.ndarray) -> np.ndarray:

@@ -23,12 +23,12 @@ from keyforge.data import (
     SPACE_KEYCODE,
     Sentence,
     T_MAX_SECONDS,
+    UserLog,
     WordSample,
     extract_features,
     normalize,
     synth_corpus,
     words_from_corpus,
-    words_from_sentence,
 )
 from keyforge.verifier import sequences_from_corpus
 
@@ -149,7 +149,7 @@ def test_stitch_round_trip_preserves_word_cells(user_words, rng):
     """Word runs inside the stitched stream carry the original within-word cells."""
     words = user_words[:5]
     events = stitch_events(words, DEFAULT_SPACES, rng)
-    recovered = words_from_sentence(events)
+    recovered = words_from_corpus(UserLog("u", [events]))
     assert len(recovered) == len(words)
     for orig, rec in zip(words, recovered):
         assert rec.text == orig.text
@@ -305,7 +305,7 @@ def test_conditions_share_per_word_cells(bundle, user_words):
     def word_cells(plan):
         rng = np.random.default_rng(77)
         events = build_attack_stream(bundle, plan, AttackSection(n_sequences=1), DEFAULT_SPACES, rng)
-        words = words_from_sentence(events)
+        words = words_from_corpus(UserLog("u", [events]))
         return {
             (w.text, tuple(np.round(w.matrix[: w.valid_len, :4], 9).ravel()))
             for w in words

@@ -509,6 +509,52 @@ def test_evaluate_with_overflowing_verifier_is_data_error(tmp_path, tiny_config,
     assert not out_json.exists()
 
 
+def overflowing_verifier(monkeypatch):
+    """Let train_verifier return its network with every weight scaled by 1e306: finite, but every
+    distance it gives overflows."""
+    train = verifier_mod.train_verifier
+
+    def overflowing(*args, **kwargs):
+        bundle = train(*args, **kwargs)
+        bundle.network.flat *= 1e306
+        return bundle
+
+    monkeypatch.setattr(verifier_mod, "train_verifier", overflowing)
+
+
+def assert_training_error(code, capsys, message):
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"training error: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("phase", ["threshold calibration", "held-out accuracy"])
+def test_train_verifier_that_overflows_is_training_error(tmp_path, tiny_config, corpus_file, phase,
+                                                         monkeypatch, capsys):
+    overflowing_verifier(monkeypatch)
+    if phase == "held-out accuracy":  # calibration passes, so the held-out pairs meet the NaN
+        def calibrate(bundle, pairs):
+            bundle.tau = 0.5
+            bundle.metadata["eer"] = 0.0
+            return bundle.tau
+
+        monkeypatch.setattr(verifier_mod, "calibrate_threshold", calibrate)
+    ckpt = tmp_path / "verifier.json"
+    code = main(["train-verifier", "--corpus", str(corpus_file), "--out", str(ckpt),
+                 "--config", str(tiny_config)])
+    assert_training_error(code, capsys, f"trained verifier fails {phase}: verifier gives ")
+    assert not ckpt.exists()
+
+
+def test_run_all_with_verifier_that_overflows_is_training_error(tmp_path, tiny_config, monkeypatch,
+                                                                capsys):
+    overflowing_verifier(monkeypatch)
+    out_dir = tmp_path / "run"
+    code = main(["run-all", "--out-dir", str(out_dir), "--config", str(tiny_config)])
+    assert_training_error(code, capsys, "trained verifier fails threshold calibration: verifier gives ")
+    assert not (out_dir / "verifier.json").exists() and not (out_dir / "report.json").exists()
+
+
 def evaluate_over(tmp_path, config, corpus):
     """evaluate on corpus with an untrained verifier; the corpus fails before any fake stream."""
     corpus_path = tmp_path / "short.tsv"

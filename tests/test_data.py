@@ -33,8 +33,9 @@ from keyforge.data import (
     ingest_log,
     normalize,
     slice_windows,
+    stack_sentences,
     synth_corpus,
-    words_from_sentence,
+    words_from_corpus,
 )
 
 HEADER = "PARTICIPANT_ID\tSENTENCE_ID\tKEYCODE\tPRESS_TIME\tRELEASE_TIME"
@@ -394,6 +395,33 @@ def accepted_event_streams(draw):
     return [events[press] for press in sorted(events)]
 
 
+@given(st.lists(accepted_event_streams() | st.just([]), max_size=4))
+def test_extract_features_of_stacked_sentences_is_each_sentence_alone(sentences):
+    """Given the sentence lengths, every sentence ends in a terminal row: no feature spans two."""
+    stacked, lengths = stack_sentences(sentences)
+    assert lengths.tolist() == [len(events) for events in sentences]
+    assume(len(stacked))
+    expected = np.concatenate([extract_features(events) for events in sentences if events])
+    assert extract_features(stacked, lengths).tobytes() == expected.tobytes()
+
+
+@given(st.lists(st.tuples(accepted_event_streams() | st.just([]), st.integers(0, 40)), max_size=4))
+def test_stack_sentences_with_stops_stacks_each_prefix(cut):
+    """Sentence i gives its first stops[i] rows, or all of them when it is shorter."""
+    sentences = [Sentence.from_events(events) if i % 2 else events for i, (events, _) in enumerate(cut)]
+    stacked, lengths = stack_sentences(sentences, [stop for _, stop in cut])
+    prefixes, prefix_lengths = stack_sentences([events[:stop] for events, stop in cut])
+    assert lengths.tolist() == prefix_lengths.tolist() == [min(len(events), stop) for events, stop in cut]
+    assert stacked == prefixes and not stacked.rows.flags.writeable
+
+
+@pytest.mark.parametrize("lengths", [[], [2], [4], [1, 1], [3, 0, -1, 1], [[2, 1]]])
+def test_extract_features_rejects_lengths_that_do_not_count_the_rows(lengths):
+    stacked, _ = stack_sentences([make_events([65, 66]), make_events([67])])
+    with pytest.raises(ValueError, match="are not counts that sum to the 3 stacked rows"):
+        extract_features(stacked, lengths)
+
+
 @given(accepted_event_streams())
 def test_latency_identities(events):
     rows = extract_features(events)
@@ -512,36 +540,40 @@ def make_events(keycodes, step=200.0, hold=80.0):
     return [KeyEvent(kc, i * step, i * step + hold) for i, kc in enumerate(keycodes)]
 
 
+def words_of(events) -> list[WordSample]:
+    """The word samples of one sentence: words_from_corpus over a one-sentence user."""
+    return words_from_corpus(UserLog("u", [events]))
+
+
 def test_words_split_on_space():
-    words = words_from_sentence(make_events([72, 73, SPACE_KEYCODE, 66]))
+    words = words_of(make_events([72, 73, SPACE_KEYCODE, 66]))
     assert [w.text for w in words] == ["HI", "B"]
     assert [w.valid_len for w in words] == [2, 1]
 
 
 def test_words_truncate_long_runs():
-    words = words_from_sentence(make_events([65] * 17))
+    words = words_of(make_events([65] * 17))
     assert len(words) == 1
     assert words[0].valid_len == 15
     assert len(words[0].text) == 15
 
 
 def test_words_all_spaces_is_empty():
-    assert words_from_sentence(make_events([SPACE_KEYCODE, SPACE_KEYCODE])) == []
+    assert words_of(make_events([SPACE_KEYCODE, SPACE_KEYCODE])) == []
 
 
 def test_words_never_contain_space_keycode():
     corpus = synth_corpus(3, 4, 2)
     for user in corpus.users:
-        for sentence in user.sentences:
-            for word in words_from_sentence(sentence):
-                keycodes = word.matrix[: word.valid_len, COL_KEYCODE] * 255
-                assert not np.any(np.isclose(keycodes, SPACE_KEYCODE))
-                assert np.all(word.matrix[word.valid_len :] == 0.0)
+        for word in words_from_corpus(user):
+            keycodes = word.matrix[: word.valid_len, COL_KEYCODE] * 255
+            assert not np.any(np.isclose(keycodes, SPACE_KEYCODE))
+            assert np.all(word.matrix[word.valid_len :] == 0.0)
 
 
 def test_word_matrix_cells_in_declared_ranges():
     corpus = synth_corpus(2, 3, 3)
-    for word in words_from_sentence(corpus.users[0].sentences[0]):
+    for word in words_of(corpus.users[0].sentences[0]):
         valid = word.matrix[: word.valid_len]
         assert np.all(valid[:, [COL_HL, COL_PL, COL_RL, COL_KEYCODE]] >= 0.0)
         assert np.all(valid[:, [COL_HL, COL_PL, COL_RL, COL_KEYCODE]] <= 1.0)
@@ -549,7 +581,7 @@ def test_word_matrix_cells_in_declared_ranges():
 
 
 def words_reference(events: list[KeyEvent]) -> list[tuple[str, np.ndarray]]:
-    """words_from_sentence word by word: each run's first 15 keys featurized alone."""
+    """One sentence's words word by word: each run's first 15 keys featurized alone."""
     runs, current = [], []
     for ev in events:
         if ev.keycode == SPACE_KEYCODE:
@@ -563,6 +595,13 @@ def words_reference(events: list[KeyEvent]) -> list[tuple[str, np.ndarray]]:
     return [("".join(chr(ev.keycode) for ev in run[:WORD_LEN]),
              pad_rows(normalize_reference(extract_features(run[:WORD_LEN]))))
             for run in runs]
+
+
+def assert_words_match(words: list[WordSample], expected: list[tuple[str, np.ndarray]]) -> None:
+    assert [w.text for w in words] == [text for text, _ in expected]
+    for word, (_, matrix) in zip(words, expected):
+        assert word.matrix.shape == (WORD_LEN, N_FEATURES)
+        assert word.matrix.tobytes() == matrix.tobytes()
 
 
 @st.composite
@@ -589,22 +628,45 @@ def spaced_sentences(draw):
 
 
 @given(spaced_sentences())
-def test_words_from_sentence_matches_per_word_reference(events):
-    words = words_from_sentence(events)
-    expected = words_reference(events)
-    assert [w.text for w in words] == [text for text, _ in expected]
-    for word, (_, matrix) in zip(words, expected):
-        assert word.matrix.shape == (WORD_LEN, N_FEATURES)
-        assert word.matrix.tobytes() == matrix.tobytes()
+def test_words_of_one_sentence_match_per_word_reference(events):
+    assert_words_match(words_of(events), words_reference(events))
+
+
+# a word that ends one sentence and one that starts the next, with no space between
+LETTER_AT_BOTH_ENDS = [make_events([72, 73]), make_events([SPACE_KEYCODE]), [],
+                       make_events([66, SPACE_KEYCODE, 67])]
+
+
+@example(LETTER_AT_BOTH_ENDS)
+@given(st.lists(spaced_sentences(), max_size=5))
+def test_words_from_corpus_matches_per_sentence_reference(sentences):
+    """No word spans two sentences: the stacked pass gives each sentence's words in turn."""
+    expected = [word for events in sentences for word in words_reference(events)]
+    assert_words_match(words_from_corpus(UserLog("u", sentences)), expected)
 
 
 def test_words_around_leading_trailing_and_double_spaces():
-    words = words_from_sentence(make_events(
+    words = words_of(make_events(
         [SPACE_KEYCODE, 72, 73, SPACE_KEYCODE, SPACE_KEYCODE, 66, SPACE_KEYCODE]))
     assert [w.text for w in words] == ["HI", "B"]
     # each word's last row ends its own timing, whatever key follows
     assert words[0].matrix[1, COL_IL] == words[0].matrix[1, COL_PL] == 0.0
     assert words[0].matrix[0, COL_PL] == pytest.approx(200.0 / 1000.0 / T_MAX_SECONDS)
+
+
+def test_key_event_list_appended_to_a_user_is_exported_and_featurized(tmp_path):
+    """UserLog converts its sentences on construction only; a list appended later is read as a Sentence."""
+    corpus = synth_corpus(2, 2, 4)
+    user = corpus.users[0]
+    appended = make_events([72, 73, SPACE_KEYCODE, 66])
+    user.sentences.append(appended)
+    path = tmp_path / "corpus.tsv"
+    export_log(corpus, path)
+    back = ingest_log(path)
+    assert back == corpus
+    assert back.users[0].sentences[-1].rows.tobytes() == Sentence.from_events(appended).rows.tobytes()
+    expected = [word for events in user.sentences for word in words_reference(list(events))]
+    assert_words_match(words_from_corpus(user), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from keyforge.data import (
     SPACE_KEYCODE,
     UserLog,
     extract_features,
+    normalize,
+    slice_windows,
     synth_corpus,
 )
 from keyforge.embedding import EMBED_SEED
@@ -136,6 +138,12 @@ def test_windows_at_matches_full_featurization(users, data):
             sequences_from_corpus(corpus)
         return
     full = sequences_from_corpus(corpus)
+    # reference: each sentence featurized alone, whole, and cut into windows
+    expected = {user.user_id: [window.tobytes() for events in user.sentences if events
+                               for window in slice_windows(normalize(extract_features(events)))]
+                for user in corpus.users}
+    assert {user_id: [w.tobytes() for w in windows] for user_id, windows in full.items()} == {
+        user_id: windows for user_id, windows in expected.items() if windows}
     assert counts == {user_id: len(full.get(user_id, [])) for user_id in counts}
     every = [(user_id, k) for user_id, count in counts.items() for k in range(count)]
     picks = data.draw(st.lists(st.sampled_from(every), max_size=12))
@@ -150,17 +158,28 @@ def test_windows_at_featurizes_each_picked_sentence_once(monkeypatch):
     # u0's windows: 0-1 in sentence 0, none in sentence 1, 2 in sentence 2
     corpus = Corpus(users=[UserLog("u0", [sentence(31), sentence(14), sentence(16)])])
     featurized = []
-    monkeypatch.setattr(verifier, "extract_features",
-                        lambda events: featurized.append(len(events)) or extract_features(events))
+
+    def counting(events, lengths=None):
+        featurized.append((len(events), list(lengths)))
+        return extract_features(events, lengths)
+
+    monkeypatch.setattr(verifier, "extract_features", counting)
     windows = verifier.windows_at(corpus, [("u0", 2), ("u0", 0), ("u0", 2), ("u0", 0)])
-    # sentence 0 only up to the key after window 0, whose last row needs it
-    assert featurized == [16, 16]
+    # one call over both picked sentences; sentence 0 only up to the key after window 0,
+    # whose last row needs it
+    assert featurized == [(32, [16, 16])]
     assert windows[0] is windows[2] and windows[1] is windows[3]
     featurized.clear()
     verifier.windows_at(corpus, [("u0", 0), ("u0", 1)])
-    assert featurized == [31]
+    assert featurized == [(31, [31])]
     with pytest.raises(IndexError, match="user 'u0' has 3 windows, no window 3"):
         verifier.windows_at(corpus, [("u0", 3)])
+    with pytest.raises(IndexError, match="user 'u0' has 3 windows, no window -1"):
+        verifier.windows_at(corpus, [("u0", 0), ("u0", -1)])
+    featurized.clear()
+    assert verifier.windows_at(corpus, []) == [] and featurized == []
+    # every window of the corpus: one call over the two sentences that hold one
+    assert len(sequences_from_corpus(corpus)["u0"]) == 3 and featurized == [(47, [31, 16])]
 
 
 # ---------------------------------------------------------------------------
