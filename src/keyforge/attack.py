@@ -5,7 +5,8 @@ convention), so stitching rebuilds an absolute-time event stream: presses
 advance by each word's press-to-press latencies, and one synthetic space key
 joins consecutive words with hold/gap times drawn from a space model fitted to
 the target user's real spaces. Features are then re-extracted over the whole
-stream, which makes cross-word latencies consistent by construction.
+stream, which makes cross-word latencies consistent by construction. A word
+set is its texts plus one (n, 15, 5) array, as data.words_from_corpus gives.
 
 Two word-ordering conditions are supported: "ordered" keeps the single-user
 corpus order, "random" applies a seeded permutation. Latent draws are keyed to
@@ -26,15 +27,13 @@ from .data import (
     COL_KEYCODE,
     COL_PL,
     KEY_COL,
-    KeyEvent,
+    N_FEATURES,
     PRESS_COL,
     RELEASE_COL,
     SPACE_KEYCODE,
     T_MAX_SECONDS,
     WORD_LEN,
     Sentence,
-    WordSample,
-    as_sentence,
 )
 from .gan import GanBundle, generate_word
 
@@ -48,6 +47,10 @@ ATTACKER_ID = "attacker"
 _MIN_GAP_MS = 1.0
 
 
+class NonFiniteSampleError(ValueError):
+    """The generator maps some planned word to a NaN or infinite cell."""
+
+
 @dataclass(frozen=True)
 class SpaceModel:
     """Gaussian timing model for synthesized space keys, in seconds."""
@@ -58,7 +61,7 @@ class SpaceModel:
     gap_std: float
 
 
-def fit_space_model(sentences: Sequence[Sentence | Sequence[KeyEvent]], fallback: SpaceModel) -> SpaceModel:
+def fit_space_model(sentences: Sequence[Sentence], fallback: SpaceModel) -> SpaceModel:
     """Estimate space-key hold and surrounding-gap statistics from real typing.
 
     Pre- and post-space gaps are pooled into one distribution, space by space
@@ -66,7 +69,7 @@ def fit_space_model(sentences: Sequence[Sentence | Sequence[KeyEvent]], fallback
     fallback when the sentences contain no space keys.
     """
     holds, gaps = [], []
-    for sentence in map(as_sentence, sentences):
+    for sentence in sentences:
         press, release = sentence.presses, sentence.releases
         at = np.flatnonzero(sentence.keycodes == SPACE_KEYCODE)
         holds.append((release[at] - press[at]) / 1000.0)
@@ -100,9 +103,9 @@ def plan_words(corpus_words: list[str], condition: str, rng: np.random.Generator
 
 
 def stitch_events(
-    words: list[WordSample], space_model: SpaceModel, rng: np.random.Generator
+    texts: list[str], matrices: np.ndarray, space_model: SpaceModel, rng: np.random.Generator
 ) -> Sentence:
-    """Integrate word samples into one absolute-time event stream with spaces.
+    """Integrate words (word i: the first len(texts[i]) rows of matrices[i]) into one stream with spaces.
 
     Within a word, presses advance by the press-to-press latency (floored at
     1ms so the stream stays strictly press-monotone even for degenerate
@@ -115,22 +118,23 @@ def stitch_events(
     by the pre-gap to the space's press, by the space's hold to its release,
     and by the post-gap to the next word's first press.
     """
-    if not words:
+    if not texts:
         raise ValueError("stitch needs at least one word sample")
-    lens = np.array([word.valid_len for word in words])
-    cells = np.concatenate([word.matrix[: word.valid_len] for word in words])
+    n_words = len(texts)
+    lens = np.fromiter(map(len, texts), np.int64, n_words)
+    cells = matrices[np.arange(WORD_LEN) < lens[:, None]]
     holds = (cells[:, COL_HL] * T_MAX_SECONDS) * 1000.0
     steps = np.maximum((cells[:, COL_PL] * T_MAX_SECONDS) * 1000.0, _MIN_GAP_MS)
-    n_spaces = len(words) - 1
+    n_spaces = n_words - 1
     m = space_model
     draws = rng.normal(np.tile([m.gap_mean, m.hold_mean, m.gap_mean], n_spaces),
                        np.tile([m.gap_std, m.hold_std, m.gap_std], n_spaces))
     pre_gap, space_hold, post_gap = np.maximum(draws * 1000.0, _MIN_GAP_MS).reshape(-1, 3).T
 
     # clock slots per word: its presses, its last release, then the space's press and release
-    first_slot = np.zeros(len(words), dtype=np.int64)
+    first_slot = np.zeros(n_words, dtype=np.int64)
     first_slot[1:] = np.cumsum(lens[:-1] + 3)
-    key_word = np.repeat(np.arange(len(words)), lens)
+    key_word = np.repeat(np.arange(n_words), lens)
     key_slot = np.arange(len(cells)) + first_slot[key_word] - (np.cumsum(lens) - lens)[key_word]
     last_slot = first_slot + lens  # the last key's release
     steps_in = np.empty(last_slot[-1] + 1)
@@ -154,21 +158,6 @@ def stitch_events(
     return Sentence(rows)
 
 
-def _generate_plan_samples(
-    bundle: GanBundle, word_plan: list[str], rng: np.random.Generator
-) -> list[WordSample]:
-    """Generate one sample per planned word, with latents keyed to the multiset.
-
-    Words are generated in canonical (sorted, occurrence-stable) order so that
-    two plans over the same multiset consume identical latent draws per word.
-    """
-    samples: list[WordSample | None] = [None] * len(word_plan)
-    canonical = sorted(range(len(word_plan)), key=lambda i: (word_plan[i], i))
-    for i in canonical:
-        samples[i] = generate_word(bundle, word_plan[i], rng)
-    return samples  # type: ignore[return-value]
-
-
 def build_attack_stream(
     bundle: GanBundle,
     word_plan: list[str],
@@ -179,13 +168,25 @@ def build_attack_stream(
     """Generate and stitch enough events to window config.n_sequences full sequences.
 
     The plan repeats, with fresh latents per pass, until the stream is long
-    enough.
+    enough. A generator that gives a NaN or infinite cell, as overflowing
+    weights do, raises NonFiniteSampleError; the overflow itself stays silent.
     """
     if not word_plan:
         raise ValueError("empty word plan")
-    needed_rows = config.n_sequences * WORD_LEN
-    words: list[WordSample] = []
-    # stitched rows: every word's keys plus one space between consecutive words
-    while sum(w.valid_len for w in words) + len(words) - 1 < needed_rows:
-        words.extend(_generate_plan_samples(bundle, word_plan, rng))
-    return stitch_events(words, space_model, rng)
+    # p passes stitch p * (letters + words) - 1 rows; take the fewest that reach the rows needed
+    per_pass = sum(map(len, word_plan)) + len(word_plan)
+    passes = (config.n_sequences * WORD_LEN + per_pass) // per_pass
+    # canonical (sorted, occurrence-stable) order: plans over one multiset draw equal latents per word
+    canonical = sorted(range(len(word_plan)), key=lambda i: (word_plan[i], i))
+    matrices = np.empty((passes, len(word_plan), WORD_LEN, N_FEATURES))
+    with np.errstate(all="ignore"):
+        for p in range(passes):
+            for i in canonical:
+                matrices[p, i] = generate_word(bundle, word_plan[i], rng)
+    matrices = matrices.reshape(-1, WORD_LEN, N_FEATURES)
+    bad = np.flatnonzero(~np.isfinite(matrices).all(axis=(1, 2)))
+    if bad.size:
+        raise NonFiniteSampleError(
+            f"generator gives non-finite cells for {bad.size} of {len(matrices)} planned words, "
+            f"first for {word_plan[bad[0] % len(word_plan)]!r}")
+    return stitch_events(word_plan * passes, matrices, space_model, rng)

@@ -17,7 +17,7 @@ import numpy as np
 from . import gan as gan_mod
 from . import pipeline
 from . import verifier as verifier_mod
-from .attack import CONDITIONS
+from .attack import CONDITIONS, NonFiniteSampleError
 from .config import ConfigError, RunConfig, check_count, load_config
 from .data import ParseError, ValidationError, export_log, ingest_log, synth_corpus
 from .evaluation import render_table, report_to_dict
@@ -107,7 +107,10 @@ def cmd_attack(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seeds.resolved().attack
     corpus = ingest_log(args.corpus)
     bundle = gan_mod.load_bundle(args.gan_dir)
-    events = pipeline.make_attack_events(corpus, args.user, bundle, args.condition, seed, cfg)
+    try:
+        events = pipeline.make_attack_events(corpus, args.user, bundle, args.condition, seed, cfg)
+    except NonFiniteSampleError as exc:
+        raise DataError(f"{Path(args.gan_dir) / 'generator.json'}: {exc}") from None
     pipeline.write_attack(events, args.out, args.condition, seed, args.user, cfg)
     n_windows = verifier_mod.window_count(pipeline.attack_events_to_corpus(events).users[0])
     print(f"attack [{args.condition}] seed={seed}: {len(events)} events "

@@ -10,7 +10,8 @@ Features are computed in one pass over stacked rows: a featurizer stacks the
 sentences it needs (stack_sentences), calls extract_features and normalize
 once with each sentence's length, and cuts every sample with one gather.
 Each sentence's last row is a terminal row, so no word or window spans two
-sentences.
+sentences. A sample set stays one (n, 15, 5) array, and KeyEvent lists become
+Sentences only in UserLog: every other reader of keystrokes takes Sentences.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class KeyEvent:
     """One keystroke: ASCII keycode plus press/release times in milliseconds.
 
     A Sentence yields its rows as KeyEvents, and callers that build events one
-    at a time construct them; keyforge's own paths work on Sentence arrays.
+    at a time hand their lists to UserLog; keyforge's own paths work on Sentences.
     """
 
     keycode: int
@@ -112,8 +113,7 @@ class Sentence:
     Every row obeys the KeyEvent rules, checked in one vectorized pass when
     the sentence is built. len() counts keys; an int index or iteration gives
     KeyEvents, and a slice gives a Sentence that views the same rows. A
-    Sentence equals another with equal rows, and any sequence of KeyEvents
-    equal to its own.
+    Sentence equals another with equal rows.
     """
 
     __slots__ = ("rows",)
@@ -167,8 +167,6 @@ class Sentence:
     def __eq__(self, other):
         if isinstance(other, Sentence):
             return np.array_equal(self.rows, other.rows)
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None
@@ -183,26 +181,14 @@ def as_sentence(events) -> Sentence:
 
 
 @dataclass(frozen=True)
-class WordSample:
-    """A single word as a 15x5 normalized matrix, zero-padded past its text's length."""
-
-    text: str
-    matrix: np.ndarray
-
-    @property
-    def valid_len(self) -> int:
-        return len(self.text)
-
-
-@dataclass
 class UserLog:
-    """One user's sentences, each turned into a Sentence on construction."""
+    """One user's sentences, each turned into a Sentence on construction; frozen, so none is added later."""
 
     user_id: str
-    sentences: list[Sentence]
+    sentences: tuple[Sentence, ...]
 
     def __post_init__(self):
-        self.sentences = [as_sentence(sentence) for sentence in self.sentences]
+        object.__setattr__(self, "sentences", tuple(map(as_sentence, self.sentences)))
 
 
 @dataclass
@@ -220,16 +206,15 @@ class Corpus:
 
 
 def stack_sentences(
-    sentences: Sequence[Sentence | Sequence[KeyEvent]], stops: Sequence[int] | None = None
+    sentences: Sequence[Sentence], stops: Sequence[int] | None = None
 ) -> tuple[Sentence, np.ndarray]:
     """The rows of every sentence stacked in order as one Sentence, and each sentence's key count.
 
     With stops, sentence i gives only its first stops[i] rows, and its count
-    is of those. A KeyEvent list is read through as_sentence, so it is
-    checked as any Sentence is. Give extract_features the counts with the
-    stack, so that it ends every sentence where it ends.
+    is of those. Give extract_features the counts with the stack, so that it
+    ends every sentence where it ends.
     """
-    parts = [as_sentence(sentence).rows for sentence in sentences]
+    parts = [sentence.rows for sentence in sentences]
     if stops is not None:
         parts = [rows[:stop] for rows, stop in zip(parts, stops)]
     lengths = np.fromiter(map(len, parts), np.int64, len(parts))
@@ -238,7 +223,7 @@ def stack_sentences(
     return Sentence._of(rows), lengths
 
 
-def extract_features(events: Sentence | Sequence[KeyEvent], lengths: Sequence[int] | None = None) -> np.ndarray:
+def extract_features(sentence: Sentence, lengths: Sequence[int] | None = None) -> np.ndarray:
     """Derive the (n, 5) [hl, il, pl, rl, keycode] array (seconds) from press-sorted events.
 
     Row i uses events i and i+1: hl = release-press of the same key, il = next
@@ -246,12 +231,11 @@ def extract_features(events: Sentence | Sequence[KeyEvent], lengths: Sequence[in
     rl = release-to-release. The terminal row keeps il = pl = rl = 0 so it
     merges cleanly with zero padding.
 
-    events may be several sentences stacked (stack_sentences), given with
+    sentence may be several sentences stacked (stack_sentences), given with
     each one's key count in lengths; every sentence's last row is then a
-    terminal row, so no feature spans two sentences. Without lengths, events
-    is one sentence.
+    terminal row, so no feature spans two sentences. Without lengths, it is
+    one sentence.
     """
-    sentence = as_sentence(events)
     n = len(sentence)
     if not n:
         raise ValueError("extract_features requires at least one event")
@@ -293,8 +277,8 @@ def normalize(features: np.ndarray) -> np.ndarray:
     return out
 
 
-def words_from_corpus(user: UserLog) -> list[WordSample]:
-    """All of one user's word samples in corpus order, from one pass over their stacked sentences.
+def words_from_corpus(user: UserLog) -> tuple[list[str], np.ndarray]:
+    """One user's words in corpus order as (texts, matrices), from one pass over their stacked sentences.
 
     A word is a maximal run of keys other than the space key within one
     sentence: it starts at a non-space key after a space or at the start of
@@ -303,7 +287,7 @@ def words_from_corpus(user: UserLog) -> list[WordSample]:
     truncated to their first 15. A word's rows are the featurized sentence
     rows of its keys, and its last row's IL, PL and RL are set to 0 as
     extract_features would over the word alone, so no cross-word timing
-    leaks in. Rows past the word's length stay zero.
+    leaks in. matrices is one (n, 15, 5) array, zero past each text's length.
     """
     stacked, lengths = stack_sentences(user.sentences)
     keycodes = stacked.keycodes
@@ -314,7 +298,7 @@ def words_from_corpus(user: UserLog) -> list[WordSample]:
     cut[np.cumsum(lengths)] = True
     starts = np.flatnonzero(key & cut[:-1])
     if not starts.size:
-        return []
+        return [], np.zeros((0, WORD_LEN, N_FEATURES))
     ends = np.flatnonzero(key & cut[1:]) + 1
     sizes = np.minimum(ends - starts, WORD_LEN)
     rows = normalize(extract_features(stacked, lengths))
@@ -325,13 +309,13 @@ def words_from_corpus(user: UserLog) -> list[WordSample]:
     matrices[np.arange(starts.size), sizes - 1, COL_IL:COL_KEYCODE] = 0.0
     text = keycodes.astype(np.uint8).tobytes().decode("latin-1")
     texts = [text[start : start + size] for start, size in zip(starts.tolist(), sizes.tolist())]
-    return list(map(WordSample, texts, matrices))
+    return texts, matrices
 
 
-def slice_windows(rows: np.ndarray, width: int = WORD_LEN) -> list[np.ndarray]:
-    """Non-overlapping width-row windows, copied out of rows; the trailing remainder is dropped."""
+def slice_windows(rows: np.ndarray, width: int = WORD_LEN) -> np.ndarray:
+    """Non-overlapping width-row windows as one (n, width, ...) view of rows; the remainder is dropped."""
     n = rows.shape[0] // width
-    return list(rows[: n * width].reshape(n, width, *rows.shape[1:]).copy())
+    return rows[: n * width].reshape(n, width, *rows.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +496,12 @@ def export_log(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus in the same TSV layout ingest_log reads.
 
     Keycodes are written as ints and times by repr, so ingest_log reads back
-    the same bits. Each sentence is read through as_sentence, so a KeyEvent
-    list appended to a user after construction is checked and written too.
+    the same bits.
     """
     path = Path(path)
     lines = ["\t".join(TSV_COLUMNS)]
     for user in corpus.users:
-        for s_index, sentence in enumerate(map(as_sentence, user.sentences)):
+        for s_index, sentence in enumerate(user.sentences):
             n = len(sentence)
             if n:
                 lines.append("\n".join(map("\t".join, zip(

@@ -13,9 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .data import WORD_LEN
+
 EMBED_DIM = 100
 EMBED_SEED = 0x5EED
-MAX_WORD_LEN = 15
 
 
 def _build_char_table() -> np.ndarray:
@@ -37,8 +38,8 @@ def embed_word(text: str) -> np.ndarray:
     Computed once per distinct text; every later call returns the same
     read-only array.
     """
-    if not 1 <= len(text) <= MAX_WORD_LEN:
-        raise ValueError(f"text length {len(text)} outside 1..{MAX_WORD_LEN}")
+    if not 1 <= len(text) <= WORD_LEN:
+        raise ValueError(f"text length {len(text)} outside 1..{WORD_LEN}")
     codes = [ord(ch) for ch in text]
     if any(c > 255 for c in codes):
         raise ValueError(f"non-byte character in {text!r}")

@@ -1,4 +1,4 @@
-"""Conditional GAN over single-user word samples.
+"""Conditional GAN over single-user word samples: texts plus one (n, 15, 5) array.
 
 The generator maps a 500-d Gaussian latent plus the 100-d word embedding to a
 15x5 matrix; the discriminator scores a flattened matrix plus the same
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import COL_KEYCODE, N_FEATURES, WORD_LEN, WordSample
+from .data import COL_KEYCODE, N_FEATURES, WORD_LEN
 from .embedding import EMBED_DIM, embed_word
 from . import nn
 from .nn import AdamState, LayerSpec, NetworkParams, TrainingError
@@ -119,10 +119,10 @@ def _generate_flat(
     return flat, conds, tape, mask
 
 
-def generate_word(bundle: GanBundle, text: str, rng: np.random.Generator) -> WordSample:
-    """Sample one synthetic word sample conditioned on the given text."""
+def generate_word(bundle: GanBundle, text: str, rng: np.random.Generator) -> np.ndarray:
+    """Sample one synthetic (15, 5) word matrix conditioned on the given text."""
     flat, _, _, _ = _generate_flat(bundle, [text], rng)
-    return WordSample(text=text, matrix=flat.reshape(WORD_LEN, N_FEATURES))
+    return flat.reshape(WORD_LEN, N_FEATURES)
 
 
 def _scores(bundle: GanBundle, flat: np.ndarray, conds: np.ndarray) -> np.ndarray:
@@ -132,13 +132,14 @@ def _scores(bundle: GanBundle, flat: np.ndarray, conds: np.ndarray) -> np.ndarra
 
 def train_epoch(
     bundle: GanBundle,
-    words: list[WordSample],
+    texts: list[str],
+    matrices: np.ndarray,
     batch_size: int,
     rng: np.random.Generator,
     d_state: AdamState,
     g_state: AdamState,
 ) -> tuple[GanBundle, dict]:
-    """One adversarial epoch over shuffled word batches.
+    """One adversarial epoch over shuffled batches of the words (texts, matrices).
 
     Per batch: (1) discriminator step on real pairs (target 1) and freshly
     generated pairs (target 0); (2) generator step through the frozen
@@ -146,23 +147,24 @@ def train_epoch(
     states, carried across epochs. Returns per-epoch mean losses and
     discriminator accuracies.
     """
-    if not words:
+    if not texts:
         raise ValueError("train_epoch needs at least one word sample")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
-    order = rng.permutation(len(words))
+    flat = matrices.reshape(len(texts), GEN_OUT_DIM)
+    order = rng.permutation(len(texts))
     d_losses, g_losses = [], []
     real_hits = fake_hits = seen = 0
 
     for start in range(0, len(order), batch_size):
-        batch = [words[i] for i in order[start : start + batch_size]]
-        texts = [w.text for w in batch]
+        batch = order[start : start + batch_size]
+        batch_texts = [texts[i] for i in batch]
         n = len(batch)
 
         # Discriminator step: real pairs labelled 1, generated pairs labelled 0.
-        real_flat = np.stack([w.matrix.reshape(-1) for w in batch])
-        fake_flat, conds, _, _ = _generate_flat(bundle, texts, rng)
+        real_flat = flat[batch]
+        fake_flat, conds, _, _ = _generate_flat(bundle, batch_texts, rng)
         x = np.vstack([np.hstack([real_flat, conds]), np.hstack([fake_flat, conds])])
         targets = np.concatenate([np.ones(n), np.zeros(n)])[:, None]
         probs, tape = nn.forward(bundle.discriminator, x)
@@ -176,7 +178,7 @@ def train_epoch(
         seen += n
 
         # Generator step through the frozen discriminator, non-saturating target 1.
-        gen_flat, gen_conds, g_tape, g_mask = _generate_flat(bundle, texts, rng)
+        gen_flat, gen_conds, g_tape, g_mask = _generate_flat(bundle, batch_texts, rng)
         probs, tape = nn.forward(bundle.discriminator, np.hstack([gen_flat, gen_conds]))
         losses, dldp = nn.bce_loss(probs, np.ones((n, 1)))
         g_loss = float(losses.mean())
@@ -240,20 +242,21 @@ def stop_decision(
 
 def stop_check(
     bundle: GanBundle,
-    real_words: list[WordSample],
+    texts: list[str],
+    matrices: np.ndarray,
     rng: np.random.Generator,
     threshold: float = 0.85,
 ) -> tuple[bool, dict]:
     """Evaluate the pause-and-measure stopping rule on 5 subsets of 32+32 samples."""
-    if not real_words:
+    if not texts:
         raise ValueError("stop_check needs real word samples")
-    texts = [w.text for w in real_words]
-    replace = len(real_words) < STOP_SUBSET_SIZE
+    flat = matrices.reshape(len(texts), GEN_OUT_DIM)
+    replace = len(texts) < STOP_SUBSET_SIZE
     real_accs, fake_accs = [], []
     for _ in range(STOP_SUBSETS):
-        idx = rng.choice(len(real_words), size=STOP_SUBSET_SIZE, replace=replace)
-        real_flat = np.stack([real_words[i].matrix.reshape(-1) for i in idx])
-        real_conds = np.stack([embed_word(real_words[i].text) for i in idx])
+        idx = rng.choice(len(texts), size=STOP_SUBSET_SIZE, replace=replace)
+        real_flat = flat[idx]
+        real_conds = np.stack([embed_word(texts[i]) for i in idx])
         fake_texts = [texts[i] for i in rng.choice(len(texts), size=STOP_SUBSET_SIZE, replace=True)]
         fake_flat, fake_conds, _, _ = _generate_flat(bundle, fake_texts, rng)
         real_acc, fake_acc = subset_accuracies(
@@ -267,7 +270,8 @@ def stop_check(
 
 def train(
     bundle: GanBundle,
-    words: list[WordSample],
+    texts: list[str],
+    matrices: np.ndarray,
     config: GanTrainConfig,
     rng: np.random.Generator | None = None,
 ) -> GanBundle:
@@ -288,15 +292,15 @@ def train(
     # arrays sit below the loop's short-lived ones on the heap. Filled
     # mid-loop, they kept freed memory resident: ~6 MiB more peak RSS in a
     # shortened default study.
-    for word in words:
-        embed_word(word.text)
-        _text_layout(word.text)
+    for text in texts:
+        embed_word(text)
+        _text_layout(text)
     epochs = 0
     for epoch in range(1, config.max_epochs + 1):
-        bundle, _ = train_epoch(bundle, words, config.batch_size, rng, d_state, g_state)
+        bundle, _ = train_epoch(bundle, texts, matrices, config.batch_size, rng, d_state, g_state)
         epochs = epoch
         if epoch % config.check_interval == 0:
-            stop, details = stop_check(bundle, words, rng, config.stop_threshold)
+            stop, details = stop_check(bundle, texts, matrices, rng, config.stop_threshold)
             bundle.history.append({"epoch": epoch, "stop": stop, **details})
             if stop:
                 bundle.converged = True

@@ -96,11 +96,11 @@ def prepare_verifier(corpus: Corpus, cfg: RunConfig) -> tuple[VerifierBundle, di
 
 def train_user_gan(corpus: Corpus, user_id: str, cfg: RunConfig) -> gan_mod.GanBundle:
     seeds = cfg.seeds.resolved()
-    words = words_from_corpus(_get_user(corpus, user_id))
-    if not words:
+    texts, matrices = words_from_corpus(_get_user(corpus, user_id))
+    if not texts:
         raise DataError(f"user {user_id!r} has no word samples")
     bundle = gan_mod.new_bundle(seeds.gan, cfg.gan)
-    return gan_mod.train(bundle, words, cfg.gan, np.random.default_rng(seeds.gan))
+    return gan_mod.train(bundle, texts, matrices, cfg.gan, np.random.default_rng(seeds.gan))
 
 
 def save_gan(bundle: gan_mod.GanBundle, out_dir: Path, cfg: RunConfig) -> Path:
@@ -126,7 +126,7 @@ def make_attack_events(
 ) -> Sentence:
     """One attack stream: plan the user's words, generate, and stitch."""
     user = _get_user(corpus, user_id)
-    texts = [w.text for w in words_from_corpus(user)]
+    texts, _ = words_from_corpus(user)
     if not texts:
         raise DataError(f"user {user_id!r} has no words to plan an attack over")
     space_model = cfg.attack.default_space_model()
@@ -157,7 +157,7 @@ def _require_windows(count: int, n: int, what: str) -> None:
         raise DataError(f"{what}: only {count} sequences available, need {n}")
 
 
-def _first_windows(corpus: Corpus, user_id: str, n: int) -> list[np.ndarray]:
+def _first_windows(corpus: Corpus, user_id: str, n: int) -> np.ndarray:
     return verifier_mod.windows_at(corpus, [(user_id, k) for k in range(n)])
 
 
@@ -258,7 +258,10 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
         paths = {}
         corpora = []
         for tag, seed in (("a", seeds.attack), ("b", seeds.attack_b)):
-            events = make_attack_events(corpus, cfg.target_user, gan_bundle, condition, seed, cfg)
+            try:
+                events = make_attack_events(corpus, cfg.target_user, gan_bundle, condition, seed, cfg)
+            except attack_mod.NonFiniteSampleError as exc:
+                raise TrainingError(f"trained generator fails the attack phase: {exc}") from None
             path = out_dir / f"attack_{condition}_{tag}.tsv"
             write_attack(events, path, condition, seed, cfg.target_user, cfg)
             paths[tag] = path

@@ -6,8 +6,8 @@ a contrastive loss. The deployed decision is a threshold on that distance,
 calibrated to the equal-error-rate point on validation pairs.
 
 Unlike the word-level generator training, verifier sequences are cut from raw
-sentences: spaces and cross-word latencies stay in. A pair set is one PairSet:
-the two sides as (n, 15, 5) arrays and a bool "same user" array.
+sentences: spaces and cross-word latencies stay in. A window set is one
+(n, 15, 5) array; a pair set is one PairSet of two such arrays and a bool one.
 """
 
 from __future__ import annotations
@@ -85,14 +85,14 @@ class PairSet:
         return PairSet(self.a[index], self.b[index], self.same[index])
 
 
-def sequences_from_corpus(corpus: Corpus) -> dict[str, list[np.ndarray]]:
+def sequences_from_corpus(corpus: Corpus) -> dict[str, np.ndarray]:
     """Cut every sentence into non-overlapping normalized (15, 5) windows per user.
 
     Windows are cut from whole-sentence features, so space keys and
     cross-word latencies are present. Trailing remainders are dropped; users
     whose sentences all fall short contribute nothing. This is windows_at
     over every window of every user, with the picks built as arrays rather
-    than as one (user, k) tuple per window.
+    than as one (user, k) tuple per window, cut into one slice per user.
     """
     users = list({user.user_id: user for user in corpus.users}.values())
     counts = np.array([window_count(user) for user in users], dtype=np.int64)
@@ -110,8 +110,8 @@ def window_count(user: UserLog) -> int:
     return sum(len(sentence) // WORD_LEN for sentence in user.sentences)
 
 
-def windows_at(corpus: Corpus, picks: Iterable[tuple[str, int]]) -> list[np.ndarray]:
-    """Window k of user u for each (u, k) pick, in pick order, without featurizing the corpus.
+def windows_at(corpus: Corpus, picks: Iterable[tuple[str, int]]) -> np.ndarray:
+    """Window k of user u for each (u, k) pick, as one (n, 15, 5) array, without featurizing the corpus.
 
     The sentences that hold a picked window are stacked, each once however
     often it is picked and only up to the key after its last picked window,
@@ -119,11 +119,11 @@ def windows_at(corpus: Corpus, picks: Iterable[tuple[str, int]]) -> list[np.ndar
     with a terminal row. Every feature cell is an elementwise function of
     one key and the next within a sentence, so a prefix yields the same bits
     in the rows it shares with the whole sentence, and no window spans two
-    sentences. A window picked twice is one array.
+    sentences. A window picked twice gives two equal rows.
     """
     picks = list(picks)
     if not picks:
-        return []
+        return np.empty((0, WORD_LEN, N_FEATURES))
     users = {user.user_id: user for user in corpus.users}
     # the picked users in order of first pick
     picked = {user_id: n for n, user_id in enumerate(dict.fromkeys(user_id for user_id, _ in picks))}
@@ -132,7 +132,7 @@ def windows_at(corpus: Corpus, picks: Iterable[tuple[str, int]]) -> list[np.ndar
     return _windows([users[user_id] for user_id in picked], user, k)
 
 
-def _windows(users: list[UserLog], user: np.ndarray, k: np.ndarray) -> list[np.ndarray]:
+def _windows(users: list[UserLog], user: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Window k[i] of users[user[i]] for each i, in order: the body of windows_at."""
     # all the users' sentences end to end
     sentences = [sentence for u in users for sentence in u.sentences]
@@ -159,8 +159,7 @@ def _windows(users: list[UserLog], user: np.ndarray, k: np.ndarray) -> list[np.n
     stacked, stops = stack_sentences([sentences[i] for i in held.tolist()], (j[last] + 1) * WORD_LEN + 1)
     rows = normalize(extract_features(stacked, stops))
     starts = (np.cumsum(stops) - stops)[np.searchsorted(held, sentence)] + j * WORD_LEN
-    cut = slice_windows(rows[(starts[:, None] + np.arange(WORD_LEN)).ravel()], WORD_LEN)
-    return [cut[i] for i in inverse.tolist()]
+    return slice_windows(rows[(starts[inverse][:, None] + np.arange(WORD_LEN)).ravel()], WORD_LEN)
 
 
 def _embed(bundle: VerifierBundle, matrices: np.ndarray) -> np.ndarray:
@@ -184,7 +183,7 @@ def pair_distances(bundle: VerifierBundle, pairs: PairSet) -> np.ndarray:
 
 
 def make_pairs(
-    sequences_by_user: dict[str, list[np.ndarray]],
+    sequences_by_user: dict[str, np.ndarray],
     n_pairs: int,
     rng: np.random.Generator,
 ) -> PairSet:

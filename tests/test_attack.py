@@ -1,3 +1,5 @@
+import string
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from keyforge import gan, pipeline
 from keyforge.attack import (
+    NonFiniteSampleError,
     SpaceModel,
     build_attack_stream,
     fit_space_model,
@@ -24,7 +27,7 @@ from keyforge.data import (
     Sentence,
     T_MAX_SECONDS,
     UserLog,
-    WordSample,
+    WORD_LEN,
     extract_features,
     normalize,
     synth_corpus,
@@ -37,6 +40,7 @@ DEFAULT_SPACES = AttackSection().default_space_model()
 
 @pytest.fixture(scope="module")
 def user_words():
+    """u0's words as (texts, matrices)."""
     corpus = synth_corpus(3, 5, 23)
     return words_from_corpus(corpus.users[0])
 
@@ -44,6 +48,12 @@ def user_words():
 @pytest.fixture(scope="module")
 def bundle():
     return gan.new_bundle(4)
+
+
+@pytest.fixture(scope="module")
+def small_bundle():
+    """An untrained generator narrow enough to generate hundreds of words per example."""
+    return gan.new_bundle(4, gan.GanTrainConfig(g_hidden=4, d_hidden1=4, d_hidden2=2))
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +96,10 @@ def test_attack_config_validation(rng):
 
 
 def test_stitch_single_word_is_noop(user_words, rng):
-    word = user_words[0]
-    rows = normalize(extract_features(stitch_events([word], DEFAULT_SPACES, rng)))
-    assert rows.shape == (word.valid_len, 5)
-    assert np.allclose(rows, word.matrix[: word.valid_len], atol=1e-6)
+    texts, matrices = user_words
+    rows = normalize(extract_features(stitch_events(texts[:1], matrices[:1], DEFAULT_SPACES, rng)))
+    assert rows.shape == (len(texts[0]), 5)
+    assert np.allclose(rows, matrices[0, : len(texts[0])], atol=1e-6)
 
 
 in_range_cells = arrays(np.float64, (15, 5), elements=st.floats(min_value=0.0, max_value=1.0))
@@ -101,9 +111,8 @@ def test_stitch_events_inverts_normalize(cells, n):
     cells[:, COL_KEYCODE] = np.round(cells[:, COL_KEYCODE] * 255.0) / 255.0
     matrix = cells.copy()
     matrix[n:] = 0.0
-    word = WordSample(text="".join(chr(int(round(k * 255))) for k in cells[:n, COL_KEYCODE]),
-                      matrix=matrix)
-    events = stitch_events([word], DEFAULT_SPACES, np.random.default_rng(0))
+    text = "".join(chr(int(round(k * 255))) for k in cells[:n, COL_KEYCODE])
+    events = stitch_events([text], matrix[None], DEFAULT_SPACES, np.random.default_rng(0))
     rows = normalize(extract_features(events))
     assert len(events) == n
     assert np.allclose(rows[:, COL_HL], cells[:n, COL_HL], atol=1e-9)
@@ -116,30 +125,33 @@ def test_stitch_events_inverts_normalize(cells, n):
 def test_stitch_events_rounds_then_clamps_keycodes(rng):
     cells = np.zeros((15, 5))
     cells[:4, COL_KEYCODE] = [-0.1, 72.5 / 255.0, 73.5 / 255.0, 1.2]
-    word = WordSample(text="abcd", matrix=cells)
-    events = stitch_events([word], DEFAULT_SPACES, rng)
+    events = stitch_events(["abcd"], cells[None], DEFAULT_SPACES, rng)
     assert [ev.keycode for ev in events] == [0, 72, 74, 255]  # halves round to even
 
 
 def test_stitch_inserts_one_space_per_boundary(user_words, rng):
     k = 4
-    events = stitch_events(user_words[:k], DEFAULT_SPACES, rng)
+    texts, matrices = user_words
+    events = stitch_events(texts[:k], matrices[:k], DEFAULT_SPACES, rng)
     spaces = [ev for ev in events if ev.keycode == SPACE_KEYCODE]
     assert len(spaces) == k - 1
-    assert len(events) == sum(w.valid_len for w in user_words[:k]) + k - 1
+    assert len(events) == sum(map(len, texts[:k])) + k - 1
 
 
 def test_stitch_presses_strictly_increase(bundle, rng):
     # untrained generator output is the degenerate case the 1ms floor guards
-    words = [gan.generate_word(bundle, t, rng) for t in ["aa", "longerword", "mid"]]
-    events = stitch_events(words, DEFAULT_SPACES, rng)
+    texts = ["aa", "longerword", "mid"]
+    matrices = np.array([gan.generate_word(bundle, t, rng) for t in texts])
+    events = stitch_events(texts, matrices, DEFAULT_SPACES, rng)
     presses = [ev.press_time for ev in events]
     assert all(b > a for a, b in zip(presses, presses[1:]))
 
 
 def test_stitched_rows_satisfy_latency_identity(bundle, user_words, rng):
-    words = user_words[:3] + [gan.generate_word(bundle, "xyzzy", rng)]
-    events = stitch_events(words, DEFAULT_SPACES, rng)
+    texts, matrices = user_words
+    texts = texts[:3] + ["xyzzy"]
+    matrices = np.concatenate([matrices[:3], gan.generate_word(bundle, "xyzzy", rng)[None]])
+    events = stitch_events(texts, matrices, DEFAULT_SPACES, rng)
     rows = extract_features(events)
     for row in rows[:-1]:
         assert abs(row[COL_PL] - (row[COL_HL] + row[COL_IL])) < 1e-9
@@ -147,22 +159,21 @@ def test_stitched_rows_satisfy_latency_identity(bundle, user_words, rng):
 
 def test_stitch_round_trip_preserves_word_cells(user_words, rng):
     """Word runs inside the stitched stream carry the original within-word cells."""
-    words = user_words[:5]
-    events = stitch_events(words, DEFAULT_SPACES, rng)
-    recovered = words_from_corpus(UserLog("u", [events]))
-    assert len(recovered) == len(words)
-    for orig, rec in zip(words, recovered):
-        assert rec.text == orig.text
-        assert np.allclose(rec.matrix, orig.matrix, atol=1e-6)
+    texts, matrices = user_words[0][:5], user_words[1][:5]
+    events = stitch_events(texts, matrices, DEFAULT_SPACES, rng)
+    rec_texts, rec_matrices = words_from_corpus(UserLog("u", [events]))
+    assert len(rec_texts) == len(rec_matrices) == len(texts)
+    assert rec_texts == texts
+    assert np.allclose(rec_matrices, matrices, atol=1e-6)
 
 
-def stitch_reference(words, space_model, rng):
+def stitch_reference(texts, matrices, space_model, rng):
     """stitch_events as a loop over keys, one KeyEvent and one clock addition at a time."""
     def sample_ms(mean_s, std_s):
         return max(rng.normal(mean_s, std_s) * 1000.0, 1.0)
 
     events, clock = [], 0.0
-    for w_index, word in enumerate(words):
+    for w_index, (text, matrix) in enumerate(zip(texts, matrices)):
         if w_index > 0:
             pre_gap = sample_ms(space_model.gap_mean, space_model.gap_std)
             hold = sample_ms(space_model.hold_mean, space_model.hold_std)
@@ -170,7 +181,7 @@ def stitch_reference(words, space_model, rng):
             press = events[-1].release_time + pre_gap
             events.append(KeyEvent(SPACE_KEYCODE, press, press + hold))
             clock = press + hold + post_gap
-        cells = word.matrix[: word.valid_len]
+        cells = matrix[: len(text)]
         holds = ((cells[:, COL_HL] * T_MAX_SECONDS) * 1000.0).tolist()
         steps = ((cells[:, COL_PL] * T_MAX_SECONDS) * 1000.0).tolist()
         keycodes = np.clip(np.rint(cells[:, COL_KEYCODE] * 255.0), 0, 255).astype(int).tolist()
@@ -185,21 +196,23 @@ def stitch_reference(words, space_model, rng):
 @pytest.mark.parametrize("n_words", [1, 2, 7, 40])
 def test_stitch_matches_per_key_reference(bundle, user_words, n_words):
     """Same rng draws and the same bits as adding up the clock one key at a time."""
-    texts = ["a", "qwertyuiopasdfg", "mid"]
-    words = [gan.generate_word(bundle, texts[i % 3], np.random.default_rng(i)) if i % 4 == 3
-             else user_words[i % len(user_words)] for i in range(n_words)]
+    generated = ["a", "qwertyuiopasdfg", "mid"]
+    real_texts, real_matrices = user_words
+    texts = [generated[i % 3] if i % 4 == 3 else real_texts[i % len(real_texts)] for i in range(n_words)]
+    matrices = np.array([gan.generate_word(bundle, generated[i % 3], np.random.default_rng(i)) if i % 4 == 3
+                         else real_matrices[i % len(real_texts)] for i in range(n_words)])
     space_model = fit_space_model(synth_corpus(2, 3, 1).users[1].sentences, DEFAULT_SPACES)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    got = stitch_events(words, space_model, got_rng)
-    want = stitch_reference(words, space_model, want_rng)
-    assert got == want
+    got = stitch_events(texts, matrices, space_model, got_rng)
+    want = stitch_reference(texts, matrices, space_model, want_rng)
+    assert list(got) == want
     assert got.rows.tobytes() == Sentence.from_events(want).rows.tobytes()
     assert got_rng.random() == want_rng.random()
 
 
 def test_stitch_rejects_empty(rng):
     with pytest.raises(ValueError):
-        stitch_events([], DEFAULT_SPACES, rng)
+        stitch_events([], np.zeros((0, WORD_LEN, 5)), DEFAULT_SPACES, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +222,7 @@ def test_stitch_rejects_empty(rng):
 
 def test_fit_space_model_defaults_when_no_spaces():
     events = [KeyEvent(97, i * 100.0, i * 100.0 + 50.0) for i in range(5)]
-    assert fit_space_model([events], DEFAULT_SPACES) is DEFAULT_SPACES
+    assert fit_space_model([Sentence.from_events(events)], DEFAULT_SPACES) is DEFAULT_SPACES
 
 
 def test_fit_space_model_matches_hand_stats():
@@ -219,7 +232,7 @@ def test_fit_space_model_matches_hand_stats():
         KeyEvent(SPACE_KEYCODE, 120.0, 180.0),
         KeyEvent(98, 230.0, 300.0),
     ]
-    model = fit_space_model([sentence], DEFAULT_SPACES)
+    model = fit_space_model([Sentence.from_events(sentence)], DEFAULT_SPACES)
     assert np.isclose(model.hold_mean, 0.060)
     assert np.isclose(model.gap_mean, 0.045)
     assert np.isclose(model.gap_std, 0.005)
@@ -249,10 +262,11 @@ def test_fit_space_model_pools_gaps_in_key_order():
     sentences[2][5] = KeyEvent(SPACE_KEYCODE, sentences[2][5].press_time, sentences[2][5].release_time)
     sentences[2][6] = KeyEvent(SPACE_KEYCODE, sentences[2][6].press_time, sentences[2][6].release_time)
     holds, gaps = fit_space_reference(sentences)
-    model = fit_space_model(sentences, DEFAULT_SPACES)
+    model = fit_space_model(list(map(Sentence.from_events, sentences)), DEFAULT_SPACES)
     assert model == SpaceModel(float(np.mean(holds)), float(np.std(holds)),
                                float(np.mean(gaps)), float(np.std(gaps)))
-    assert fit_space_model([[KeyEvent(SPACE_KEYCODE, 0.0, 50.0)]], DEFAULT_SPACES) is DEFAULT_SPACES
+    lone_space = Sentence.from_events([KeyEvent(SPACE_KEYCODE, 0.0, 50.0)])
+    assert fit_space_model([lone_space], DEFAULT_SPACES) is DEFAULT_SPACES
 
 
 def test_fit_space_model_on_synthetic_corpus_is_plausible():
@@ -297,18 +311,51 @@ def test_build_attack_stream_regenerates_short_plans(bundle):
     assert len(events) >= 3 * 15
 
 
+def passes_reference(word_plan, n_sequences):
+    """The passes of the loop that re-summed the stitched rows after every pass of the plan."""
+    needed_rows = n_sequences * WORD_LEN
+    lens, passes = [], 0
+    while sum(lens) + len(lens) - 1 < needed_rows:
+        lens.extend(len(text) for text in word_plan)
+        passes += 1
+    return passes
+
+
+@given(st.lists(st.integers(min_value=1, max_value=WORD_LEN), min_size=1, max_size=8),
+       st.integers(min_value=1, max_value=40))
+def test_build_attack_stream_makes_as_many_passes_as_the_summing_loop(small_bundle, lengths, n_sequences):
+    """p passes stitch p * (letters + words) - 1 rows, so the stream's length gives the pass count."""
+    plan = [string.ascii_lowercase[:n] for n in lengths]
+    events = build_attack_stream(small_bundle, plan, AttackSection(n_sequences=n_sequences),
+                                 DEFAULT_SPACES, np.random.default_rng(0))
+    per_pass = sum(lengths) + len(lengths)
+    assert (len(events) + 1) % per_pass == 0
+    assert (len(events) + 1) // per_pass == passes_reference(plan, n_sequences)
+    assert len(events) >= n_sequences * WORD_LEN
+
+
+def test_build_attack_stream_of_overflowing_generator_raises_without_warnings():
+    """Weights scaled by 1e306 overflow into NaN cells: one error, and no RuntimeWarning on the way."""
+    bundle = gan.new_bundle(4, gan.GanTrainConfig(g_hidden=4, d_hidden1=4, d_hidden2=2))
+    bundle.generator.flat *= 1e306
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSampleError, match="non-finite cells for 6 of 6 planned words, first for 'ab'"):
+            build_attack_stream(bundle, ["ab", "cd"], AttackSection(n_sequences=1), DEFAULT_SPACES,
+                                np.random.default_rng(1))
+
+
 def test_conditions_share_per_word_cells(bundle, user_words):
     """Same seed, permuted plan: per-word cells match as multisets."""
-    texts = [w.text for w in user_words][:8]
+    texts = user_words[0][:8]
     permuted = list(reversed(texts))
 
     def word_cells(plan):
         rng = np.random.default_rng(77)
         events = build_attack_stream(bundle, plan, AttackSection(n_sequences=1), DEFAULT_SPACES, rng)
-        words = words_from_corpus(UserLog("u", [events]))
         return {
-            (w.text, tuple(np.round(w.matrix[: w.valid_len, :4], 9).ravel()))
-            for w in words
+            (text, tuple(np.round(matrix[: len(text), :4], 9).ravel()))
+            for text, matrix in zip(*words_from_corpus(UserLog("u", [events])))
         }
 
     assert word_cells(texts) == word_cells(permuted)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -124,8 +125,7 @@ def test_train_verifier_on_too_few_windows_is_data_error(tmp_path, tiny_config, 
     corpus = synth_corpus(4, 5, 7)
     corpus.users = corpus.users[:users]
     if keys is not None:  # one sentence per user, cut to keys keys
-        for user in corpus.users:
-            user.sentences = [user.sentences[0][:keys]]
+        corpus.users = [replace(user, sentences=[user.sentences[0][:keys]]) for user in corpus.users]
     path = tmp_path / "short.tsv"
     export_log(corpus, path)
     ckpt = tmp_path / "verifier.json"
@@ -405,6 +405,45 @@ def test_run_all_golden_digests(tmp_path, tiny_config):
     assert digests == GOLDEN_SHA256
 
 
+# sha256 over every distance pair_distances returns in run-all at TINY_CONFIG, in
+# call order: threshold calibration, held-out accuracy, then the six test sets.
+# The report only says on which side of tau each distance falls; this pins the
+# distances themselves. Their bits depend on the BLAS thread count, so the run
+# pins one thread in a fresh interpreter.
+DISTANCES_SHA256 = "0548154830415315031fdf6465ede65997bf3399793708b07f98ec09b6452084"
+
+_DISTANCES_SCRIPT = """
+import hashlib, json, sys, tempfile
+from keyforge import evaluation, pipeline, verifier
+from keyforge.config import config_from_dict
+
+distances = []
+pair_distances = verifier.pair_distances
+
+def recorded(bundle, pairs):
+    d = pair_distances(bundle, pairs)
+    distances.append(d)
+    return d
+
+verifier.pair_distances = evaluation.pair_distances = recorded
+with tempfile.TemporaryDirectory() as out:
+    pipeline.run_all(config_from_dict(json.loads(sys.argv[1])), out, log=lambda *args: None)
+h = hashlib.sha256()
+for d in distances:
+    h.update(d.tobytes())
+print(len(distances), sum(d.size for d in distances), h.hexdigest())
+"""
+
+
+def test_run_all_distances_are_pinned():
+    src = str(Path(keyforge.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _DISTANCES_SCRIPT, json.dumps(TINY_CONFIG)], env=env,
+                         check=True, capture_output=True, text=True).stdout.split()
+    assert out == ["8", "174", DISTANCES_SHA256]
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -439,6 +478,20 @@ def test_attack_with_generator_of_other_width_is_data_error(tmp_path, corpus_fil
                  "--user", "u0", "--condition", "ordered", "--out", str(out)])
     assert_data_error(code, capsys, gan_dir / "generator.json",
                       "generator maps 599 -> 75, expected 600 -> 75")
+    assert not out.exists()
+
+
+def test_attack_with_overflowing_generator_is_data_error(tmp_path, tiny_config, corpus_file, capsys):
+    """Weights scaled by 1e306 load as finite but generate NaN cells; the error names the checkpoint."""
+    gan_dir = tmp_path / "gan"
+    bundle = gan_mod.new_bundle(0, gan_mod.GanTrainConfig(g_hidden=32, d_hidden1=32, d_hidden2=16))
+    bundle.generator.flat *= 1e306
+    gan_mod.save_bundle(bundle, gan_dir)
+    out = tmp_path / "f.tsv"
+    code = main(["attack", "--gan-dir", str(gan_dir), "--corpus", str(corpus_file),
+                 "--user", "u0", "--condition", "ordered", "--out", str(out),
+                 "--config", str(tiny_config)])
+    assert_data_error(code, capsys, gan_dir / "generator.json", "generator gives non-finite cells for ")
     assert not out.exists()
 
 
@@ -555,6 +608,25 @@ def test_run_all_with_verifier_that_overflows_is_training_error(tmp_path, tiny_c
     assert not (out_dir / "verifier.json").exists() and not (out_dir / "report.json").exists()
 
 
+def test_run_all_with_generator_that_overflows_is_training_error(tmp_path, tiny_config, monkeypatch,
+                                                                 capsys):
+    """train_user_gan returns its generator with every weight scaled by 1e306: finite, but it
+    generates NaN cells, which the attack phase must name."""
+    train = pipeline.train_user_gan
+
+    def overflowing(*args, **kwargs):
+        bundle = train(*args, **kwargs)
+        bundle.generator.flat *= 1e306
+        return bundle
+
+    monkeypatch.setattr(pipeline, "train_user_gan", overflowing)
+    out_dir = tmp_path / "run"
+    code = main(["run-all", "--out-dir", str(out_dir), "--config", str(tiny_config)])
+    assert_training_error(code, capsys,
+                          "trained generator fails the attack phase: generator gives non-finite cells for ")
+    assert not list(out_dir.glob("attack_*")) and not (out_dir / "report.json").exists()
+
+
 def evaluate_over(tmp_path, config, corpus):
     """evaluate on corpus with an untrained verifier; the corpus fails before any fake stream."""
     corpus_path = tmp_path / "short.tsv"
@@ -575,8 +647,8 @@ def test_evaluate_without_other_users_windows_is_data_error(tmp_path, tiny_confi
     if others == "absent":
         corpus.users = [u0]
     else:
-        for user in corpus.users[1:]:
-            user.sentences = [sentence[:WORD_LEN - 1] for sentence in user.sentences]
+        corpus.users[1:] = [replace(user, sentences=[sentence[:WORD_LEN - 1] for sentence in user.sentences])
+                            for user in corpus.users[1:]]
     code = evaluate_over(tmp_path, tiny_config, corpus)
     assert code == 2
     assert capsys.readouterr().err == (
@@ -587,8 +659,8 @@ def test_evaluate_without_other_users_windows_is_data_error(tmp_path, tiny_confi
 
 def test_evaluate_over_a_corpus_without_windows_is_data_error(tmp_path, tiny_config, capsys):
     corpus = synth_corpus(4, 5, 7)
-    for user in corpus.users:
-        user.sentences = [sentence[:WORD_LEN - 1] for sentence in user.sentences]
+    corpus.users = [replace(user, sentences=[sentence[:WORD_LEN - 1] for sentence in user.sentences])
+                    for user in corpus.users]
     code = evaluate_over(tmp_path, tiny_config, corpus)
     assert code == 2
     assert (capsys.readouterr().err
@@ -627,7 +699,8 @@ def test_run_all_target_user_without_a_full_window_fails_before_training(tmp_pat
                                                                          capsys):
     def short_u0(cfg):
         corpus = synth_corpus(cfg.data.users, cfg.data.sentences_per_user, 7)
-        corpus.get("u0").sentences = [sentence[:14] for sentence in corpus.get("u0").sentences]
+        u0 = corpus.users[0]
+        corpus.users[0] = replace(u0, sentences=[sentence[:14] for sentence in u0.sentences])
         return corpus
 
     monkeypatch.setattr(pipeline, "build_corpus", short_u0)

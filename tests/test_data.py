@@ -26,7 +26,6 @@ from keyforge.data import (
     UserLog,
     ValidationError,
     WORD_LEN,
-    WordSample,
     as_sentence,
     export_log,
     extract_features,
@@ -74,7 +73,7 @@ def test_ingest_single_row(tmp_path):
     path = write_log(tmp_path, ["u1\ts1\t72\t1000\t1080"])
     corpus = ingest_log(path)
     assert [u.user_id for u in corpus.users] == ["u1"]
-    assert corpus.users[0].sentences == [[KeyEvent(72, 1000, 1080)]]
+    assert corpus.users[0].sentences == (Sentence.from_events([KeyEvent(72, 1000, 1080)]),)
 
 
 def test_ingest_sorts_by_press_time(tmp_path):
@@ -298,9 +297,10 @@ def test_sentence_agrees_with_its_events(events, part):
     assert len(sentence) == len(events)
     assert list(sentence) == events
     assert [sentence[i] for i in range(-len(events), len(events))] == events + events
-    assert sentence[part] == events[part] and isinstance(sentence[part], Sentence)
-    assert sentence == events and events == sentence and sentence == Sentence.from_events(events)
-    assert sentence != events[:-1] and sentence != events[::-1] or len(events) == 1
+    assert list(sentence[part]) == events[part] and isinstance(sentence[part], Sentence)
+    assert sentence == Sentence.from_events(events) and sentence != events
+    assert (sentence != Sentence.from_events(events[:-1])
+            and sentence != Sentence.from_events(events[::-1]) or len(events) == 1)
     assert not sentence.rows.flags.writeable
     with pytest.raises(IndexError):
         sentence[len(events)]
@@ -331,7 +331,7 @@ def test_ingest_of_a_huge_keycode_names_its_line(tmp_path):
 
 
 def test_extract_features_two_keys():
-    rows = extract_features([KeyEvent(72, 1000, 1080), KeyEvent(73, 1150, 1220)])
+    rows = extract_features(Sentence.from_events([KeyEvent(72, 1000, 1080), KeyEvent(73, 1150, 1220)]))
     assert rows.shape == (2, 5)
     r0, r1 = rows
     assert math.isclose(r0[COL_HL], 0.080)
@@ -345,13 +345,13 @@ def test_extract_features_two_keys():
 
 
 def test_extract_features_single_event():
-    (row,) = extract_features([KeyEvent(65, 0, 50)])
+    (row,) = extract_features(Sentence.from_events([KeyEvent(65, 0, 50)]))
     assert math.isclose(row[COL_HL], 0.050)
     assert row[COL_IL] == row[COL_PL] == row[COL_RL] == 0.0
 
 
 def test_extract_features_negative_il_on_rollover():
-    rows = extract_features([KeyEvent(65, 0, 200), KeyEvent(66, 100, 300)])
+    rows = extract_features(Sentence.from_events([KeyEvent(65, 0, 200), KeyEvent(66, 100, 300)]))
     assert math.isclose(rows[0, COL_IL], -0.100)
 
 
@@ -372,7 +372,7 @@ def test_extract_features_matches_per_row_reference():
 
 def test_extract_features_empty_input():
     with pytest.raises(ValueError):
-        extract_features([])
+        extract_features(Sentence([]))
 
 
 timestamps = st.floats(min_value=-10.0, max_value=1e7) | st.sampled_from(
@@ -396,21 +396,22 @@ def accepted_event_streams(draw):
 
 
 @given(st.lists(accepted_event_streams() | st.just([]), max_size=4))
-def test_extract_features_of_stacked_sentences_is_each_sentence_alone(sentences):
+def test_extract_features_of_stacked_sentences_is_each_sentence_alone(streams):
     """Given the sentence lengths, every sentence ends in a terminal row: no feature spans two."""
+    sentences = list(map(Sentence.from_events, streams))
     stacked, lengths = stack_sentences(sentences)
-    assert lengths.tolist() == [len(events) for events in sentences]
+    assert lengths.tolist() == [len(events) for events in streams]
     assume(len(stacked))
-    expected = np.concatenate([extract_features(events) for events in sentences if events])
+    expected = np.concatenate([extract_features(sentence) for sentence in sentences if len(sentence)])
     assert extract_features(stacked, lengths).tobytes() == expected.tobytes()
 
 
 @given(st.lists(st.tuples(accepted_event_streams() | st.just([]), st.integers(0, 40)), max_size=4))
 def test_stack_sentences_with_stops_stacks_each_prefix(cut):
     """Sentence i gives its first stops[i] rows, or all of them when it is shorter."""
-    sentences = [Sentence.from_events(events) if i % 2 else events for i, (events, _) in enumerate(cut)]
+    sentences = [Sentence.from_events(events) for events, _ in cut]
     stacked, lengths = stack_sentences(sentences, [stop for _, stop in cut])
-    prefixes, prefix_lengths = stack_sentences([events[:stop] for events, stop in cut])
+    prefixes, prefix_lengths = stack_sentences([Sentence.from_events(events[:stop]) for events, stop in cut])
     assert lengths.tolist() == prefix_lengths.tolist() == [min(len(events), stop) for events, stop in cut]
     assert stacked == prefixes and not stacked.rows.flags.writeable
 
@@ -424,7 +425,7 @@ def test_extract_features_rejects_lengths_that_do_not_count_the_rows(lengths):
 
 @given(accepted_event_streams())
 def test_latency_identities(events):
-    rows = extract_features(events)
+    rows = extract_features(Sentence.from_events(events))
     assert np.all(np.isfinite(rows))
     for i, row in enumerate(rows[:-1]):
         assert abs(row[COL_PL] - (row[COL_HL] + row[COL_IL])) < 1e-9
@@ -486,9 +487,9 @@ def pad_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def denormalize(cells: np.ndarray) -> list[KeyEvent]:
-    word = WordSample(text="x" * cells.shape[0], matrix=pad_rows(cells))
-    return stitch_events([word], DEFAULT_SPACES, np.random.default_rng(0))
+def denormalize(cells: np.ndarray) -> Sentence:
+    return stitch_events(["x" * cells.shape[0]], pad_rows(cells)[None], DEFAULT_SPACES,
+                         np.random.default_rng(0))
 
 
 def test_denormalize_inverse_scale():
@@ -499,7 +500,7 @@ def test_denormalize_inverse_scale():
 
 def test_denormalize_zero_row():
     (ev,) = denormalize(np.zeros((1, 5)))
-    (row,) = extract_features([ev])
+    (row,) = extract_features(Sentence.from_events([ev]))
     assert row[COL_HL] == row[COL_IL] == row[COL_PL] == row[COL_RL] == 0.0
     assert ev.keycode == 0
 
@@ -524,7 +525,7 @@ def unclamped_words(draw):
 
 @given(unclamped_words())
 def test_normalize_denormalize_round_trip(events):
-    features = extract_features(events)
+    features = extract_features(Sentence.from_events(events))
     back = extract_features(denormalize(normalize(features)))
     assert back.shape == features.shape
     assert np.allclose(back[:, :COL_KEYCODE], features[:, :COL_KEYCODE], rtol=0, atol=1e-6)
@@ -536,45 +537,47 @@ def test_normalize_denormalize_round_trip(events):
 # ---------------------------------------------------------------------------
 
 
-def make_events(keycodes, step=200.0, hold=80.0):
-    return [KeyEvent(kc, i * step, i * step + hold) for i, kc in enumerate(keycodes)]
+def make_events(keycodes, step=200.0, hold=80.0) -> Sentence:
+    return Sentence.from_events([KeyEvent(kc, i * step, i * step + hold) for i, kc in enumerate(keycodes)])
 
 
-def words_of(events) -> list[WordSample]:
-    """The word samples of one sentence: words_from_corpus over a one-sentence user."""
+def words_of(events) -> tuple[list[str], np.ndarray]:
+    """The words of one sentence: words_from_corpus over a one-sentence user."""
     return words_from_corpus(UserLog("u", [events]))
 
 
 def test_words_split_on_space():
-    words = words_of(make_events([72, 73, SPACE_KEYCODE, 66]))
-    assert [w.text for w in words] == ["HI", "B"]
-    assert [w.valid_len for w in words] == [2, 1]
+    texts, matrices = words_of(make_events([72, 73, SPACE_KEYCODE, 66]))
+    assert texts == ["HI", "B"]
+    assert [len(text) for text in texts] == [2, 1]
+    assert matrices.shape == (2, WORD_LEN, N_FEATURES)
 
 
 def test_words_truncate_long_runs():
-    words = words_of(make_events([65] * 17))
-    assert len(words) == 1
-    assert words[0].valid_len == 15
-    assert len(words[0].text) == 15
+    texts, matrices = words_of(make_events([65] * 17))
+    assert len(texts) == len(matrices) == 1
+    assert len(texts[0]) == 15
+    assert np.all(matrices[0, :, COL_KEYCODE] == 65 / 255.0)
 
 
 def test_words_all_spaces_is_empty():
-    assert words_of(make_events([SPACE_KEYCODE, SPACE_KEYCODE])) == []
+    texts, matrices = words_of(make_events([SPACE_KEYCODE, SPACE_KEYCODE]))
+    assert texts == [] and matrices.shape == (0, WORD_LEN, N_FEATURES)
 
 
 def test_words_never_contain_space_keycode():
     corpus = synth_corpus(3, 4, 2)
     for user in corpus.users:
-        for word in words_from_corpus(user):
-            keycodes = word.matrix[: word.valid_len, COL_KEYCODE] * 255
+        for text, matrix in zip(*words_from_corpus(user)):
+            keycodes = matrix[: len(text), COL_KEYCODE] * 255
             assert not np.any(np.isclose(keycodes, SPACE_KEYCODE))
-            assert np.all(word.matrix[word.valid_len :] == 0.0)
+            assert np.all(matrix[len(text) :] == 0.0)
 
 
 def test_word_matrix_cells_in_declared_ranges():
     corpus = synth_corpus(2, 3, 3)
-    for word in words_of(corpus.users[0].sentences[0]):
-        valid = word.matrix[: word.valid_len]
+    for text, matrix in zip(*words_of(corpus.users[0].sentences[0])):
+        valid = matrix[: len(text)]
         assert np.all(valid[:, [COL_HL, COL_PL, COL_RL, COL_KEYCODE]] >= 0.0)
         assert np.all(valid[:, [COL_HL, COL_PL, COL_RL, COL_KEYCODE]] <= 1.0)
         assert np.all(np.abs(valid[:, COL_IL]) <= 1.0)
@@ -593,15 +596,16 @@ def words_reference(events: list[KeyEvent]) -> list[tuple[str, np.ndarray]]:
     if current:
         runs.append(current)
     return [("".join(chr(ev.keycode) for ev in run[:WORD_LEN]),
-             pad_rows(normalize_reference(extract_features(run[:WORD_LEN]))))
+             pad_rows(normalize_reference(extract_features(Sentence.from_events(run[:WORD_LEN])))))
             for run in runs]
 
 
-def assert_words_match(words: list[WordSample], expected: list[tuple[str, np.ndarray]]) -> None:
-    assert [w.text for w in words] == [text for text, _ in expected]
-    for word, (_, matrix) in zip(words, expected):
-        assert word.matrix.shape == (WORD_LEN, N_FEATURES)
-        assert word.matrix.tobytes() == matrix.tobytes()
+def assert_words_match(words: tuple[list[str], np.ndarray], expected: list[tuple[str, np.ndarray]]) -> None:
+    texts, matrices = words
+    assert texts == [text for text, _ in expected]
+    assert matrices.shape == (len(expected), WORD_LEN, N_FEATURES)
+    for got, (_, matrix) in zip(matrices, expected):
+        assert got.tobytes() == matrix.tobytes()
 
 
 @st.composite
@@ -646,27 +650,26 @@ def test_words_from_corpus_matches_per_sentence_reference(sentences):
 
 
 def test_words_around_leading_trailing_and_double_spaces():
-    words = words_of(make_events(
+    texts, matrices = words_of(make_events(
         [SPACE_KEYCODE, 72, 73, SPACE_KEYCODE, SPACE_KEYCODE, 66, SPACE_KEYCODE]))
-    assert [w.text for w in words] == ["HI", "B"]
+    assert texts == ["HI", "B"]
     # each word's last row ends its own timing, whatever key follows
-    assert words[0].matrix[1, COL_IL] == words[0].matrix[1, COL_PL] == 0.0
-    assert words[0].matrix[0, COL_PL] == pytest.approx(200.0 / 1000.0 / T_MAX_SECONDS)
+    assert matrices[0, 1, COL_IL] == matrices[0, 1, COL_PL] == 0.0
+    assert matrices[0, 0, COL_PL] == pytest.approx(200.0 / 1000.0 / T_MAX_SECONDS)
 
 
-def test_key_event_list_appended_to_a_user_is_exported_and_featurized(tmp_path):
-    """UserLog converts its sentences on construction only; a list appended later is read as a Sentence."""
-    corpus = synth_corpus(2, 2, 4)
-    user = corpus.users[0]
-    appended = make_events([72, 73, SPACE_KEYCODE, 66])
-    user.sentences.append(appended)
-    path = tmp_path / "corpus.tsv"
-    export_log(corpus, path)
-    back = ingest_log(path)
-    assert back == corpus
-    assert back.users[0].sentences[-1].rows.tobytes() == Sentence.from_events(appended).rows.tobytes()
-    expected = [word for events in user.sentences for word in words_reference(list(events))]
-    assert_words_match(words_from_corpus(user), expected)
+def test_user_log_sentences_are_converted_once_and_cannot_change():
+    """Every sentence a UserLog holds is a Sentence: its tuple cannot be appended to or replaced."""
+    events = [KeyEvent(72, 0.0, 80.0), KeyEvent(73, 200.0, 280.0)]
+    user = UserLog("u", [events, make_events([65])])
+    assert user.sentences == (Sentence.from_events(events), make_events([65]))
+    with pytest.raises(AttributeError):
+        user.sentences.append(make_events([66]))
+    with pytest.raises(AttributeError):
+        user.sentences = (make_events([66]),)
+    with pytest.raises(AttributeError):
+        user.user_id = "v"
+    assert user.sentences == (Sentence.from_events(events), make_events([65]))
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +733,6 @@ def test_synth_corpus_sentences_are_valid():
 def test_slice_windows_drops_remainder():
     rows = np.arange(31 * 5, dtype=float).reshape(31, 5)
     windows = slice_windows(rows, 15)
-    assert len(windows) == 2
+    assert windows.shape == (2, 15, 5) and np.shares_memory(windows, rows)
     assert np.array_equal(windows[0], rows[:15])
     assert np.array_equal(windows[1], rows[15:30])

@@ -168,7 +168,8 @@ PINNED_PICKS = [
 
 def corpus_with_windowless_u3():
     corpus = synth_corpus(6, 6, 11)
-    corpus.get("u3").sentences = [sentence[:WORD_LEN - 1] for sentence in corpus.get("u3").sentences]
+    corpus.users = [UserLog("u3", [sentence[:WORD_LEN - 1] for sentence in user.sentences])
+                    if user.user_id == "u3" else user for user in corpus.users]
     return corpus
 
 

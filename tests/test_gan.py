@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from keyforge import gan, nn
-from keyforge.data import COL_KEYCODE, WORD_LEN, WordSample, synth_corpus, words_from_corpus
+from keyforge.data import COL_KEYCODE, WORD_LEN, synth_corpus, words_from_corpus
 from keyforge.embedding import embed_word
 from keyforge.nn import (
     AdamState,
@@ -28,20 +28,19 @@ def bundle():
 
 @pytest.fixture(scope="module")
 def corpus_words():
+    """u0's words as (texts, matrices)."""
     corpus = synth_corpus(3, 4, 17)
     return words_from_corpus(corpus.users[0])
 
 
-def constant_words(cell_value, texts, rng=None):
-    """Word samples whose timing cells all equal cell_value."""
-    words = []
-    for text in texts:
-        matrix = np.zeros((WORD_LEN, 5))
+def constant_words(cell_value, texts):
+    """Words (texts, matrices) whose timing cells all equal cell_value."""
+    matrices = np.zeros((len(texts), WORD_LEN, 5))
+    for matrix, text in zip(matrices, texts):
         n = len(text)
         matrix[:n, :4] = cell_value
         matrix[:n, COL_KEYCODE] = [ord(c) / 255.0 for c in text]
-        words.append(WordSample(text=text, matrix=matrix))
-    return words
+    return texts, matrices
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +50,9 @@ def constant_words(cell_value, texts, rng=None):
 
 def test_generate_word_padding_and_ranges(bundle, rng):
     word = gan.generate_word(bundle, "hello", rng)
-    assert word.valid_len == 5
-    assert np.all(word.matrix[5:] == 0.0)
-    valid = word.matrix[:5]
+    assert word.shape == (WORD_LEN, 5)
+    assert np.all(word[5:] == 0.0)
+    valid = word[:5]
     assert np.all(valid[:, :4] >= -1.0) and np.all(valid[:, :4] <= 1.0)
     assert np.all(valid >= -1.0) and np.all(valid <= 1.0)
 
@@ -61,14 +60,14 @@ def test_generate_word_padding_and_ranges(bundle, rng):
 def test_generate_word_keycode_column_is_exact(bundle, rng):
     word = gan.generate_word(bundle, "abc", rng)
     expected = np.array([ord(c) / 255.0 for c in "abc"])
-    assert np.array_equal(word.matrix[:3, COL_KEYCODE], expected)
+    assert np.array_equal(word[:3, COL_KEYCODE], expected)
 
 
 def test_generate_word_rng_changes_timing_not_keycodes(bundle):
     a = gan.generate_word(bundle, "hello", np.random.default_rng(1))
     b = gan.generate_word(bundle, "hello", np.random.default_rng(2))
-    assert not np.array_equal(a.matrix[:5, :4], b.matrix[:5, :4])
-    assert np.array_equal(a.matrix[:, COL_KEYCODE], b.matrix[:, COL_KEYCODE])
+    assert not np.array_equal(a[:5, :4], b[:5, :4])
+    assert np.array_equal(a[:, COL_KEYCODE], b[:, COL_KEYCODE])
 
 
 def test_generate_word_rejects_bad_text(bundle, rng):
@@ -80,7 +79,7 @@ def test_generate_word_rejects_bad_text(bundle, rng):
 
 def test_discriminate_in_unit_interval_and_deterministic(bundle, rng):
     word = gan.generate_word(bundle, "hello", rng)
-    flat = word.matrix.reshape(1, -1)
+    flat = word.reshape(1, -1)
     cond = embed_word("hello")[None, :]
     p1 = gan._scores(bundle, flat, cond)
     p2 = gan._scores(bundle, flat, cond)
@@ -92,7 +91,7 @@ def test_discriminate_in_unit_interval_and_deterministic(bundle, rng):
 def test_discriminate_rejects_bad_shapes(bundle, rng):
     word = gan.generate_word(bundle, "hello", rng)
     with pytest.raises(ValueError):
-        gan._scores(bundle, word.matrix.reshape(1, -1), np.ones((1, 5)))
+        gan._scores(bundle, word.reshape(1, -1), np.ones((1, 5)))
     with pytest.raises(ValueError):
         gan._scores(bundle, np.zeros((1, 15)), embed_word("x")[None, :])
 
@@ -133,7 +132,7 @@ def test_train_epoch_reproducible(corpus_words):
         stats = []
         rng = np.random.default_rng(5)
         for _ in range(3):
-            b, s = gan.train_epoch(b, corpus_words, 16, rng, d_state, g_state)
+            b, s = gan.train_epoch(b, *corpus_words, 16, rng, d_state, g_state)
             stats.append(s)
         return b, stats
 
@@ -146,14 +145,15 @@ def test_train_epoch_reproducible(corpus_words):
 
 def test_train_epoch_single_sample_is_finite(corpus_words, rng):
     b = gan.new_bundle(6)
-    b, stats = gan.train_epoch(b, corpus_words[:1], 32, rng, *adam_states(b))
+    texts, matrices = corpus_words
+    b, stats = gan.train_epoch(b, texts[:1], matrices[:1], 32, rng, *adam_states(b))
     assert np.isfinite(stats["d_loss"]) and np.isfinite(stats["g_loss"])
 
 
 def test_train_epoch_rejects_empty_inputs(rng):
     b = gan.new_bundle(7)
     with pytest.raises(ValueError):
-        gan.train_epoch(b, [], 32, rng, *adam_states(b))
+        gan.train_epoch(b, [], np.zeros((0, WORD_LEN, 5)), 32, rng, *adam_states(b))
 
 
 def test_discriminator_learns_separable_data(rng):
@@ -172,7 +172,7 @@ def test_discriminator_learns_separable_data(rng):
     d_state = AdamState.for_params(bundle.discriminator, lr=1e-3, beta1=0.5)
     g_state = AdamState.for_params(bundle.generator, lr=0.0)
     for _ in range(200):
-        bundle, stats = gan.train_epoch(bundle, words, 32, rng, d_state, g_state)
+        bundle, stats = gan.train_epoch(bundle, *words, 32, rng, d_state, g_state)
     assert stats["d_real_acc"] >= 0.95
     assert stats["d_fake_acc"] >= 0.95
 
@@ -219,7 +219,7 @@ def test_stop_check_constant_half_discriminator_end_to_end(corpus_words, rng):
         w[:] = 0.0
     for b in bundle.discriminator.biases:
         b[:] = 0.0
-    stop, details = gan.stop_check(bundle, corpus_words, rng)
+    stop, details = gan.stop_check(bundle, *corpus_words, rng)
     assert not stop
     assert details["real_mean"] == 0.0
     assert details["fake_mean"] == 1.0
@@ -227,7 +227,7 @@ def test_stop_check_constant_half_discriminator_end_to_end(corpus_words, rng):
 
 def test_stop_check_samples_with_replacement_when_short(rng):
     bundle = gan.new_bundle(10)
-    stop, details = gan.stop_check(bundle, constant_words(0.5, ["ab"]), rng)
+    stop, details = gan.stop_check(bundle, *constant_words(0.5, ["ab"]), rng)
     assert len(details["real_accuracies"]) == 5
 
 
@@ -242,7 +242,7 @@ def test_train_stops_early_on_easy_data(rng):
     words = constant_words(0.9, texts)
     cfg = gan.GanTrainConfig(max_epochs=60, check_interval=5, batch_size=16,
                              g_lr=1e-4, d_lr=5e-3)
-    bundle = gan.train(gan.new_bundle(11), words, cfg, rng)
+    bundle = gan.train(gan.new_bundle(11), *words, cfg, rng)
     assert bundle.converged
     assert bundle.epochs_trained % cfg.check_interval == 0
     assert bundle.history[-1]["stop"] is True
@@ -252,7 +252,7 @@ def test_train_stops_early_on_easy_data(rng):
 def test_train_flags_not_converged_at_max_epochs(corpus_words, rng):
     cfg = gan.GanTrainConfig(max_epochs=6, check_interval=2, batch_size=16,
                              g_lr=1e-4, d_lr=1e-6, stop_threshold=1.01)
-    bundle = gan.train(gan.new_bundle(12), corpus_words, cfg, rng)
+    bundle = gan.train(gan.new_bundle(12), *corpus_words, cfg, rng)
     assert not bundle.converged
     assert bundle.epochs_trained == 6
     assert len(bundle.history) == 3  # checks at epochs 2, 4, 6
@@ -261,7 +261,7 @@ def test_train_flags_not_converged_at_max_epochs(corpus_words, rng):
 def test_train_history_length_is_epochs_over_interval(corpus_words, rng):
     cfg = gan.GanTrainConfig(max_epochs=7, check_interval=3, batch_size=16,
                              g_lr=1e-4, d_lr=1e-6, stop_threshold=1.01)
-    bundle = gan.train(gan.new_bundle(13), corpus_words, cfg, rng)
+    bundle = gan.train(gan.new_bundle(13), *corpus_words, cfg, rng)
     assert len(bundle.history) == 2  # checks at epochs 3 and 6
 
 
@@ -283,7 +283,7 @@ def test_bundle_save_load_round_trip(tmp_path, corpus_words, rng):
         assert np.array_equal(a, b)
     word_a = gan.generate_word(bundle, "same", np.random.default_rng(0))
     word_b = gan.generate_word(loaded, "same", np.random.default_rng(0))
-    assert np.array_equal(word_a.matrix, word_b.matrix)
+    assert np.array_equal(word_a, word_b)
 
 
 def test_bundle_load_rejects_foreign_embed_seed(tmp_path):
@@ -337,14 +337,14 @@ from keyforge.config import RunConfig
 from keyforge.data import words_from_corpus
 from keyforge.pipeline import build_corpus
 
-words = words_from_corpus(build_corpus(RunConfig()).get("u0"))
+texts, matrices = words_from_corpus(build_corpus(RunConfig()).get("u0"))
 g = gan.GanTrainConfig(max_epochs=3, check_interval=2)
-bundle = gan.train(gan.new_bundle(9, g), words, g, np.random.default_rng(9))
+bundle = gan.train(gan.new_bundle(9, g), texts, matrices, g, np.random.default_rng(9))
 h = hashlib.sha256()
 for net in (bundle.generator, bundle.discriminator):
     for array in net.weights + net.biases:
         h.update(array.tobytes())
-print(len(words), len(bundle.history), h.hexdigest())
+print(len(texts), len(bundle.history), h.hexdigest())
 """
 
 

@@ -148,6 +148,20 @@ def test_windows_at_matches_full_featurization(users, data):
     every = [(user_id, k) for user_id, count in counts.items() for k in range(count)]
     picks = data.draw(st.lists(st.sampled_from(every), max_size=12))
     windows = verifier.windows_at(corpus, picks)
+    assert windows.shape == (len(picks), 15, 5)
+    assert [w.tobytes() for w in windows] == [full[u][k].tobytes() for u, k in picks]
+
+
+def test_windows_at_with_a_repeated_pick_returns_equal_rows():
+    events = [KeyEvent(97 + i % 3, i * 150.0, i * 150.0 + 70.0 + i) for i in range(46)]
+    corpus = Corpus(users=[UserLog("u0", [events, events[:20]]), UserLog("u1", [events])])
+    picks = [("u0", 2), ("u1", 0), ("u0", 2), ("u0", 3), ("u1", 0), ("u0", 2)]
+    windows = verifier.windows_at(corpus, picks)
+    assert windows.shape == (6, 15, 5)
+    assert windows[0].tobytes() == windows[2].tobytes() == windows[5].tobytes()
+    assert windows[1].tobytes() == windows[4].tobytes()
+    assert windows[0].tobytes() != windows[3].tobytes()
+    full = sequences_from_corpus(corpus)
     assert [w.tobytes() for w in windows] == [full[u][k].tobytes() for u, k in picks]
 
 
@@ -168,7 +182,8 @@ def test_windows_at_featurizes_each_picked_sentence_once(monkeypatch):
     # one call over both picked sentences; sentence 0 only up to the key after window 0,
     # whose last row needs it
     assert featurized == [(32, [16, 16])]
-    assert windows[0] is windows[2] and windows[1] is windows[3]
+    assert windows.shape == (4, 15, 5)
+    assert windows[0].tobytes() == windows[2].tobytes() and windows[1].tobytes() == windows[3].tobytes()
     featurized.clear()
     verifier.windows_at(corpus, [("u0", 0), ("u0", 1)])
     assert featurized == [(31, [31])]
@@ -177,7 +192,7 @@ def test_windows_at_featurizes_each_picked_sentence_once(monkeypatch):
     with pytest.raises(IndexError, match="user 'u0' has 3 windows, no window -1"):
         verifier.windows_at(corpus, [("u0", 0), ("u0", -1)])
     featurized.clear()
-    assert verifier.windows_at(corpus, []) == [] and featurized == []
+    assert verifier.windows_at(corpus, []).shape == (0, 15, 5) and featurized == []
     # every window of the corpus: one call over the two sentences that hold one
     assert len(sequences_from_corpus(corpus)["u0"]) == 3 and featurized == [(47, [31, 16])]
 
