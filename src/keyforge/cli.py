@@ -8,11 +8,8 @@ attack, evaluate) plus run-all, which chains them end to end. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import gan as gan_mod
 from . import pipeline
@@ -20,7 +17,6 @@ from . import verifier as verifier_mod
 from .attack import CONDITIONS, NonFiniteSampleError
 from .config import ConfigError, RunConfig, check_count, load_config
 from .data import ParseError, ValidationError, export_log, ingest_log, synth_corpus
-from .evaluation import render_table, report_to_dict
 from .nn import CheckpointError, TrainingError
 from .pipeline import DataError
 
@@ -90,9 +86,8 @@ def cmd_train_cgan(args) -> int:
         cfg.seeds.gan = args.seed
     corpus = ingest_log(args.corpus)
     bundle = pipeline.train_user_gan(corpus, args.user, cfg)
-    out_dir = Path(args.out_dir)
-    pipeline.save_gan(bundle, out_dir, cfg)
-    print(f"generator/discriminator checkpoints -> {out_dir} "
+    pipeline.save_gan(bundle, Path(args.out_dir), cfg)
+    print(f"generator/discriminator checkpoints -> {args.out_dir} "
           f"({bundle.epochs_trained} epochs, {len(bundle.history)} stop checks)")
     if not bundle.converged:
         print("warning: stopping criterion not reached before max_epochs (not converged)")
@@ -110,7 +105,7 @@ def cmd_attack(args) -> int:
     try:
         events = pipeline.make_attack_events(corpus, args.user, bundle, args.condition, seed, cfg)
     except NonFiniteSampleError as exc:
-        raise DataError(f"{Path(args.gan_dir) / 'generator.json'}: {exc}") from None
+        raise DataError(f"{gan_mod.checkpoint_paths(args.gan_dir)[0]}: {exc}") from None
     pipeline.write_attack(events, args.out, args.condition, seed, args.user, cfg)
     n_windows = verifier_mod.window_count(pipeline.attack_events_to_corpus(events).users[0])
     print(f"attack [{args.condition}] seed={seed}: {len(events)} events "
@@ -122,47 +117,37 @@ def cmd_evaluate(args) -> int:
     cfg = _base_config(args)
     if args.seed is not None:
         cfg.seeds.eval = args.seed
+    # the fake streams by their metadata name, one a/b pair for each configured condition
+    fake_paths = {}
+    for condition in CONDITIONS:
+        for tag in "ab":
+            path, wanted = getattr(args, f"fake_{condition}_{tag}"), condition in cfg.conditions
+            if (path is not None) != wanted:
+                print(f"evaluate: --fake-{condition}-{tag} is {'required' if wanted else 'not allowed'}: "
+                      f"config.conditions {'lists' if wanted else 'does not list'} {condition!r}", file=sys.stderr)
+                return EXIT_USAGE
+            if wanted:
+                fake_paths[f"fake_{condition}_{tag}"] = path
     bundle = verifier_mod.load_verifier(args.verifier)
     corpus = ingest_log(args.corpus)
-    fakes = {
-        "ordered": (ingest_log(args.fake_ordered_a), ingest_log(args.fake_ordered_b)),
-        "random": (ingest_log(args.fake_random_a), ingest_log(args.fake_random_b)),
-    }
+    fakes = {condition: (ingest_log(fake_paths[f"fake_{condition}_a"]),
+                         ingest_log(fake_paths[f"fake_{condition}_b"])) for condition in cfg.conditions}
     metadata = {
         "seeds": {"eval": cfg.seeds.resolved().eval},
         "tau": bundle.tau,
         "checkpoints": {"verifier": pipeline.file_digest(args.verifier)},
-        "inputs": {
-            name: pipeline.file_digest(path)
-            for name, path in (
-                ("corpus", args.corpus),
-                ("fake_ordered_a", args.fake_ordered_a), ("fake_ordered_b", args.fake_ordered_b),
-                ("fake_random_a", args.fake_random_a), ("fake_random_b", args.fake_random_b),
-            )
-        },
+        "inputs": {name: pipeline.file_digest(path)
+                   for name, path in {"corpus": args.corpus, **fake_paths}.items()},
         "target_user": args.user,
     }
-    for path in (args.fake_ordered_a, args.fake_ordered_b, args.fake_random_a, args.fake_random_b):
-        meta_path = Path(f"{path}.meta.json")
-        if meta_path.exists():
-            try:
-                side = json.loads(meta_path.read_text(encoding="utf-8"))
-            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-                raise DataError(f"{meta_path}: not valid JSON: {exc}") from None
-            if not isinstance(side, dict):
-                raise DataError(f"{meta_path}: expected a JSON object, got {type(side).__name__}")
+    for path in fake_paths.values():
+        if (side := pipeline.read_attack_meta(path)) is not None:
             metadata["seeds"][f"attack:{Path(path).name}"] = side.get("seed")
     try:
         report = pipeline.evaluate_attack(bundle, corpus, args.user, fakes, cfg, metadata)
     except verifier_mod.NonFiniteDistanceError as exc:
         raise DataError(f"{args.verifier}: {exc}") from None
-    doc = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
-    if args.out_json:
-        Path(args.out_json).write_text(doc, encoding="utf-8")
-    table = render_table(report)
-    if args.out_table:
-        Path(args.out_table).write_text(table + "\n", encoding="utf-8")
-    print(table)
+    print(pipeline.write_report(report, args.out_json, args.out_table))
     return EXIT_OK
 
 
@@ -224,14 +209,13 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("evaluate", help="run the three test protocols for both conditions")
+    p = sub.add_parser("evaluate", help="run the three test protocols for each configured condition")
     p.add_argument("--verifier", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--user", required=True)
-    p.add_argument("--fake-ordered-a", required=True)
-    p.add_argument("--fake-ordered-b", required=True)
-    p.add_argument("--fake-random-a", required=True)
-    p.add_argument("--fake-random-b", required=True)
+    for condition in CONDITIONS:
+        for tag in "ab":
+            p.add_argument(f"--fake-{condition}-{tag}", help="required iff config.conditions lists it")
     p.add_argument("--out-json", default=None)
     p.add_argument("--out-table", default=None)
     p.add_argument("--config", default=None)

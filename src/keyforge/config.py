@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .attack import SpaceModel
+from .attack import CONDITIONS, SpaceModel
 from .gan import GanTrainConfig
 from .verifier import VerifierConfig
 
@@ -42,12 +42,8 @@ class AttackSection:
     space_gap_std: float = 0.030
 
     def default_space_model(self) -> SpaceModel:
-        return SpaceModel(
-            hold_mean=self.space_hold_mean,
-            hold_std=self.space_hold_std,
-            gap_mean=self.space_gap_mean,
-            gap_std=self.space_gap_std,
-        )
+        return SpaceModel(hold_mean=self.space_hold_mean, hold_std=self.space_hold_std,
+                          gap_mean=self.space_gap_mean, gap_std=self.space_gap_std)
 
 
 @dataclass
@@ -122,6 +118,7 @@ _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 # make_pairs alternates genuine and impostor pairs, so a split needs two to hold both
 _PAIRS = ("an integer >= 2", lambda v: _is_int(v) and v >= 2)
 _RATE = ("a finite number > 0", lambda v: _is_real(v) and v > 0)
+_NON_NEGATIVE = ("a finite number >= 0", lambda v: _is_real(v) and v >= 0)
 _BETA = ("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1)
 _SEED = ("an integer or null", lambda v: v is None or _is_int(v))
 
@@ -138,7 +135,8 @@ _VALUE_CHECKS = {
                                    "d_hidden1", "d_hidden2")},
             "g_lr": _RATE, "d_lr": _RATE, "beta1": _BETA, "beta2": _BETA,
             "stop_threshold": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1)},
-    "attack": {"n_sequences": _COUNT},
+    "attack": {"n_sequences": _COUNT, "fit_space_model": ("a JSON bool", lambda v: isinstance(v, bool)),
+               **{f"space_{k}": _NON_NEGATIVE for k in ("hold_mean", "hold_std", "gap_mean", "gap_std")}},
     "eval": {"n_sequences": _COUNT},
 }
 
@@ -159,10 +157,10 @@ def config_from_dict(doc: dict) -> RunConfig:
     cfg = RunConfig(**kwargs)
     if not isinstance(cfg.target_user, str):
         raise ConfigError(f"config.target_user must be a string, got {cfg.target_user!r}")
-    if not isinstance(cfg.conditions, list):
-        raise ConfigError(f"config.conditions must be a list, got {cfg.conditions!r}")
+    if not isinstance(cfg.conditions, list) or not cfg.conditions:
+        raise ConfigError(f"config.conditions must be a non-empty list, got {cfg.conditions!r}")
     for condition in cfg.conditions:
-        if condition not in ("ordered", "random"):
+        if condition not in CONDITIONS:
             raise ConfigError(f"config.conditions: unknown condition {condition!r}")
     if len(set(cfg.conditions)) != len(cfg.conditions):
         raise ConfigError(f"config.conditions: duplicate condition in {cfg.conditions!r}")

@@ -9,7 +9,8 @@ without any per-dataset statistics.
 Features are computed in one pass over stacked rows: a featurizer stacks the
 sentences it needs (stack_sentences), calls extract_features and normalize
 once with each sentence's length, and cuts every sample with one gather.
-Each sentence's last row is a terminal row, so no word or window spans two
+extract_features always takes those lengths, even for one sentence. Each
+sentence's last row is a terminal row, so no word or window spans two
 sentences. A sample set stays one (n, 15, 5) array, and KeyEvent lists become
 Sentences only in UserLog: every other reader of keystrokes takes Sentences.
 """
@@ -135,10 +136,6 @@ class Sentence:
         sentence.rows = rows
         return sentence
 
-    @classmethod
-    def from_events(cls, events) -> Sentence:
-        return cls([(ev.keycode, ev.press_time, ev.release_time) for ev in events])
-
     @property
     def keycodes(self) -> np.ndarray:
         return self.rows[:, KEY_COL]
@@ -175,20 +172,18 @@ class Sentence:
         return f"Sentence({self.rows.tolist()!r})"
 
 
-def as_sentence(events) -> Sentence:
-    """events as a Sentence: a Sentence itself, else built from a sequence of KeyEvents."""
-    return events if isinstance(events, Sentence) else Sentence.from_events(events)
-
-
 @dataclass(frozen=True)
 class UserLog:
-    """One user's sentences, each turned into a Sentence on construction; frozen, so none is added later."""
+    """One user's sentences as Sentences, frozen; the one place where a KeyEvent list becomes a Sentence."""
 
     user_id: str
     sentences: tuple[Sentence, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(map(as_sentence, self.sentences)))
+        object.__setattr__(self, "sentences", tuple(
+            s if isinstance(s, Sentence)
+            else Sentence([(ev.keycode, ev.press_time, ev.release_time) for ev in s])
+            for s in self.sentences))
 
 
 @dataclass
@@ -223,7 +218,7 @@ def stack_sentences(
     return Sentence._of(rows), lengths
 
 
-def extract_features(sentence: Sentence, lengths: Sequence[int] | None = None) -> np.ndarray:
+def extract_features(sentence: Sentence, lengths: Sequence[int]) -> np.ndarray:
     """Derive the (n, 5) [hl, il, pl, rl, keycode] array (seconds) from press-sorted events.
 
     Row i uses events i and i+1: hl = release-press of the same key, il = next
@@ -231,15 +226,14 @@ def extract_features(sentence: Sentence, lengths: Sequence[int] | None = None) -
     rl = release-to-release. The terminal row keeps il = pl = rl = 0 so it
     merges cleanly with zero padding.
 
-    sentence may be several sentences stacked (stack_sentences), given with
-    each one's key count in lengths; every sentence's last row is then a
-    terminal row, so no feature spans two sentences. Without lengths, it is
-    one sentence.
+    sentence holds one or more sentences stacked (stack_sentences), given
+    with each one's key count in lengths; every sentence's last row is a
+    terminal row, so no feature spans two sentences.
     """
     n = len(sentence)
     if not n:
         raise ValueError("extract_features requires at least one event")
-    lengths = np.array([n]) if lengths is None else np.asarray(lengths)
+    lengths = np.asarray(lengths)
     ends = np.cumsum(lengths)
     if lengths.ndim != 1 or not lengths.size or ends[-1] != n or lengths.min() < 0:
         raise ValueError(f"sentence lengths {lengths} are not counts that sum to the {n} stacked rows")
@@ -312,10 +306,10 @@ def words_from_corpus(user: UserLog) -> tuple[list[str], np.ndarray]:
     return texts, matrices
 
 
-def slice_windows(rows: np.ndarray, width: int = WORD_LEN) -> np.ndarray:
-    """Non-overlapping width-row windows as one (n, width, ...) view of rows; the remainder is dropped."""
-    n = rows.shape[0] // width
-    return rows[: n * width].reshape(n, width, *rows.shape[1:])
+def slice_windows(rows: np.ndarray) -> np.ndarray:
+    """Non-overlapping WORD_LEN-row windows as one (n, WORD_LEN, ...) view of rows; the remainder is dropped."""
+    n = rows.shape[0] // WORD_LEN
+    return rows[: n * WORD_LEN].reshape(n, WORD_LEN, *rows.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class GanTrainConfig:
     d_hidden2: int = 128
 
 
-def generator_specs(hidden: int = 512) -> list[LayerSpec]:
+def generator_specs(hidden: int) -> list[LayerSpec]:
     return [
         LayerSpec(GEN_IN_DIM, hidden, "leaky_relu"),
         LayerSpec(hidden, hidden, "leaky_relu"),
@@ -54,7 +54,7 @@ def generator_specs(hidden: int = 512) -> list[LayerSpec]:
     ]
 
 
-def discriminator_specs(hidden1: int = 256, hidden2: int = 128) -> list[LayerSpec]:
+def discriminator_specs(hidden1: int, hidden2: int) -> list[LayerSpec]:
     return [
         LayerSpec(DISC_IN_DIM, hidden1, "leaky_relu"),
         LayerSpec(hidden1, hidden2, "leaky_relu"),
@@ -72,11 +72,10 @@ class GanBundle:
     converged: bool = False
 
 
-def new_bundle(seed: int, config: GanTrainConfig | None = None) -> GanBundle:
-    cfg = config or GanTrainConfig()
+def new_bundle(seed: int, config: GanTrainConfig) -> GanBundle:
     return GanBundle(
-        generator=nn.init_network(generator_specs(cfg.g_hidden), seed),
-        discriminator=nn.init_network(discriminator_specs(cfg.d_hidden1, cfg.d_hidden2), seed + 1),
+        generator=nn.init_network(generator_specs(config.g_hidden), seed),
+        discriminator=nn.init_network(discriminator_specs(config.d_hidden1, config.d_hidden2), seed + 1),
         seed=seed,
     )
 
@@ -224,7 +223,7 @@ def subset_accuracies(real_scores: np.ndarray, fake_scores: np.ndarray) -> tuple
 
 
 def stop_decision(
-    real_accuracies: list[float], fake_accuracies: list[float], threshold: float = 0.85
+    real_accuracies: list[float], fake_accuracies: list[float], threshold: float
 ) -> tuple[bool, dict]:
     """Stop iff the mean accuracy over subsets reaches the threshold for BOTH classes."""
     real_mean = float(np.mean(real_accuracies))
@@ -245,7 +244,7 @@ def stop_check(
     texts: list[str],
     matrices: np.ndarray,
     rng: np.random.Generator,
-    threshold: float = 0.85,
+    threshold: float,
 ) -> tuple[bool, dict]:
     """Evaluate the pause-and-measure stopping rule on 5 subsets of 32+32 samples."""
     if not texts:
@@ -273,7 +272,7 @@ def train(
     texts: list[str],
     matrices: np.ndarray,
     config: GanTrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> GanBundle:
     """Adversarial training loop with the periodic stopping criterion.
 
@@ -281,7 +280,6 @@ def train(
     max_epochs (flagging the bundle not-converged). The criterion history is
     recorded on the bundle.
     """
-    rng = rng if rng is not None else np.random.default_rng(bundle.seed)
     d_state = AdamState.for_params(
         bundle.discriminator, lr=config.d_lr, beta1=config.beta1, beta2=config.beta2
     )
@@ -314,11 +312,15 @@ def train(
 # ---------------------------------------------------------------------------
 
 
+def checkpoint_paths(directory: str | Path) -> tuple[Path, Path]:
+    """The generator's and the discriminator's checkpoint files in a bundle's directory."""
+    return Path(directory) / "generator.json", Path(directory) / "discriminator.json"
+
+
 def save_bundle(bundle: GanBundle, directory: str | Path) -> tuple[Path, Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    g_path = directory / "generator.json"
-    d_path = directory / "discriminator.json"
+    """Write both checkpoints into directory, made if missing; returns checkpoint_paths(directory)."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    g_path, d_path = checkpoint_paths(directory)
     meta = {"converged": bundle.converged}
     nn.save_params(bundle.generator, g_path, "generator", bundle.seed, bundle.epochs_trained, meta)
     nn.save_params(bundle.discriminator, d_path, "discriminator", bundle.seed,
@@ -327,9 +329,9 @@ def save_bundle(bundle: GanBundle, directory: str | Path) -> tuple[Path, Path]:
 
 
 def load_bundle(directory: str | Path) -> GanBundle:
-    directory = Path(directory)
-    gen, g_info = nn.load_params(directory / "generator.json", "generator", GEN_IN_DIM, GEN_OUT_DIM)
-    disc, _ = nn.load_params(directory / "discriminator.json", "discriminator", DISC_IN_DIM, 1)
+    g_path, d_path = checkpoint_paths(directory)
+    gen, g_info = nn.load_params(g_path, "generator", GEN_IN_DIM, GEN_OUT_DIM)
+    disc, _ = nn.load_params(d_path, "discriminator", DISC_IN_DIM, 1)
     return GanBundle(
         generator=gen,
         discriminator=disc,

@@ -11,6 +11,7 @@ Each network's parameters live in one C-contiguous float64 buffer,
 per-layer views into it. `AdamState` keeps m, v and the gradient `grad` in
 the same layout, and `AdamState.grads` are the per-layer (weight, bias) views
 into `grad`, so one Adam update and one finiteness check cover a network.
+An `AdamState` takes lr and betas from the caller's config; epsilon is `ADAM_EPSILON`.
 
 Inputs are 2-D (batch, in_dim) arrays. `backward` runs in one of two modes:
 given per-layer gradient buffers, it overwrites them with the weight and bias
@@ -180,9 +181,6 @@ class NetworkParams:
     @property
     def out_dim(self) -> int:
         return self.specs[-1].out_dim
-
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(specs=list(self.specs), weights=self.weights, biases=self.biases)
 
 
 @dataclass
@@ -364,6 +362,7 @@ def gradient_buffers(params: NetworkParams) -> tuple[np.ndarray, list[tuple[np.n
 # a step took 9.0 ms at 4,096 elements, 6.1 ms at 16,384, 5.2 ms at 32,768 and
 # 6.4 ms unchunked; smaller chunks pay numpy's per-call overhead more often.
 ADAM_CHUNK = 32768
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -373,20 +372,18 @@ class AdamState:
     v: np.ndarray
     grad: np.ndarray
     grads: list[tuple[np.ndarray, np.ndarray]]
-    lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: float
+    beta1: float
+    beta2: float
     step: int = 0
     # two rows per thread: the caller's and the helper's
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 2, ADAM_CHUNK)))
 
     @classmethod
-    def for_params(cls, params: NetworkParams, lr: float = 2e-4, beta1: float = 0.5,
-                   beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: NetworkParams, lr: float, beta1: float, beta2: float) -> "AdamState":
         grad, grads = gradient_buffers(params)
         return cls(m=np.zeros_like(grad), v=np.zeros_like(grad), grad=grad, grads=grads,
-                   lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
+                   lr=lr, beta1=beta1, beta2=beta2)
 
 
 def _adam_chunks(p, g, m, v, starts, scratch, b1, b2, lr, eps, corr1, corr2) -> None:
@@ -435,7 +432,7 @@ def adam_step(params: NetworkParams, state: AdamState) -> tuple[NetworkParams, A
         raise TrainingError(f"non-finite gradient in layer {_non_finite_layer(state.grads)}")
     state.step += 1
     t = state.step
-    coefs = (state.beta1, state.beta2, state.lr, state.epsilon,
+    coefs = (state.beta1, state.beta2, state.lr, ADAM_EPSILON,
              1.0 - state.beta1**t, 1.0 - state.beta2**t)
     shared = iter(range(0, p.size, ADAM_CHUNK))  # each next() runs under the GIL
     helper = _helper() if p.size > ADAM_CHUNK else None

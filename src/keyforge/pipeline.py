@@ -103,17 +103,14 @@ def train_user_gan(corpus: Corpus, user_id: str, cfg: RunConfig) -> gan_mod.GanB
     return gan_mod.train(bundle, texts, matrices, cfg.gan, np.random.default_rng(seeds.gan))
 
 
-def save_gan(bundle: gan_mod.GanBundle, out_dir: Path, cfg: RunConfig) -> Path:
-    """Write both checkpoints and gan_history.json into out_dir; returns the history path."""
-    gan_mod.save_bundle(bundle, out_dir)
+def save_gan(bundle: gan_mod.GanBundle, out_dir: Path, cfg: RunConfig) -> tuple[Path, Path, Path]:
+    """Write both checkpoints and gan_history.json into out_dir; returns the three paths, in that order."""
+    g_path, d_path = gan_mod.save_bundle(bundle, out_dir)
     history_path = out_dir / "gan_history.json"
-    history_path.write_text(
-        json.dumps({"history": bundle.history, "epochs_trained": bundle.epochs_trained,
-                    "converged": bundle.converged, "config_hash": config_hash(cfg)},
-                   sort_keys=True, indent=2),
-        encoding="utf-8",
-    )
-    return history_path
+    history = {"history": bundle.history, "epochs_trained": bundle.epochs_trained,
+               "converged": bundle.converged, "config_hash": config_hash(cfg)}
+    history_path.write_text(json.dumps(history, sort_keys=True, indent=2), encoding="utf-8")
+    return g_path, d_path, history_path
 
 
 def make_attack_events(
@@ -150,6 +147,30 @@ def write_attack(
     meta = {"condition": condition, "seed": seed, "config_hash": config_hash(cfg),
             "n_sequences": cfg.attack.n_sequences, "target_user": user_id}
     Path(f"{path}.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2), encoding="utf-8")
+
+
+def read_attack_meta(path: str | Path) -> dict | None:
+    """The provenance write_attack wrote beside the stream at path, or None when there is none."""
+    meta_path = Path(f"{path}.meta.json")
+    if not meta_path.exists():
+        return None
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DataError(f"{meta_path}: not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
+    return meta
+
+
+def write_report(report: EvalReport, json_path: str | Path | None, table_path: str | Path | None) -> str:
+    """Write the report as JSON and as its table, each to its path when one is given; returns the table."""
+    table = render_table(report)
+    for path, text in ((json_path, json.dumps(report_to_dict(report), sort_keys=True, indent=2)),
+                       (table_path, table)):
+        if path:
+            Path(path).write_text(text + "\n", encoding="utf-8")
+    return table
 
 
 def _require_windows(count: int, n: int, what: str) -> None:
@@ -247,7 +268,7 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     t0 = time.perf_counter()
     gan_bundle = train_user_gan(corpus, cfg.target_user, cfg)
     timings["gan"] = time.perf_counter() - t0
-    history_path = save_gan(gan_bundle, out_dir, cfg)
+    g_path, d_path, history_path = save_gan(gan_bundle, out_dir, cfg)
     status = "converged" if gan_bundle.converged else "NOT CONVERGED"
     log(f"generator: {gan_bundle.epochs_trained} epochs, {status}")
 
@@ -286,8 +307,8 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
         "gan_converged": gan_bundle.converged,
         "checkpoints": {
             "verifier": file_digest(verifier_path),
-            "generator": file_digest(out_dir / "generator.json"),
-            "discriminator": file_digest(out_dir / "discriminator.json"),
+            "generator": file_digest(g_path),
+            "discriminator": file_digest(d_path),
         },
     }
     t0 = time.perf_counter()
@@ -295,14 +316,8 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     timings["evaluate"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
 
-    report_json = out_dir / "report.json"
-    report_txt = out_dir / "report.txt"
-    report_json.write_text(
-        json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    table = render_table(report)
-    report_txt.write_text(table + "\n", encoding="utf-8")
-    log(table)
+    report_json, report_txt = out_dir / "report.json", out_dir / "report.txt"
+    log(write_report(report, report_json, report_txt))
 
     artifacts = {
         "corpus": corpus_path,

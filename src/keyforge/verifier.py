@@ -50,7 +50,7 @@ class VerifierConfig:
     test_pairs: int = 1000
 
 
-def embedding_specs(hidden: int = 128) -> list[LayerSpec]:
+def embedding_specs(hidden: int) -> list[LayerSpec]:
     return [
         LayerSpec(SEQ_DIM, hidden, "relu"),
         LayerSpec(hidden, EMBED_OUT_DIM, "identity"),
@@ -60,7 +60,6 @@ def embedding_specs(hidden: int = 128) -> list[LayerSpec]:
 @dataclass
 class VerifierBundle:
     network: NetworkParams
-    margin: float = 1.0
     tau: float | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -159,7 +158,7 @@ def _windows(users: list[UserLog], user: np.ndarray, k: np.ndarray) -> np.ndarra
     stacked, stops = stack_sentences([sentences[i] for i in held.tolist()], (j[last] + 1) * WORD_LEN + 1)
     rows = normalize(extract_features(stacked, stops))
     starts = (np.cumsum(stops) - stops)[np.searchsorted(held, sentence)] + j * WORD_LEN
-    return slice_windows(rows[(starts[inverse][:, None] + np.arange(WORD_LEN)).ravel()], WORD_LEN)
+    return slice_windows(rows[(starts[inverse][:, None] + np.arange(WORD_LEN)).ravel()])
 
 
 def _embed(bundle: VerifierBundle, matrices: np.ndarray) -> np.ndarray:
@@ -213,7 +212,7 @@ def train_verifier(pairs: PairSet, config: VerifierConfig, seed: int) -> Verifie
     if pairs.same.all() or not pairs.same.any():
         raise ValueError("training needs both genuine and impostor pairs")
     net = nn.init_network(embedding_specs(config.hidden), seed)
-    bundle = VerifierBundle(network=net, margin=config.margin)
+    bundle = VerifierBundle(network=net)
     state = AdamState.for_params(net, lr=config.lr, beta1=config.beta1, beta2=config.beta2)
     grad_b, grads_b = nn.gradient_buffers(net)  # pass b's gradients, summed into state.grad
     rng = np.random.default_rng(seed)
@@ -242,9 +241,7 @@ def train_verifier(pairs: PairSet, config: VerifierConfig, seed: int) -> Verifie
             state.grad += grad_b
             nn.adam_step(net, state)
         loss_curve.append(epoch_loss / len(pairs))
-    bundle.metadata["loss_curve"] = loss_curve
-    bundle.metadata["train_seed"] = seed
-    bundle.metadata["epochs"] = config.epochs
+    bundle.metadata.update(loss_curve=loss_curve, margin=config.margin, train_seed=seed, epochs=config.epochs)
     return bundle
 
 
@@ -279,7 +276,6 @@ def pair_accuracy(bundle: VerifierBundle, pairs: PairSet) -> float:
 def save_verifier(bundle: VerifierBundle, path: str | Path) -> None:
     meta = dict(bundle.metadata)
     meta["tau"] = bundle.tau
-    meta["margin"] = bundle.margin
     nn.save_params(bundle.network, path, "verifier", bundle.metadata.get("train_seed"),
                    bundle.metadata.get("epochs", 0), meta)
 
@@ -291,5 +287,4 @@ def load_verifier(path: str | Path) -> VerifierBundle:
     # bool is no number here; a JSON integer beyond float range would overflow in a comparison
     if not (type(tau) in (int, float) and 0 <= tau <= sys.float_info.max):
         raise nn.CorruptCheckpointError(f"{path}: tau {tau!r} is not a finite number >= 0")
-    margin = meta.pop("margin", 1.0)
-    return VerifierBundle(network=net, margin=margin, tau=float(tau), metadata=meta)
+    return VerifierBundle(network=net, tau=float(tau), metadata=meta)

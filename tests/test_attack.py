@@ -24,7 +24,6 @@ from keyforge.data import (
     COL_PL,
     KeyEvent,
     SPACE_KEYCODE,
-    Sentence,
     T_MAX_SECONDS,
     UserLog,
     WORD_LEN,
@@ -47,7 +46,7 @@ def user_words():
 
 @pytest.fixture(scope="module")
 def bundle():
-    return gan.new_bundle(4)
+    return gan.new_bundle(4, gan.GanTrainConfig())
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +96,8 @@ def test_attack_config_validation(rng):
 
 def test_stitch_single_word_is_noop(user_words, rng):
     texts, matrices = user_words
-    rows = normalize(extract_features(stitch_events(texts[:1], matrices[:1], DEFAULT_SPACES, rng)))
+    events = stitch_events(texts[:1], matrices[:1], DEFAULT_SPACES, rng)
+    rows = normalize(extract_features(events, [len(events)]))
     assert rows.shape == (len(texts[0]), 5)
     assert np.allclose(rows, matrices[0, : len(texts[0])], atol=1e-6)
 
@@ -113,7 +113,7 @@ def test_stitch_events_inverts_normalize(cells, n):
     matrix[n:] = 0.0
     text = "".join(chr(int(round(k * 255))) for k in cells[:n, COL_KEYCODE])
     events = stitch_events([text], matrix[None], DEFAULT_SPACES, np.random.default_rng(0))
-    rows = normalize(extract_features(events))
+    rows = normalize(extract_features(events, [len(events)]))
     assert len(events) == n
     assert np.allclose(rows[:, COL_HL], cells[:n, COL_HL], atol=1e-9)
     assert np.array_equal(rows[:, COL_KEYCODE], cells[:n, COL_KEYCODE])
@@ -152,7 +152,7 @@ def test_stitched_rows_satisfy_latency_identity(bundle, user_words, rng):
     texts = texts[:3] + ["xyzzy"]
     matrices = np.concatenate([matrices[:3], gan.generate_word(bundle, "xyzzy", rng)[None]])
     events = stitch_events(texts, matrices, DEFAULT_SPACES, rng)
-    rows = extract_features(events)
+    rows = extract_features(events, [len(events)])
     for row in rows[:-1]:
         assert abs(row[COL_PL] - (row[COL_HL] + row[COL_IL])) < 1e-9
 
@@ -206,7 +206,7 @@ def test_stitch_matches_per_key_reference(bundle, user_words, n_words):
     got = stitch_events(texts, matrices, space_model, got_rng)
     want = stitch_reference(texts, matrices, space_model, want_rng)
     assert list(got) == want
-    assert got.rows.tobytes() == Sentence.from_events(want).rows.tobytes()
+    assert got.rows.tobytes() == UserLog("u", [want]).sentences[0].rows.tobytes()
     assert got_rng.random() == want_rng.random()
 
 
@@ -222,7 +222,7 @@ def test_stitch_rejects_empty(rng):
 
 def test_fit_space_model_defaults_when_no_spaces():
     events = [KeyEvent(97, i * 100.0, i * 100.0 + 50.0) for i in range(5)]
-    assert fit_space_model([Sentence.from_events(events)], DEFAULT_SPACES) is DEFAULT_SPACES
+    assert fit_space_model(UserLog("u", [events]).sentences, DEFAULT_SPACES) is DEFAULT_SPACES
 
 
 def test_fit_space_model_matches_hand_stats():
@@ -232,7 +232,7 @@ def test_fit_space_model_matches_hand_stats():
         KeyEvent(SPACE_KEYCODE, 120.0, 180.0),
         KeyEvent(98, 230.0, 300.0),
     ]
-    model = fit_space_model([Sentence.from_events(sentence)], DEFAULT_SPACES)
+    model = fit_space_model(UserLog("u", [sentence]).sentences, DEFAULT_SPACES)
     assert np.isclose(model.hold_mean, 0.060)
     assert np.isclose(model.gap_mean, 0.045)
     assert np.isclose(model.gap_std, 0.005)
@@ -262,10 +262,10 @@ def test_fit_space_model_pools_gaps_in_key_order():
     sentences[2][5] = KeyEvent(SPACE_KEYCODE, sentences[2][5].press_time, sentences[2][5].release_time)
     sentences[2][6] = KeyEvent(SPACE_KEYCODE, sentences[2][6].press_time, sentences[2][6].release_time)
     holds, gaps = fit_space_reference(sentences)
-    model = fit_space_model(list(map(Sentence.from_events, sentences)), DEFAULT_SPACES)
+    model = fit_space_model(UserLog("u", sentences).sentences, DEFAULT_SPACES)
     assert model == SpaceModel(float(np.mean(holds)), float(np.std(holds)),
                                float(np.mean(gaps)), float(np.std(gaps)))
-    lone_space = Sentence.from_events([KeyEvent(SPACE_KEYCODE, 0.0, 50.0)])
+    (lone_space,) = UserLog("u", [[KeyEvent(SPACE_KEYCODE, 0.0, 50.0)]]).sentences
     assert fit_space_model([lone_space], DEFAULT_SPACES) is DEFAULT_SPACES
 
 

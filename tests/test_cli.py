@@ -683,6 +683,66 @@ def test_evaluate_over_run_all_files_reproduces_its_report(tmp_path, tiny_config
     assert report_txt.read_bytes() == (run / "report.txt").read_bytes()
 
 
+def test_evaluate_over_one_condition_run_all_files_reproduces_its_report(tmp_path):
+    """evaluate scores config.conditions, as run-all does, and takes the fake flags of those only."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, conditions=["ordered"])))
+    run = tmp_path / "run"
+    assert main(["run-all", "--out-dir", str(run), "--config", str(cfg_path)]) == 0
+    assert not list(run.glob("attack_random_*"))
+    report_json, report_txt = tmp_path / "report.json", tmp_path / "report.txt"
+    assert main(["evaluate", "--verifier", str(run / "verifier.json"),
+                 "--corpus", str(run / "corpus.tsv"), "--user", "u0",
+                 "--fake-ordered-a", str(run / "attack_ordered_a.tsv"),
+                 "--fake-ordered-b", str(run / "attack_ordered_b.tsv"),
+                 "--out-json", str(report_json), "--out-table", str(report_txt),
+                 "--config", str(cfg_path)]) == 0
+    held = json.loads((run / "report.json").read_text())
+    read_back = json.loads(report_json.read_text())
+    assert list(read_back["conditions"]) == ["ordered"]
+    assert read_back["conditions"] == held["conditions"]
+    assert report_txt.read_bytes() == (run / "report.txt").read_bytes()
+    assert sorted(read_back["metadata"]["inputs"]) == ["corpus", "fake_ordered_a", "fake_ordered_b"]
+
+
+@pytest.mark.parametrize("conditions, flags, message", [
+    (["ordered"], ("ordered-a", "ordered-b", "random-a"),
+     "evaluate: --fake-random-a is not allowed: config.conditions does not list 'random'\n"),
+    (["ordered", "random"], ("ordered-a", "ordered-b", "random-a"),
+     "evaluate: --fake-random-b is required: config.conditions lists 'random'\n"),
+], ids=["extra", "missing"])
+def test_evaluate_fake_flags_that_do_not_match_the_conditions_are_usage_errors(
+        tmp_path, corpus_file, conditions, flags, message, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, conditions=conditions)))
+    out_json = tmp_path / "report.json"
+    fakes = [arg for flag in flags for arg in (f"--fake-{flag}", str(corpus_file))]
+    code = main(["evaluate", "--verifier", str(tmp_path / "missing.json"), "--corpus", str(corpus_file),
+                 "--user", "u0", *fakes, "--out-json", str(out_json), "--config", str(cfg_path)])
+    assert code == 1
+    assert capsys.readouterr().err == message
+    assert not out_json.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"attack": {"n_sequences": 3, "fit_space_model": False, "space_hold_std": -1}},
+     "config.attack.space_hold_std must be a finite number >= 0, got -1"),
+    ({"attack": {"n_sequences": 3, "fit_space_model": False, "space_gap_mean": float("nan")}},
+     "config.attack.space_gap_mean must be a finite number >= 0, got nan"),
+    ({"attack": {"n_sequences": 3, "fit_space_model": "no"}},
+     "config.attack.fit_space_model must be a JSON bool, got 'no'"),
+    ({"conditions": []}, "config.conditions must be a non-empty list, got []"),
+], ids=["negative-space-std", "nan-space-mean", "string-bool", "no-conditions"])
+def test_run_all_config_hole_is_config_error_naming_the_key(tmp_path, override, message, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, **override)))
+    out_dir = tmp_path / "run"
+    code = main(["run-all", "--out-dir", str(out_dir), "--config", str(cfg_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_run_all_short_target_user_fails_before_training(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(dict(TINY_CONFIG, eval={"n_sequences": 50})))

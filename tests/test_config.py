@@ -111,6 +111,8 @@ def test_config_hash_of_valid_configs_is_pinned():
     {"verifier": {"margin": 1e-9, "lr": 3}},
     {"seeds": {"global_seed": -4, "gan": None, "eval": 0}},
     {"conditions": ["random"]},
+    {"attack": {"fit_space_model": False, "space_hold_mean": 0, "space_hold_std": 0.0,
+                "space_gap_mean": 2, "space_gap_std": 1e-300}},
 ])
 def test_boundary_values_accepted(doc):
     config_from_dict(doc)
@@ -137,6 +139,12 @@ def test_boundary_values_accepted(doc):
     ({"conditions": ["ordered", "ordered"]}, "config.conditions"),
     ({"conditions": "ordered"}, "config.conditions"),
     ({"target_user": 0}, "config.target_user"),
+    ({"conditions": []}, "config.conditions must be a non-empty list, got []"),
+    ({"attack": {"fit_space_model": 1}}, "config.attack.fit_space_model must be a JSON bool, got 1"),
+    ({"attack": {"space_hold_mean": -1e-9}}, "config.attack.space_hold_mean"),
+    ({"attack": {"space_gap_std": float("inf")}}, "config.attack.space_gap_std"),
+    ({"attack": {"space_hold_std": True}}, "config.attack.space_hold_std"),
+    ({"attack": {"space_gap_mean": "0.1"}}, "config.attack.space_gap_mean"),
 ])
 def test_bad_values_rejected_naming_the_key(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)):

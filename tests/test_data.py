@@ -26,7 +26,6 @@ from keyforge.data import (
     UserLog,
     ValidationError,
     WORD_LEN,
-    as_sentence,
     export_log,
     extract_features,
     ingest_log,
@@ -38,6 +37,17 @@ from keyforge.data import (
 )
 
 HEADER = "PARTICIPANT_ID\tSENTENCE_ID\tKEYCODE\tPRESS_TIME\tRELEASE_TIME"
+
+
+def sentence_of(events) -> Sentence:
+    """A KeyEvent list as a Sentence, converted where keyforge converts one: in UserLog."""
+    (sentence,) = UserLog("u", [events]).sentences
+    return sentence
+
+
+def features_of(sentence: Sentence) -> np.ndarray:
+    """extract_features of one sentence."""
+    return extract_features(sentence, [len(sentence)])
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +83,7 @@ def test_ingest_single_row(tmp_path):
     path = write_log(tmp_path, ["u1\ts1\t72\t1000\t1080"])
     corpus = ingest_log(path)
     assert [u.user_id for u in corpus.users] == ["u1"]
-    assert corpus.users[0].sentences == (Sentence.from_events([KeyEvent(72, 1000, 1080)]),)
+    assert corpus.users[0].sentences == UserLog("u1", [[KeyEvent(72, 1000, 1080)]]).sentences
 
 
 def test_ingest_sorts_by_press_time(tmp_path):
@@ -292,15 +302,15 @@ def test_export_matches_per_event_writer(tmp_path_factory, corpus):
 
 @given(sentences(), st.slices(8))
 def test_sentence_agrees_with_its_events(events, part):
-    sentence = as_sentence(events)
-    assert isinstance(sentence, Sentence) and as_sentence(sentence) is sentence
+    sentence = sentence_of(events)
+    assert isinstance(sentence, Sentence) and sentence_of(sentence) is sentence
     assert len(sentence) == len(events)
     assert list(sentence) == events
     assert [sentence[i] for i in range(-len(events), len(events))] == events + events
     assert list(sentence[part]) == events[part] and isinstance(sentence[part], Sentence)
-    assert sentence == Sentence.from_events(events) and sentence != events
-    assert (sentence != Sentence.from_events(events[:-1])
-            and sentence != Sentence.from_events(events[::-1]) or len(events) == 1)
+    assert sentence == sentence_of(events) and sentence != events
+    assert (sentence != sentence_of(events[:-1])
+            and sentence != sentence_of(events[::-1]) or len(events) == 1)
     assert not sentence.rows.flags.writeable
     with pytest.raises(IndexError):
         sentence[len(events)]
@@ -331,7 +341,7 @@ def test_ingest_of_a_huge_keycode_names_its_line(tmp_path):
 
 
 def test_extract_features_two_keys():
-    rows = extract_features(Sentence.from_events([KeyEvent(72, 1000, 1080), KeyEvent(73, 1150, 1220)]))
+    rows = features_of(sentence_of([KeyEvent(72, 1000, 1080), KeyEvent(73, 1150, 1220)]))
     assert rows.shape == (2, 5)
     r0, r1 = rows
     assert math.isclose(r0[COL_HL], 0.080)
@@ -345,13 +355,13 @@ def test_extract_features_two_keys():
 
 
 def test_extract_features_single_event():
-    (row,) = extract_features(Sentence.from_events([KeyEvent(65, 0, 50)]))
+    (row,) = features_of(sentence_of([KeyEvent(65, 0, 50)]))
     assert math.isclose(row[COL_HL], 0.050)
     assert row[COL_IL] == row[COL_PL] == row[COL_RL] == 0.0
 
 
 def test_extract_features_negative_il_on_rollover():
-    rows = extract_features(Sentence.from_events([KeyEvent(65, 0, 200), KeyEvent(66, 100, 300)]))
+    rows = features_of(sentence_of([KeyEvent(65, 0, 200), KeyEvent(66, 100, 300)]))
     assert math.isclose(rows[0, COL_IL], -0.100)
 
 
@@ -367,12 +377,12 @@ def test_extract_features_matches_per_row_reference():
                 row[COL_PL] = (nxt.press_time - ev.press_time) / 1000.0
                 row[COL_RL] = (nxt.release_time - ev.release_time) / 1000.0
             expected.append(row)
-        assert np.array_equal(extract_features(sentence), np.array(expected))
+        assert np.array_equal(features_of(sentence), np.array(expected))
 
 
 def test_extract_features_empty_input():
     with pytest.raises(ValueError):
-        extract_features(Sentence([]))
+        extract_features(Sentence([]), [0])
 
 
 timestamps = st.floats(min_value=-10.0, max_value=1e7) | st.sampled_from(
@@ -398,20 +408,20 @@ def accepted_event_streams(draw):
 @given(st.lists(accepted_event_streams() | st.just([]), max_size=4))
 def test_extract_features_of_stacked_sentences_is_each_sentence_alone(streams):
     """Given the sentence lengths, every sentence ends in a terminal row: no feature spans two."""
-    sentences = list(map(Sentence.from_events, streams))
+    sentences = list(UserLog("u", streams).sentences)
     stacked, lengths = stack_sentences(sentences)
     assert lengths.tolist() == [len(events) for events in streams]
     assume(len(stacked))
-    expected = np.concatenate([extract_features(sentence) for sentence in sentences if len(sentence)])
+    expected = np.concatenate([features_of(sentence) for sentence in sentences if len(sentence)])
     assert extract_features(stacked, lengths).tobytes() == expected.tobytes()
 
 
 @given(st.lists(st.tuples(accepted_event_streams() | st.just([]), st.integers(0, 40)), max_size=4))
 def test_stack_sentences_with_stops_stacks_each_prefix(cut):
     """Sentence i gives its first stops[i] rows, or all of them when it is shorter."""
-    sentences = [Sentence.from_events(events) for events, _ in cut]
+    sentences = [sentence_of(events) for events, _ in cut]
     stacked, lengths = stack_sentences(sentences, [stop for _, stop in cut])
-    prefixes, prefix_lengths = stack_sentences([Sentence.from_events(events[:stop]) for events, stop in cut])
+    prefixes, prefix_lengths = stack_sentences([sentence_of(events[:stop]) for events, stop in cut])
     assert lengths.tolist() == prefix_lengths.tolist() == [min(len(events), stop) for events, stop in cut]
     assert stacked == prefixes and not stacked.rows.flags.writeable
 
@@ -425,7 +435,7 @@ def test_extract_features_rejects_lengths_that_do_not_count_the_rows(lengths):
 
 @given(accepted_event_streams())
 def test_latency_identities(events):
-    rows = extract_features(Sentence.from_events(events))
+    rows = features_of(sentence_of(events))
     assert np.all(np.isfinite(rows))
     for i, row in enumerate(rows[:-1]):
         assert abs(row[COL_PL] - (row[COL_HL] + row[COL_IL])) < 1e-9
@@ -500,7 +510,7 @@ def test_denormalize_inverse_scale():
 
 def test_denormalize_zero_row():
     (ev,) = denormalize(np.zeros((1, 5)))
-    (row,) = extract_features(Sentence.from_events([ev]))
+    (row,) = features_of(sentence_of([ev]))
     assert row[COL_HL] == row[COL_IL] == row[COL_PL] == row[COL_RL] == 0.0
     assert ev.keycode == 0
 
@@ -525,8 +535,8 @@ def unclamped_words(draw):
 
 @given(unclamped_words())
 def test_normalize_denormalize_round_trip(events):
-    features = extract_features(Sentence.from_events(events))
-    back = extract_features(denormalize(normalize(features)))
+    features = features_of(sentence_of(events))
+    back = features_of(denormalize(normalize(features)))
     assert back.shape == features.shape
     assert np.allclose(back[:, :COL_KEYCODE], features[:, :COL_KEYCODE], rtol=0, atol=1e-6)
     assert np.array_equal(back[:, COL_KEYCODE], features[:, COL_KEYCODE])
@@ -538,7 +548,7 @@ def test_normalize_denormalize_round_trip(events):
 
 
 def make_events(keycodes, step=200.0, hold=80.0) -> Sentence:
-    return Sentence.from_events([KeyEvent(kc, i * step, i * step + hold) for i, kc in enumerate(keycodes)])
+    return sentence_of([KeyEvent(kc, i * step, i * step + hold) for i, kc in enumerate(keycodes)])
 
 
 def words_of(events) -> tuple[list[str], np.ndarray]:
@@ -596,7 +606,7 @@ def words_reference(events: list[KeyEvent]) -> list[tuple[str, np.ndarray]]:
     if current:
         runs.append(current)
     return [("".join(chr(ev.keycode) for ev in run[:WORD_LEN]),
-             pad_rows(normalize_reference(extract_features(Sentence.from_events(run[:WORD_LEN])))))
+             pad_rows(normalize_reference(features_of(sentence_of(run[:WORD_LEN])))))
             for run in runs]
 
 
@@ -662,14 +672,14 @@ def test_user_log_sentences_are_converted_once_and_cannot_change():
     """Every sentence a UserLog holds is a Sentence: its tuple cannot be appended to or replaced."""
     events = [KeyEvent(72, 0.0, 80.0), KeyEvent(73, 200.0, 280.0)]
     user = UserLog("u", [events, make_events([65])])
-    assert user.sentences == (Sentence.from_events(events), make_events([65]))
+    assert user.sentences == (Sentence([(72, 0.0, 80.0), (73, 200.0, 280.0)]), make_events([65]))
     with pytest.raises(AttributeError):
         user.sentences.append(make_events([66]))
     with pytest.raises(AttributeError):
         user.sentences = (make_events([66]),)
     with pytest.raises(AttributeError):
         user.user_id = "v"
-    assert user.sentences == (Sentence.from_events(events), make_events([65]))
+    assert user.sentences == (Sentence([(72, 0.0, 80.0), (73, 200.0, 280.0)]), make_events([65]))
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +742,7 @@ def test_synth_corpus_sentences_are_valid():
 
 def test_slice_windows_drops_remainder():
     rows = np.arange(31 * 5, dtype=float).reshape(31, 5)
-    windows = slice_windows(rows, 15)
+    windows = slice_windows(rows)
     assert windows.shape == (2, 15, 5) and np.shares_memory(windows, rows)
     assert np.array_equal(windows[0], rows[:15])
     assert np.array_equal(windows[1], rows[15:30])

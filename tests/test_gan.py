@@ -21,9 +21,12 @@ from keyforge.nn import (
 )
 
 
+DEFAULT = gan.GanTrainConfig()
+
+
 @pytest.fixture(scope="module")
 def bundle():
-    return gan.new_bundle(3)
+    return gan.new_bundle(3, DEFAULT)
 
 
 @pytest.fixture(scope="module")
@@ -120,15 +123,16 @@ def test_postprocess_matches_per_text_loop(rng):
 
 
 def adam_states(bundle):
-    """Discriminator and generator Adam states at AdamState's default rates."""
-    return AdamState.for_params(bundle.discriminator), AdamState.for_params(bundle.generator)
+    """Discriminator and generator Adam states at lr 2e-4 and the GAN's betas."""
+    return (AdamState.for_params(bundle.discriminator, lr=2e-4, beta1=0.5, beta2=0.999),
+            AdamState.for_params(bundle.generator, lr=2e-4, beta1=0.5, beta2=0.999))
 
 
 def test_train_epoch_reproducible(corpus_words):
     def run():
-        b = gan.new_bundle(5)
-        d_state = AdamState.for_params(b.discriminator, lr=1e-4)
-        g_state = AdamState.for_params(b.generator, lr=1e-3)
+        b = gan.new_bundle(5, DEFAULT)
+        d_state = AdamState.for_params(b.discriminator, lr=1e-4, beta1=0.5, beta2=0.999)
+        g_state = AdamState.for_params(b.generator, lr=1e-3, beta1=0.5, beta2=0.999)
         stats = []
         rng = np.random.default_rng(5)
         for _ in range(3):
@@ -144,14 +148,14 @@ def test_train_epoch_reproducible(corpus_words):
 
 
 def test_train_epoch_single_sample_is_finite(corpus_words, rng):
-    b = gan.new_bundle(6)
+    b = gan.new_bundle(6, DEFAULT)
     texts, matrices = corpus_words
     b, stats = gan.train_epoch(b, texts[:1], matrices[:1], 32, rng, *adam_states(b))
     assert np.isfinite(stats["d_loss"]) and np.isfinite(stats["g_loss"])
 
 
 def test_train_epoch_rejects_empty_inputs(rng):
-    b = gan.new_bundle(7)
+    b = gan.new_bundle(7, DEFAULT)
     with pytest.raises(ValueError):
         gan.train_epoch(b, [], np.zeros((0, WORD_LEN, 5)), 32, rng, *adam_states(b))
 
@@ -164,13 +168,13 @@ def test_discriminator_learns_separable_data(rng):
     """
     texts = ["hello", "world", "stream", "typing"] * 8
     words = constant_words(0.9, texts)
-    bundle = gan.new_bundle(8)
+    bundle = gan.new_bundle(8, DEFAULT)
     # force the generator output to sigmoid(-2.1972) ~= 0.1 and freeze it via lr=0
     last = bundle.generator.weights[-1]
     last[:] = 0.0
     bundle.generator.biases[-1][:] = np.log(0.1 / 0.9)
-    d_state = AdamState.for_params(bundle.discriminator, lr=1e-3, beta1=0.5)
-    g_state = AdamState.for_params(bundle.generator, lr=0.0)
+    d_state = AdamState.for_params(bundle.discriminator, lr=1e-3, beta1=0.5, beta2=0.999)
+    g_state = AdamState.for_params(bundle.generator, lr=0.0, beta1=0.5, beta2=0.999)
     for _ in range(200):
         bundle, stats = gan.train_epoch(bundle, *words, 32, rng, d_state, g_state)
     assert stats["d_real_acc"] >= 0.95
@@ -189,7 +193,7 @@ def test_subset_accuracy_tie_counts_as_synthetic():
 
 
 def test_stop_decision_constant_half_discriminator():
-    stop, details = gan.stop_decision([0.0] * 5, [1.0] * 5)
+    stop, details = gan.stop_decision([0.0] * 5, [1.0] * 5, 0.85)
     assert not stop
     assert details["real_mean"] == 0.0 and details["fake_mean"] == 1.0
 
@@ -200,34 +204,34 @@ def test_stop_decision_oracle_discriminator():
         r, f = gan.subset_accuracies(np.ones(32), np.zeros(32))
         real_accs.append(r)
         fake_accs.append(f)
-    stop, _ = gan.stop_decision(real_accs, fake_accs)
+    stop, _ = gan.stop_decision(real_accs, fake_accs, 0.85)
     assert stop
 
 
 def test_stop_decision_requires_both_sides():
-    stop, _ = gan.stop_decision([0.9] * 5, [0.8] * 5)
+    stop, _ = gan.stop_decision([0.9] * 5, [0.8] * 5, 0.85)
     assert not stop
-    stop, _ = gan.stop_decision([0.8] * 5, [0.9] * 5)
+    stop, _ = gan.stop_decision([0.8] * 5, [0.9] * 5, 0.85)
     assert not stop
-    stop, _ = gan.stop_decision([0.85] * 5, [0.85] * 5)
+    stop, _ = gan.stop_decision([0.85] * 5, [0.85] * 5, 0.85)
     assert stop
 
 
 def test_stop_check_constant_half_discriminator_end_to_end(corpus_words, rng):
-    bundle = gan.new_bundle(9)
+    bundle = gan.new_bundle(9, DEFAULT)
     for w in bundle.discriminator.weights:
         w[:] = 0.0
     for b in bundle.discriminator.biases:
         b[:] = 0.0
-    stop, details = gan.stop_check(bundle, *corpus_words, rng)
+    stop, details = gan.stop_check(bundle, *corpus_words, rng, 0.85)
     assert not stop
     assert details["real_mean"] == 0.0
     assert details["fake_mean"] == 1.0
 
 
 def test_stop_check_samples_with_replacement_when_short(rng):
-    bundle = gan.new_bundle(10)
-    stop, details = gan.stop_check(bundle, *constant_words(0.5, ["ab"]), rng)
+    bundle = gan.new_bundle(10, DEFAULT)
+    stop, details = gan.stop_check(bundle, *constant_words(0.5, ["ab"]), rng, 0.85)
     assert len(details["real_accuracies"]) == 5
 
 
@@ -242,7 +246,7 @@ def test_train_stops_early_on_easy_data(rng):
     words = constant_words(0.9, texts)
     cfg = gan.GanTrainConfig(max_epochs=60, check_interval=5, batch_size=16,
                              g_lr=1e-4, d_lr=5e-3)
-    bundle = gan.train(gan.new_bundle(11), *words, cfg, rng)
+    bundle = gan.train(gan.new_bundle(11, cfg), *words, cfg, rng)
     assert bundle.converged
     assert bundle.epochs_trained % cfg.check_interval == 0
     assert bundle.history[-1]["stop"] is True
@@ -252,7 +256,7 @@ def test_train_stops_early_on_easy_data(rng):
 def test_train_flags_not_converged_at_max_epochs(corpus_words, rng):
     cfg = gan.GanTrainConfig(max_epochs=6, check_interval=2, batch_size=16,
                              g_lr=1e-4, d_lr=1e-6, stop_threshold=1.01)
-    bundle = gan.train(gan.new_bundle(12), *corpus_words, cfg, rng)
+    bundle = gan.train(gan.new_bundle(12, cfg), *corpus_words, cfg, rng)
     assert not bundle.converged
     assert bundle.epochs_trained == 6
     assert len(bundle.history) == 3  # checks at epochs 2, 4, 6
@@ -261,7 +265,7 @@ def test_train_flags_not_converged_at_max_epochs(corpus_words, rng):
 def test_train_history_length_is_epochs_over_interval(corpus_words, rng):
     cfg = gan.GanTrainConfig(max_epochs=7, check_interval=3, batch_size=16,
                              g_lr=1e-4, d_lr=1e-6, stop_threshold=1.01)
-    bundle = gan.train(gan.new_bundle(13), *corpus_words, cfg, rng)
+    bundle = gan.train(gan.new_bundle(13, cfg), *corpus_words, cfg, rng)
     assert len(bundle.history) == 2  # checks at epochs 3 and 6
 
 
@@ -271,10 +275,10 @@ def test_train_history_length_is_epochs_over_interval(corpus_words, rng):
 
 
 def test_bundle_save_load_round_trip(tmp_path, corpus_words, rng):
-    bundle = gan.new_bundle(14)
+    bundle = gan.new_bundle(14, DEFAULT)
     bundle.epochs_trained = 5
     bundle.converged = True
-    gan.save_bundle(bundle, tmp_path)
+    assert gan.save_bundle(bundle, tmp_path) == gan.checkpoint_paths(tmp_path)
     loaded = gan.load_bundle(tmp_path)
     assert loaded.seed == 14
     assert loaded.epochs_trained == 5
@@ -287,7 +291,7 @@ def test_bundle_save_load_round_trip(tmp_path, corpus_words, rng):
 
 
 def test_bundle_load_rejects_foreign_embed_seed(tmp_path):
-    bundle = gan.new_bundle(15)
+    bundle = gan.new_bundle(15, DEFAULT)
     gan.save_bundle(bundle, tmp_path)
     doc = json.loads((tmp_path / "generator.json").read_text())
     doc["embed_seed"] = 123

@@ -140,7 +140,7 @@ def test_windows_at_matches_full_featurization(users, data):
     full = sequences_from_corpus(corpus)
     # reference: each sentence featurized alone, whole, and cut into windows
     expected = {user.user_id: [window.tobytes() for events in user.sentences if events
-                               for window in slice_windows(normalize(extract_features(events)))]
+                               for window in slice_windows(normalize(extract_features(events, [len(events)])))]
                 for user in corpus.users}
     assert {user_id: [w.tobytes() for w in windows] for user_id, windows in full.items()} == {
         user_id: windows for user_id, windows in expected.items() if windows}
@@ -390,7 +390,7 @@ def test_verifier_checkpoint_round_trip(tmp_path, trained):
     verifier.save_verifier(bundle, path)
     loaded = verifier.load_verifier(path)
     assert loaded.tau == bundle.tau
-    assert loaded.margin == bundle.margin
+    assert loaded.metadata["margin"] == bundle.metadata["margin"] == 1.0
     assert loaded.metadata["eer"] == bundle.metadata["eer"]
     for a, b in zip(loaded.network.weights, bundle.network.weights):
         assert np.array_equal(a, b)
