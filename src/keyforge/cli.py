@@ -15,7 +15,7 @@ from . import gan as gan_mod
 from . import pipeline
 from . import verifier as verifier_mod
 from .attack import CONDITIONS, NonFiniteSampleError
-from .config import ConfigError, RunConfig, check_count, load_config
+from .config import ConfigError, RunConfig, check_flag, load_config
 from .data import ParseError, ValidationError, export_log, ingest_log, synth_corpus
 from .nn import CheckpointError, TrainingError
 from .pipeline import DataError
@@ -63,7 +63,7 @@ def cmd_ingest(args) -> int:
 def cmd_train_verifier(args) -> int:
     cfg = _base_config(args)
     if args.epochs is not None:
-        check_count(args.epochs, "--epochs")
+        check_flag(args.epochs, "--epochs", "verifier", "epochs")
         cfg.verifier.epochs = args.epochs
     if args.seed is not None:
         cfg.seeds.verifier = args.seed
@@ -80,7 +80,7 @@ def cmd_train_verifier(args) -> int:
 def cmd_train_cgan(args) -> int:
     cfg = _base_config(args)
     if args.max_epochs is not None:
-        check_count(args.max_epochs, "--max-epochs")
+        check_flag(args.max_epochs, "--max-epochs", "gan", "max_epochs")
         cfg.gan.max_epochs = args.max_epochs
     if args.seed is not None:
         cfg.seeds.gan = args.seed
@@ -97,7 +97,7 @@ def cmd_train_cgan(args) -> int:
 def cmd_attack(args) -> int:
     cfg = _base_config(args)
     if args.n_sequences is not None:
-        check_count(args.n_sequences, "--n-sequences")
+        check_flag(args.n_sequences, "--n-sequences", "attack", "n_sequences")
         cfg.attack.n_sequences = args.n_sequences
     seed = args.seed if args.seed is not None else cfg.seeds.resolved().attack
     corpus = ingest_log(args.corpus)
@@ -248,8 +248,9 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, DataError, CheckpointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except OSError as exc:  # a path that is missing, a directory where a file belongs, or unreadable
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"data error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attack import CONDITIONS, SpaceModel
+from .data import N_FEATURES, WORD_LEN
 from .gan import GanTrainConfig
-from .verifier import VerifierConfig
+from .verifier import EMBED_OUT_DIM, VerifierConfig
 
 
 class ConfigError(ValueError):
@@ -122,6 +123,21 @@ _NON_NEGATIVE = ("a finite number >= 0", lambda v: _is_real(v) and v >= 0)
 _BETA = ("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1)
 _SEED = ("an integer or null", lambda v: v is None or _is_int(v))
 
+# A size key's ceiling keeps the largest float64 array it sizes within about 1 GiB.
+_GIB = 2**30
+# attack.n_sequences: the generated cells, one (15, 5) matrix per planned word. A word
+# stitches at least two stream rows (a key and a space), so a 15-row sequence takes at
+# most 7.5 words; 238,609 sequences at most.
+_MAX_ATTACK_SEQUENCES = 2 * _GIB // (WORD_LEN * WORD_LEN * N_FEATURES * 8)
+# eval.n_sequences: one test's (n, n, 64) code differences, from which its n x n
+# distances are summed; 1,448 sequences at most.
+_MAX_EVAL_SEQUENCES = math.isqrt(_GIB // (EMBED_OUT_DIM * 8))
+
+
+def _size(most: int) -> tuple:
+    return (f"an integer in [1, {most}]", lambda v: _is_int(v) and 1 <= v <= most)
+
+
 # (description, predicate) per checked key of each section
 _VALUE_CHECKS = {
     "seeds": {"global_seed": ("an integer", _is_int),
@@ -135,9 +151,10 @@ _VALUE_CHECKS = {
                                    "d_hidden1", "d_hidden2")},
             "g_lr": _RATE, "d_lr": _RATE, "beta1": _BETA, "beta2": _BETA,
             "stop_threshold": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1)},
-    "attack": {"n_sequences": _COUNT, "fit_space_model": ("a JSON bool", lambda v: isinstance(v, bool)),
+    "attack": {"n_sequences": _size(_MAX_ATTACK_SEQUENCES),
+               "fit_space_model": ("a JSON bool", lambda v: isinstance(v, bool)),
                **{f"space_{k}": _NON_NEGATIVE for k in ("hold_mean", "hold_std", "gap_mean", "gap_std")}},
-    "eval": {"n_sequences": _COUNT},
+    "eval": {"n_sequences": _size(_MAX_EVAL_SEQUENCES)},
 }
 
 
@@ -173,11 +190,11 @@ def config_from_dict(doc: dict) -> RunConfig:
     return cfg
 
 
-def check_count(value, name: str) -> None:
-    """Reject a count that is not an integer >= 1."""
-    what, ok = _COUNT
+def check_flag(value, flag: str, section: str, key: str) -> None:
+    """Reject a command-line value that config.<section>.<key> would reject, naming the flag."""
+    what, ok = _VALUE_CHECKS[section][key]
     if not ok(value):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+        raise ConfigError(f"{flag} must be {what}, got {value!r}")
 
 
 def load_config(path: str | Path) -> RunConfig:

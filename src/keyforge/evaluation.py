@@ -6,6 +6,10 @@ fake-vs-fake expect a same-user decision, fake-vs-other-users expects
 different-user. "same_user" is the positive class for confusion accounting.
 Each test's result is its report entry, a JSON-ready dict.
 
+A test's pairs are its two (n, 15, 5) sets, never n² rows: the verifier
+embeds each distinct set once, every set of every test in one forward pass,
+and a test's n² distances come from the n + n codes of its two sets.
+
 Test 1's accuracy is genuinely ambiguous in direction: a high value here reads
 as attack acceptance under the expectations above, while a strict-verifier
 reading would invert it. The report carries both rates for test 1.
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .verifier import PairSet, VerifierBundle, pair_distances
+from .verifier import VerifierBundle, embed, require_finite
 
 SAME_USER = "same_user"
 DIFFERENT_USER = "different_user"
@@ -70,15 +74,30 @@ def metrics(tp: int, tn: int, fp: int, fn: int) -> dict:
             "flags": flags}
 
 
+@dataclass(frozen=True)
+class CrossPairs:
+    """Every pairing of two sets, all expecting one decision.
+
+    Pair i * len(right) + j is (left[i], right[j]).
+    """
+
+    left: np.ndarray  # (n, 15, 5)
+    right: np.ndarray  # (m, 15, 5)
+    same: bool  # whether every pair is expected to come from one user
+
+    def __len__(self) -> int:
+        return len(self.left) * len(self.right)
+
+
 def build_test_pairs(
     test_id: int,
-    real_alice: list[np.ndarray],
-    fake_alice: list[np.ndarray],
-    fake_alice_b: list[np.ndarray],
-    real_others: list[np.ndarray],
+    real_alice: np.ndarray,
+    fake_alice: np.ndarray,
+    fake_alice_b: np.ndarray,
+    real_others: np.ndarray,
     n: int,
-) -> PairSet:
-    """Cross-product pairing for one test protocol: pair i*n + j is (left[i], right[j])."""
+) -> CrossPairs:
+    """Cross-product pairing for one test protocol: n² pairs, pair i*n + j is (left[i], right[j])."""
     if test_id not in TEST_IDS:
         raise ValueError(f"test_id must be in {TEST_IDS}, got {test_id}")
     referenced = {
@@ -90,8 +109,7 @@ def build_test_pairs(
         if len(seqs) != n:
             raise ValueError(f"test {test_id}: set {name} has {len(seqs)} sequences, expected {n}")
     (_, left), (_, right) = referenced
-    same = np.full(n * n, TEST_EXPECTATIONS[test_id] == SAME_USER)
-    return PairSet(np.repeat(left, n, axis=0), np.tile(right, (n, 1, 1)), same)
+    return CrossPairs(np.asarray(left), np.asarray(right), TEST_EXPECTATIONS[test_id] == SAME_USER)
 
 
 def sample_other_sequences(
@@ -123,21 +141,27 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _run_one_test(bundle: VerifierBundle, test_id: int, pairs: PairSet) -> dict:
-    d = pair_distances(bundle, pairs)
-    if bundle.tau is None:
-        raise ValueError("verifier bundle is not calibrated (tau unset)")
-    same = d <= bundle.tau
-    expected = pairs.same
-    tp = int(np.count_nonzero(same & expected))
-    tn = int(np.count_nonzero(~same & ~expected))
-    fp = int(np.count_nonzero(same & ~expected))
-    fn = int(np.count_nonzero(~same & expected))
-    same_user_rate = float(np.count_nonzero(same)) / len(pairs)
+def _cross_distances(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """|left[i] - right[j]| for every pair of codes, entry i * len(right) + j.
+
+    The sum is np.linalg.norm's own for real input. Raises
+    NonFiniteDistanceError when a distance is NaN or infinite.
+    """
+    with np.errstate(all="ignore"):
+        diff = left[:, None, :] - right[None, :, :]
+        d = np.sqrt(np.add.reduce(diff * diff, axis=-1)).ravel()
+    return require_finite(d)
+
+
+def _test_entry(test_id: int, d: np.ndarray, tau: float, same: bool) -> dict:
+    accepted = int(np.count_nonzero(d <= tau))
+    rejected = d.size - accepted
+    tp, fn, fp, tn = (accepted, rejected, 0, 0) if same else (0, 0, accepted, rejected)
+    same_user_rate = accepted / d.size
     entry = {
         "name": TEST_NAMES[test_id],
         "expected_decision": TEST_EXPECTATIONS[test_id],
-        "n_pairs": len(pairs),
+        "n_pairs": d.size,
         "matches": tp + tn,
         "same_user_rate": same_user_rate,
         "confusion": {"tp": tp, "tn": tn, "fp": fp, "fn": fn},
@@ -151,16 +175,27 @@ def _run_one_test(bundle: VerifierBundle, test_id: int, pairs: PairSet) -> dict:
 
 def run_tests(
     bundle: VerifierBundle,
-    pairs_by_condition: dict[str, dict[int, PairSet]],
+    pairs_by_condition: dict[str, dict[int, CrossPairs]],
     metadata: dict | None = None,
 ) -> EvalReport:
-    """Evaluate every condition's three test protocols against the verifier."""
-    results = {}
-    for condition, tests in pairs_by_condition.items():
-        results[condition] = {
-            f"test{test_id}": _run_one_test(bundle, test_id, pairs)
-            for test_id, pairs in sorted(tests.items())
-        }
+    """Evaluate every condition's three test protocols against the verifier.
+
+    Sets are told apart by identity. Each distinct set is embedded once, in
+    order of first use, all of them in one forward pass.
+    """
+    if bundle.tau is None:
+        raise ValueError("verifier bundle is not calibrated (tau unset)")
+    tests = [(condition, test_id, pairs) for condition, by_id in pairs_by_condition.items()
+             for test_id, pairs in sorted(by_id.items())]
+    sets = {id(s): s for _, _, pairs in tests for s in (pairs.left, pairs.right)}
+    with np.errstate(all="ignore"):
+        codes = embed(bundle, np.concatenate(list(sets.values())))
+    ends = np.cumsum([len(s) for s in sets.values()])
+    code_of = dict(zip(sets, np.split(codes, ends[:-1])))
+    results = {condition: {} for condition in pairs_by_condition}
+    for condition, test_id, pairs in tests:
+        d = _cross_distances(code_of[id(pairs.left)], code_of[id(pairs.right)])
+        results[condition][f"test{test_id}"] = _test_entry(test_id, d, bundle.tau, pairs.same)
     return EvalReport(results=results, metadata=dict(metadata or {}))
 
 

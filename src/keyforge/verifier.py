@@ -161,7 +161,8 @@ def _windows(users: list[UserLog], user: np.ndarray, k: np.ndarray) -> np.ndarra
     return slice_windows(rows[(starts[inverse][:, None] + np.arange(WORD_LEN)).ravel()])
 
 
-def _embed(bundle: VerifierBundle, matrices: np.ndarray) -> np.ndarray:
+def embed(bundle: VerifierBundle, matrices: np.ndarray) -> np.ndarray:
+    """The code of each (15, 5) sequence, one row each, from one forward pass."""
     out, _ = nn.forward(bundle.network, matrices.reshape(-1, SEQ_DIM))
     return out
 
@@ -173,7 +174,12 @@ def pair_distances(bundle: VerifierBundle, pairs: PairSet) -> np.ndarray:
     overflowing weights give; the overflow itself stays silent.
     """
     with np.errstate(all="ignore"):
-        d = np.linalg.norm(_embed(bundle, pairs.a) - _embed(bundle, pairs.b), axis=1)
+        d = np.linalg.norm(embed(bundle, pairs.a) - embed(bundle, pairs.b), axis=1)
+    return require_finite(d)
+
+
+def require_finite(d: np.ndarray) -> np.ndarray:
+    """d itself, or NonFiniteDistanceError naming how many distances are NaN or infinite and the first."""
     if not np.isfinite(d).all():
         bad = np.flatnonzero(~np.isfinite(d))
         raise NonFiniteDistanceError(

@@ -88,6 +88,18 @@ def test_ingest_missing_file_is_data_error(tmp_path, capsys):
     assert "nope.tsv" in capsys.readouterr().err
 
 
+def test_ingest_of_a_directory_is_data_error(tmp_path, capsys):
+    assert_data_error(main(["ingest", "--log", str(tmp_path)]), capsys, tmp_path, "Is a directory")
+
+
+def test_attack_with_a_file_as_gan_dir_is_data_error(tmp_path, corpus_file, capsys):
+    out = tmp_path / "f.tsv"
+    code = main(["attack", "--gan-dir", str(corpus_file), "--corpus", str(corpus_file),
+                 "--user", "u0", "--condition", "ordered", "--out", str(out)])
+    assert_data_error(code, capsys, corpus_file / "generator.json", "Not a directory")
+    assert not out.exists()
+
+
 def test_ingest_malformed_file_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("PARTICIPANT_ID\tSENTENCE_ID\tKEYCODE\tPRESS_TIME\tRELEASE_TIME\nu1\ts1\tx\t1\t2\n")
@@ -254,6 +266,16 @@ def test_attack_zero_sequences_is_config_error(tmp_path, tiny_config, corpus_fil
     assert not (tmp_path / "f.tsv").exists()
 
 
+def test_attack_sequences_past_the_ceiling_is_config_error(tmp_path, corpus_file, capsys):
+    """The flag meets the attack.n_sequences ceiling; the check comes before any file is read."""
+    code = main(["attack", "--gan-dir", str(tmp_path / "nothing"), "--corpus", str(corpus_file),
+                 "--user", "u0", "--condition", "ordered", "--out", str(tmp_path / "f.tsv"),
+                 "--n-sequences", str(10**12)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: --n-sequences must be an integer in [1, 238609], got 1000000000000\n")
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("train-verifier", "--epochs", "0"),
     ("train-verifier", "--epochs", "-2"),
@@ -405,11 +427,12 @@ def test_run_all_golden_digests(tmp_path, tiny_config):
     assert digests == GOLDEN_SHA256
 
 
-# sha256 over every distance pair_distances returns in run-all at TINY_CONFIG, in
-# call order: threshold calibration, held-out accuracy, then the six test sets.
-# The report only says on which side of tau each distance falls; this pins the
-# distances themselves. Their bits depend on the BLAS thread count, so the run
-# pins one thread in a fresh interpreter.
+# sha256 over every distance run-all computes at TINY_CONFIG, in call order:
+# threshold calibration and held-out accuracy (pair_distances), then the six
+# test sets (evaluation's n x n distances). The report only says on which side
+# of tau each distance falls; this pins the distances themselves. Their bits
+# depend on the BLAS thread count, so the run pins one thread in a fresh
+# interpreter.
 DISTANCES_SHA256 = "0548154830415315031fdf6465ede65997bf3399793708b07f98ec09b6452084"
 
 _DISTANCES_SCRIPT = """
@@ -418,14 +441,16 @@ from keyforge import evaluation, pipeline, verifier
 from keyforge.config import config_from_dict
 
 distances = []
-pair_distances = verifier.pair_distances
 
-def recorded(bundle, pairs):
-    d = pair_distances(bundle, pairs)
-    distances.append(d)
-    return d
+def recorded(fn):
+    def call(*args):
+        d = fn(*args)
+        distances.append(d)
+        return d
+    return call
 
-verifier.pair_distances = evaluation.pair_distances = recorded
+verifier.pair_distances = recorded(verifier.pair_distances)
+evaluation._cross_distances = recorded(evaluation._cross_distances)
 with tempfile.TemporaryDirectory() as out:
     pipeline.run_all(config_from_dict(json.loads(sys.argv[1])), out, log=lambda *args: None)
 h = hashlib.sha256()
@@ -510,6 +535,13 @@ def test_evaluate_with_verifier_of_other_width_is_data_error(tmp_path, corpus_fi
     out_json = tmp_path / "report.json"
     code = main(evaluate_args(path, corpus_file, out_json))
     assert_data_error(code, capsys, path, "verifier maps 74 -> 64, expected 75 -> 64")
+    assert not out_json.exists()
+
+
+def test_evaluate_with_a_directory_as_verifier_is_data_error(tmp_path, corpus_file, capsys):
+    out_json = tmp_path / "report.json"
+    code = main(evaluate_args(tmp_path, corpus_file, out_json))
+    assert_data_error(code, capsys, tmp_path, "Is a directory")
     assert not out_json.exists()
 
 
@@ -732,7 +764,12 @@ def test_evaluate_fake_flags_that_do_not_match_the_conditions_are_usage_errors(
     ({"attack": {"n_sequences": 3, "fit_space_model": "no"}},
      "config.attack.fit_space_model must be a JSON bool, got 'no'"),
     ({"conditions": []}, "config.conditions must be a non-empty list, got []"),
-], ids=["negative-space-std", "nan-space-mean", "string-bool", "no-conditions"])
+    ({"attack": {"n_sequences": 10**12}},
+     "config.attack.n_sequences must be an integer in [1, 238609], got 1000000000000"),
+    ({"eval": {"n_sequences": 10**12}},
+     "config.eval.n_sequences must be an integer in [1, 1448], got 1000000000000"),
+], ids=["negative-space-std", "nan-space-mean", "string-bool", "no-conditions", "huge-attack-sequences",
+        "huge-eval-sequences"])
 def test_run_all_config_hole_is_config_error_naming_the_key(tmp_path, override, message, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(dict(TINY_CONFIG, **override)))

@@ -113,6 +113,7 @@ def test_config_hash_of_valid_configs_is_pinned():
     {"conditions": ["random"]},
     {"attack": {"fit_space_model": False, "space_hold_mean": 0, "space_hold_std": 0.0,
                 "space_gap_mean": 2, "space_gap_std": 1e-300}},
+    {"attack": {"n_sequences": 238609}, "eval": {"n_sequences": 1448}},
 ])
 def test_boundary_values_accepted(doc):
     config_from_dict(doc)
@@ -145,6 +146,8 @@ def test_boundary_values_accepted(doc):
     ({"attack": {"space_gap_std": float("inf")}}, "config.attack.space_gap_std"),
     ({"attack": {"space_hold_std": True}}, "config.attack.space_hold_std"),
     ({"attack": {"space_gap_mean": "0.1"}}, "config.attack.space_gap_mean"),
+    ({"attack": {"n_sequences": 238610}}, "config.attack.n_sequences must be an integer in [1, 238609]"),
+    ({"eval": {"n_sequences": 1449}}, "config.eval.n_sequences must be an integer in [1, 1448]"),
 ])
 def test_bad_values_rejected_naming_the_key(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)):

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from keyforge import pipeline
+from keyforge import evaluation, pipeline
 from keyforge.attack import ATTACKER_ID
 from keyforge.config import RunConfig
 from keyforge.data import WORD_LEN, Corpus, UserLog, synth_corpus
@@ -18,7 +23,7 @@ from keyforge.evaluation import (
     sample_other_sequences,
 )
 from keyforge.nn import LayerSpec, NetworkParams
-from keyforge.verifier import VerifierBundle, sequences_from_corpus, window_count
+from keyforge.verifier import NonFiniteDistanceError, VerifierBundle, sequences_from_corpus, window_count
 
 counts = st.integers(min_value=0, max_value=1000)
 N = 20  # the default eval.n_sequences
@@ -122,13 +127,13 @@ def test_build_test_pairs_cross_product():
     for test_id, expected_same in ((1, True), (2, True), (3, False)):
         pairs = build_test_pairs(test_id, real, fake, fake_b, others, N)
         assert len(pairs) == 400
-        assert pairs.a.shape == pairs.b.shape == (400, 15, 5)
-        assert pairs.same.dtype == bool and (pairs.same == expected_same).all()
+        assert pairs.left.shape == pairs.right.shape == (N, 15, 5)
+        assert pairs.same is expected_same
         left, right = sets[test_id]
         for i in range(N):
-            for j in range(N):
-                assert np.array_equal(pairs.a[i * N + j], left[i])
-                assert np.array_equal(pairs.b[i * N + j], right[j])
+            for j in range(N):  # pair i * N + j is (pairs.left[i], pairs.right[j])
+                assert np.array_equal(pairs.left[i], left[i])
+                assert np.array_equal(pairs.right[j], right[j])
 
 
 def test_build_test_pairs_validates_sizes():
@@ -201,9 +206,9 @@ def test_evaluate_attack_scores_the_windows_of_the_full_sequence_set(monkeypatch
     for test_id in (1, 2, 3):
         expected = build_test_pairs(test_id, seqs["u0"][:n], fake, fake, real_others, n)
         got = seen["ordered"][test_id]
-        assert got.a.tobytes() == expected.a.tobytes()
-        assert got.b.tobytes() == expected.b.tobytes()
-        assert np.array_equal(got.same, expected.same)
+        assert got.left.tobytes() == expected.left.tobytes()
+        assert got.right.tobytes() == expected.right.tobytes()
+        assert got.same is expected.same
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +268,10 @@ def test_run_tests_accuracy_matches_hand_counter():
     report = run_tests(bundle, {"ordered": pairs})
     for test_id, test_pairs in pairs.items():
         hand = 0
-        for a, b, expected_same in zip(test_pairs.a, test_pairs.b, test_pairs.same):
-            d = np.linalg.norm((a - b).reshape(-1)[:64])
-            hand += (d <= 1.0) == expected_same
+        for a in test_pairs.left:
+            for b in test_pairs.right:
+                d = np.linalg.norm((a - b).reshape(-1)[:64])
+                hand += (d <= 1.0) == test_pairs.same
         assert report.results["ordered"][f"test{test_id}"]["matches"] == hand
 
 
@@ -315,3 +321,99 @@ def test_run_tests_requires_calibrated_bundle():
     bundle = identity_bundle(tau=None)
     with pytest.raises(ValueError):
         run_tests(bundle, {"ordered": oracle_pairs()})
+
+
+def norm_by_pair(left, right):
+    """Pair i * len(right) + j's distance from one np.linalg.norm call, over identity_bundle's codes.
+
+    The codes are the first 64 cells, which the identity layer gives exactly;
+    axis=1 picks norm's sum of squares, the one pair_distances takes.
+    """
+    return np.array([np.linalg.norm((a.reshape(-1)[:64] - b.reshape(-1)[:64])[None], axis=1)[0]
+                     for a in left for b in right])
+
+
+# six sets of one size: real, others, and a fake a and b for each of two conditions
+sequence_sets = st.integers(1, 5).flatmap(lambda n: st.tuples(*[
+    arrays(np.float64, (n, 15, 5), elements=st.floats(0.0, 1.0), fill=st.sampled_from([0.0, 0.5, 1.0]))
+    for _ in range(6)]))
+
+
+@given(sets=sequence_sets, n_conditions=st.integers(1, 2), data=st.data())
+def test_run_tests_entries_match_a_pair_by_pair_norm(sets, n_conditions, data):
+    real, others, *fakes = sets
+    n = len(real)
+    pairs = {condition: {test_id: build_test_pairs(test_id, real, fakes[2 * k], fakes[2 * k + 1], others, n)
+                         for test_id in (1, 2, 3)}
+             for k, condition in enumerate(("ordered", "random")[:n_conditions])}
+    reference = {(condition, test_id): norm_by_pair(p.left, p.right)
+                 for condition, tests in pairs.items() for test_id, p in tests.items()}
+    # a tau that some distance equals exactly, or any tau
+    tau = data.draw(st.sampled_from(sorted(np.concatenate(list(reference.values())).tolist()))
+                    | st.floats(0.0, 10.0))
+    report = run_tests(identity_bundle(tau), pairs)
+    for (condition, test_id), d in reference.items():
+        accepted = int(np.count_nonzero(d <= tau))
+        confusion = ({"tp": accepted, "tn": 0, "fp": 0, "fn": n * n - accepted} if test_id != 3
+                     else {"tp": 0, "tn": n * n - accepted, "fp": accepted, "fn": 0})
+        entry = report.results[condition][f"test{test_id}"]
+        assert entry["n_pairs"] == n * n
+        assert entry["confusion"] == confusion
+        assert entry["matches"] == confusion["tp"] + confusion["tn"]
+        assert entry["same_user_rate"] == accepted / (n * n)
+
+
+def test_run_tests_non_finite_code_is_named_by_count_and_first_pair():
+    """One infinite cell makes that window's whole code NaN (inf * 0 in the product): its n pairs fail."""
+    fake = np.array(seq_set(0.01))
+    fake[2, 0, 0] = np.inf
+    pairs = {test_id: build_test_pairs(test_id, np.asarray(seq_set(0.0)), fake, np.asarray(seq_set(0.02)),
+                                       np.asarray(seq_set(5.0)), N) for test_id in (1, 2, 3)}
+    with pytest.raises(NonFiniteDistanceError,
+                       match=r"^verifier gives 20 non-finite distances of 400, first at pair 2$"):
+        run_tests(identity_bundle(tau=1.0), {"ordered": pairs})
+
+
+# run_tests' distances against pair_distances over the same pairs as n² rows
+# (the left set repeated, the right tiled), at the default verifier shapes and
+# two conditions as run-all scores them. Both take their bits from BLAS, whose
+# results can depend on the batch shape, so the run pins one thread in a
+# fresh interpreter.
+_REPEAT_TILE_SCRIPT = """
+import numpy as np
+from keyforge import evaluation, nn, verifier
+
+distances = []
+cross_distances = evaluation._cross_distances
+
+def recorded(left, right):
+    distances.append(cross_distances(left, right))
+    return distances[-1]
+
+evaluation._cross_distances = recorded
+rng = np.random.default_rng(5)
+net = nn.init_network(verifier.embedding_specs(verifier.VerifierConfig().hidden), 5)
+bundle = verifier.VerifierBundle(net, tau=1.0)
+for n in (15, 20, 30):
+    real, others = rng.random((2, n, 15, 5))
+    pairs = {}
+    for condition in ("ordered", "random"):
+        fake_a, fake_b = rng.random((2, n, 15, 5))
+        pairs[condition] = {test_id: evaluation.build_test_pairs(test_id, real, fake_a, fake_b, others, n)
+                            for test_id in (1, 2, 3)}
+    distances.clear()
+    evaluation.run_tests(bundle, pairs)
+    rows = [verifier.PairSet(np.repeat(p.left, n, axis=0), np.tile(p.right, (n, 1, 1)), np.full(n * n, p.same))
+            for tests in pairs.values() for p in tests.values()]
+    old = [verifier.pair_distances(bundle, r) for r in rows]
+    print(n, len(distances), sum(d.tobytes() != o.tobytes() for d, o in zip(distances, old)))
+"""
+
+
+def test_run_tests_distances_equal_pair_distances_over_repeat_tile_rows():
+    src = str(Path(evaluation.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _REPEAT_TILE_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["15 6 0", "20 6 0", "30 6 0"]
