@@ -15,7 +15,7 @@ from . import gan as gan_mod
 from . import pipeline
 from . import verifier as verifier_mod
 from .attack import CONDITIONS, NonFiniteSampleError
-from .config import ConfigError, RunConfig, check_flag, load_config
+from .config import ConfigError, RunConfig, check_flag, config_hash, load_config
 from .data import ParseError, ValidationError, export_log, ingest_log, synth_corpus
 from .nn import CheckpointError, TrainingError
 from .pipeline import DataError
@@ -35,12 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_synth_data(args) -> int:
-    if args.users < 2:
-        print("synth-data: --users must be >= 2 (impostor pairs need a second user)", file=sys.stderr)
-        return EXIT_USAGE
-    if args.sentences < 1:
-        print("synth-data: --sentences must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    check_flag(args.users, "--users", "data", "users")
+    check_flag(args.sentences, "--sentences", "data", "sentences_per_user")
     corpus = synth_corpus(args.users, args.sentences, args.seed)
     export_log(corpus, args.out)
     print(f"wrote {args.out}: {len(corpus.users)} users, "
@@ -133,8 +129,11 @@ def cmd_evaluate(args) -> int:
     fakes = {condition: (ingest_log(fake_paths[f"fake_{condition}_a"]),
                          ingest_log(fake_paths[f"fake_{condition}_b"])) for condition in cfg.conditions}
     metadata = {
+        "config_hash": config_hash(cfg),
         "seeds": {"eval": cfg.seeds.resolved().eval},
         "tau": bundle.tau,
+        "verifier_eer": bundle.metadata.get("eer"),
+        "verifier_heldout_accuracy": bundle.metadata.get("heldout_accuracy"),
         "checkpoints": {"verifier": pipeline.file_digest(args.verifier)},
         "inputs": {name: pipeline.file_digest(path)
                    for name, path in {"corpus": args.corpus, **fake_paths}.items()},

@@ -13,6 +13,10 @@ extract_features always takes those lengths, even for one sentence. Each
 sentence's last row is a terminal row, so no word or window spans two
 sentences. A sample set stays one (n, 15, 5) array, and KeyEvent lists become
 Sentences only in UserLog: every other reader of keystrokes takes Sentences.
+
+ingest_log reads a TSV log in blocks of INGEST_BLOCK_LINES lines through one
+bulk parser. A block that fails is read again through the same parser one line
+at a time, so the first bad line is named without re-reading the whole log.
 """
 
 from __future__ import annotations
@@ -379,34 +383,67 @@ def synth_corpus(n_users: int, sentences_per_user: int, seed: int) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def _parse_line(path: Path, lineno: int, line: str) -> tuple[str, str, KeyEvent]:
-    """One non-blank log line as (participant, sentence, event), or the error that names its line."""
-    cells = line.split("\t")
-    if len(cells) != len(TSV_COLUMNS):
-        raise ParseError(f"{path}:{lineno}: expected {len(TSV_COLUMNS)} columns, got {len(cells)}")
-    pid, sid, kc_text, press_text, release_text = cells
-    try:
-        keycode = int(kc_text)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: keycode {kc_text!r} is not an integer") from None
-    try:
-        press = float(press_text)
-        release = float(release_text)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: non-numeric time in {cells!r}") from None
-    try:
-        event = KeyEvent(keycode=keycode, press_time=press, release_time=release)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    return pid, sid, event
+# Body lines ingest_log parses at once: a bound on the cell strings held together, and on
+# the lines a block that fails reads again one at a time.
+INGEST_BLOCK_LINES = 4096
 
 
-def _raise_first_bad_line(path: Path, lines: list[str]) -> NoReturn:
-    """Raise the error of the first body line that does not parse into a valid event."""
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.strip():
-            _parse_line(path, lineno, line)
-    raise AssertionError(f"{path}: the bulk reader rejected a log whose every line is valid")
+def _parse_block(
+    path: Path, lineno: int, lines: list[str], group_of: dict[tuple[str, str], int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log body lines, the first at line number lineno, as (n, 3) [keycode, press, release] rows and group ids.
+
+    Blank and whitespace-only lines carry nothing. Cells are split, parsed
+    with int and float and checked in bulk. A line's group id is its
+    (participant, sentence) key's in group_of, which numbers keys in order of
+    first appearance across every block. A block that breaks a rule is read
+    again through this parser one line at a time, and its first bad line
+    raises the error that names it.
+    """
+
+    def reject(error: type[ValueError], problem: str) -> NoReturn:
+        """Raise a one-line block's problem, naming its line; read a longer block again line by line."""
+        if len(lines) == 1:
+            raise error(f"{path}:{lineno}: {problem}")
+        for i, line in enumerate(lines):
+            if line.strip():
+                _parse_block(path, lineno + i, [line], group_of)
+        raise AssertionError(f"{path}:{lineno}: a block of valid lines was rejected")
+
+    body = list(filter(str.strip, lines))
+    n = len(body)
+    if not n:
+        return np.empty((0, 3)), np.empty(0, dtype=np.int64)
+    # Joined with "\t\n", a line's first cell is the only one to start with "\n": every
+    # line has 5 cells exactly when the first cells hold all n - 1 of them.
+    cells = "\t\n".join(body).split("\t")
+    pids = "".join(cells[0::5]).split("\n")
+    if len(cells) != 5 * n or len(pids) != n:
+        reject(ParseError, f"expected {len(TSV_COLUMNS)} columns, got {len(cells)}")
+    try:
+        keycodes = list(map(int, cells[2::5]))
+    except ValueError:
+        reject(ParseError, f"keycode {cells[2]!r} is not an integer")
+    rows = np.empty((n, 3))
+    try:
+        rows[:, PRESS_COL] = np.fromiter(map(float, cells[3::5]), np.float64, n)
+        rows[:, RELEASE_COL] = np.fromiter(map(float, cells[4::5]), np.float64, n)
+    except ValueError:
+        reject(ParseError, f"non-numeric time in {cells!r}")
+    in_range = 0 <= min(keycodes) <= max(keycodes) <= 255  # compared as ints: any size is fine
+    if in_range:
+        rows[:, KEY_COL] = keycodes
+    if not in_range or _bad_rows(rows).any():
+        reject(ValidationError, str(_event_problem(keycodes[0], *rows[0, PRESS_COL:].tolist())))
+
+    # the dict sees one key per run of equal keys
+    sids = cells[1::5]
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = (np.fromiter(map(operator.ne, pids[1:], pids[:-1]), bool, n - 1)
+                   | np.fromiter(map(operator.ne, sids[1:], sids[:-1]), bool, n - 1))
+    run_starts = np.flatnonzero(new_run)
+    run_groups = [group_of.setdefault((pids[i], sids[i]), len(group_of)) for i in run_starts.tolist()]
+    return rows, np.repeat(run_groups, np.diff(run_starts, append=n))
 
 
 def ingest_log(path: str | Path) -> Corpus:
@@ -417,55 +454,29 @@ def ingest_log(path: str | Path) -> Corpus:
     events that violate invariants (release < press, duplicate press times)
     raise validation errors naming the offending event.
 
-    Lines are split, parsed with int and float and checked in bulk; only a
-    log that fails is read again line by line, to name its first bad line.
-    Sentences are grouped by (participant, sentence) in order of first
+    The body is read in blocks of INGEST_BLOCK_LINES lines through one
+    parser (_parse_block), so only one block's cells are held as strings at
+    once; a block that fails is read again line by line to name its first bad
+    line. Sentences are grouped by (participant, sentence) in order of first
     appearance and sorted stably by press time, as views into one array.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    lines = text.splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file, expected header row")
     header = tuple(lines[0].rstrip("\n").split("\t"))
     if header != TSV_COLUMNS:
         raise ParseError(f"{path}:1: bad header {header!r}, expected {TSV_COLUMNS!r}")
 
-    body = list(filter(str.strip, lines[1:]))  # blank and whitespace-only lines carry nothing
-    n = len(body)
-    if n == 0:
-        return Corpus(users=[])
-    # Joined with "\t\n", a line's first cell is the only one to start with "\n": every
-    # line has 5 cells exactly when the first cells hold all n - 1 of them.
-    cells = "\t\n".join(body).split("\t")
-    pids = "".join(cells[0::5]).split("\n")
-    if len(cells) != 5 * n or len(pids) != n:
-        _raise_first_bad_line(path, lines)
-    sids = cells[1::5]
-    try:
-        keycodes = list(map(int, cells[2::5]))
-        rows = np.empty((n, 3))
-        rows[:, PRESS_COL] = np.fromiter(map(float, cells[3::5]), np.float64, n)
-        rows[:, RELEASE_COL] = np.fromiter(map(float, cells[4::5]), np.float64, n)
-    except ValueError:
-        _raise_first_bad_line(path, lines)
-    if not 0 <= min(keycodes) <= max(keycodes) <= 255:  # compared as ints: any size is fine
-        _raise_first_bad_line(path, lines)
-    rows[:, KEY_COL] = keycodes
-    if _bad_rows(rows).any():
-        _raise_first_bad_line(path, lines)
-
-    # one group id per row, by first appearance; the dict sees one key per run of equal keys
-    new_run = np.ones(n, dtype=bool)
-    new_run[1:] = (np.fromiter(map(operator.ne, pids[1:], pids[:-1]), bool, n - 1)
-                   | np.fromiter(map(operator.ne, sids[1:], sids[:-1]), bool, n - 1))
-    run_starts = np.flatnonzero(new_run)
     group_of: dict[tuple[str, str], int] = {}
-    run_groups = [group_of.setdefault((pids[i], sids[i]), len(group_of)) for i in run_starts.tolist()]
-    groups = np.repeat(run_groups, np.diff(run_starts, append=n))
+    blocks = [_parse_block(path, start + 1, lines[start : start + INGEST_BLOCK_LINES], group_of)
+              for start in range(1, len(lines), INGEST_BLOCK_LINES)]
+    if not group_of:
+        return Corpus(users=[])
+    rows, groups = map(np.concatenate, zip(*blocks))
     order = np.lexsort((rows[:, PRESS_COL], groups))  # stable: equal presses keep file order
     rows, groups = rows[order], groups[order]
     presses = rows[:, PRESS_COL]

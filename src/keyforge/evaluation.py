@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .verifier import VerifierBundle, embed, require_finite
+from .verifier import VerifierBundle, code_distances, embed, require_finite
 
 SAME_USER = "same_user"
 DIFFERENT_USER = "different_user"
@@ -144,12 +144,10 @@ class EvalReport:
 def _cross_distances(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """|left[i] - right[j]| for every pair of codes, entry i * len(right) + j.
 
-    The sum is np.linalg.norm's own for real input. Raises
-    NonFiniteDistanceError when a distance is NaN or infinite.
+    Raises NonFiniteDistanceError when a distance is NaN or infinite.
     """
     with np.errstate(all="ignore"):
-        diff = left[:, None, :] - right[None, :, :]
-        d = np.sqrt(np.add.reduce(diff * diff, axis=-1)).ravel()
+        d = code_distances(left[:, None, :] - right[None, :, :]).ravel()
     return require_finite(d)
 
 

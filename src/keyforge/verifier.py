@@ -174,8 +174,16 @@ def pair_distances(bundle: VerifierBundle, pairs: PairSet) -> np.ndarray:
     overflowing weights give; the overflow itself stays silent.
     """
     with np.errstate(all="ignore"):
-        d = np.linalg.norm(embed(bundle, pairs.a) - embed(bundle, pairs.b), axis=1)
+        d = code_distances(embed(bundle, pairs.a) - embed(bundle, pairs.b))
     return require_finite(d)
+
+
+def code_distances(diff: np.ndarray) -> np.ndarray:
+    """The Euclidean length of each code difference along the last axis: the one statement of the pair distance.
+
+    The sum is np.linalg.norm's own for real input, so the bits equal norm's.
+    """
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
 def require_finite(d: np.ndarray) -> np.ndarray:
@@ -235,7 +243,7 @@ def train_verifier(pairs: PairSet, config: VerifierConfig, seed: int) -> Verifie
             ea, tape_a = nn.forward(net, a_all[idx])
             eb, tape_b = nn.forward(net, b_all[idx])
             diff = ea - eb
-            d = np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm's own sum for real input
+            d = code_distances(diff)
             losses, dldd = nn.contrastive_loss(d, pairs.same[idx], config.margin)
             epoch_loss += float(losses.sum())
             # unit direction of d wrt ea; zero where d == 0 (valid subgradient)

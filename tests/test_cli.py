@@ -62,6 +62,17 @@ def test_synth_data_single_user_is_usage_error(tmp_path):
     assert main(["synth-data", "--users", "1", "--out", str(tmp_path / "x.tsv")]) == 1
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--users", "1", "config error: --users must be an integer >= 2, got 1\n"),
+    ("--sentences", "0", "config error: --sentences must be an integer >= 1, got 0\n"),
+])
+def test_synth_data_flags_follow_the_config_rules(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "x.tsv"
+    assert main(["synth-data", flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -735,6 +746,8 @@ def test_evaluate_over_one_condition_run_all_files_reproduces_its_report(tmp_pat
     assert read_back["conditions"] == held["conditions"]
     assert report_txt.read_bytes() == (run / "report.txt").read_bytes()
     assert sorted(read_back["metadata"]["inputs"]) == ["corpus", "fake_ordered_a", "fake_ordered_b"]
+    for key in ("config_hash", "tau", "target_user", "verifier_eer", "verifier_heldout_accuracy"):
+        assert read_back["metadata"][key] == held["metadata"][key], key
 
 
 @pytest.mark.parametrize("conditions, flags, message", [

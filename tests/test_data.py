@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from keyforge.data import (
     COL_PL,
     COL_RL,
     Corpus,
+    INGEST_BLOCK_LINES,
     KeyEvent,
     N_FEATURES,
     ParseError,
@@ -333,6 +335,79 @@ def test_ingest_of_a_huge_keycode_names_its_line(tmp_path):
     path = write_log(tmp_path, ["u1\ts1\t72\t1000\t1080", "u1\ts1\t" + "9" * 400 + "\t1100\t1180"])
     with pytest.raises(ValidationError, match=f":3: keycode {'9' * 400} outside 0..255"):
         ingest_log(path)
+
+
+BLOCK = INGEST_BLOCK_LINES
+
+
+def block_log_rows() -> list[str]:
+    """Valid rows of a log that runs past a second block: 30-key sentences of 7 users, in press order.
+
+    The sentence at the end of the first block runs on into the second.
+    """
+    rows = []
+    for k in range(2 * BLOCK // 30 + 10):
+        rows += [f"u{k % 7}\ts{k}\t{97 + j % 26}\t{100.0 * j!r}\t{100.0 * j + 50.0!r}" for j in range(30)]
+    assert rows[BLOCK - 1].split("\t")[:2] == rows[BLOCK].split("\t")[:2]
+    return rows
+
+
+def put(rows, at, line):
+    """A copy of rows with line in place of the row at index at."""
+    rows = list(rows)
+    rows[at] = line
+    return rows
+
+
+BAD_KEYCODE, BAD_COLUMNS, BAD_TIME = "u0\ts0\tx\t1.0\t2.0", "u0\ts0\t65\t1.0", "u0\ts0\t65\tnan\t2.0"
+BAD_ORDER, BAD_RANGE = "u0\ts0\t65\t2.0\t1.0", "u0\ts0\t300\t1.0\t2.0"
+BLANKS = ["", "   ", "\t", ""]
+# each case: how it edits block_log_rows(), and the body index of the bad line that must be named
+# (body index i is line i + 2; a block holds BLOCK lines)
+BLOCK_CASES = {
+    "last line of a block": (lambda rows: put(rows, BLOCK - 1, BAD_KEYCODE), BLOCK - 1),
+    "first line of the next block": (lambda rows: put(rows, BLOCK, BAD_COLUMNS), BLOCK),
+    "last line of the file": (lambda rows: put(rows, -1, BAD_TIME), -1),
+    "two in one block": (lambda rows: put(put(rows, BLOCK + 5, BAD_RANGE), BLOCK + 9, BAD_KEYCODE), BLOCK + 5),
+    "two in two blocks": (lambda rows: put(put(rows, BLOCK + 2, BAD_COLUMNS), BLOCK - 3, BAD_ORDER), BLOCK - 3),
+    "after blank lines across a boundary": (
+        lambda rows: put(rows[:BLOCK - 2] + BLANKS + rows[BLOCK - 2:], BLOCK + 3, BAD_TIME), BLOCK + 3),
+    "blank lines across a boundary": (lambda rows: rows[:BLOCK - 2] + BLANKS + rows[BLOCK - 2:], None),
+    "every sentence in every block": (
+        lambda rows: [rows[i] for i in np.random.default_rng(3).permutation(len(rows))], None),
+    "one press twice, in two blocks": (lambda rows: rows + [rows[0].replace("\t97\t", "\t98\t")], None),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_ingest_across_blocks_matches_per_line_reader(tmp_path, case):
+    """A log of more than two blocks reads as the line loop reads it: the first bad line is named wherever it falls."""
+    edit, bad_at = BLOCK_CASES[case]
+    rows = edit(block_log_rows())
+    assert len(rows) > 2 * BLOCK
+    path = write_log(tmp_path, rows)
+    got, want = ingest_outcome(ingest_log, path), ingest_outcome(ingest_reference, path)
+    assert got == want
+    if bad_at is not None:
+        assert f"{path}:{bad_at % len(rows) + 2}: " in want[1]
+    elif isinstance(want, Corpus):
+        for u_got, u_want in zip(got.users, want.users):
+            assert all(a.rows.tobytes() == b.rows.tobytes()
+                       for a, b in zip(u_got.sentences, u_want.sentences))
+
+
+def test_ingest_of_a_200_user_corpus_peaks_below_20_mb(tmp_path):
+    """Only one block's cells are strings at once; split whole, this log's cells peaked at 34 MB."""
+    path = tmp_path / "corpus.tsv"
+    export_log(synth_corpus(200, 10, 3), path)
+    tracemalloc.start()
+    try:
+        corpus = ingest_log(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert corpus.n_events() > 50_000
+    assert peak < 20e6
 
 
 # ---------------------------------------------------------------------------
