@@ -15,7 +15,7 @@ from . import gan as gan_mod
 from . import pipeline
 from . import verifier as verifier_mod
 from .attack import CONDITIONS, NonFiniteSampleError
-from .config import ConfigError, RunConfig, check_flag, config_hash, load_config
+from .config import ConfigError, RunConfig, check_flag, load_config
 from .data import ParseError, ValidationError, export_log, ingest_log, synth_corpus
 from .nn import CheckpointError, TrainingError
 from .pipeline import DataError
@@ -128,20 +128,7 @@ def cmd_evaluate(args) -> int:
     corpus = ingest_log(args.corpus)
     fakes = {condition: (ingest_log(fake_paths[f"fake_{condition}_a"]),
                          ingest_log(fake_paths[f"fake_{condition}_b"])) for condition in cfg.conditions}
-    metadata = {
-        "config_hash": config_hash(cfg),
-        "seeds": {"eval": cfg.seeds.resolved().eval},
-        "tau": bundle.tau,
-        "verifier_eer": bundle.metadata.get("eer"),
-        "verifier_heldout_accuracy": bundle.metadata.get("heldout_accuracy"),
-        "checkpoints": {"verifier": pipeline.file_digest(args.verifier)},
-        "inputs": {name: pipeline.file_digest(path)
-                   for name, path in {"corpus": args.corpus, **fake_paths}.items()},
-        "target_user": args.user,
-    }
-    for path in fake_paths.values():
-        if (side := pipeline.read_attack_meta(path)) is not None:
-            metadata["seeds"][f"attack:{Path(path).name}"] = side.get("seed")
+    metadata = pipeline.report_metadata(cfg, bundle, args.verifier, args.user, args.corpus, fake_paths)
     try:
         report = pipeline.evaluate_attack(bundle, corpus, args.user, fakes, cfg, metadata)
     except verifier_mod.NonFiniteDistanceError as exc:

@@ -116,8 +116,6 @@ def _is_real(value) -> bool:
 
 
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
-# make_pairs alternates genuine and impostor pairs, so a split needs two to hold both
-_PAIRS = ("an integer >= 2", lambda v: _is_int(v) and v >= 2)
 _RATE = ("a finite number > 0", lambda v: _is_real(v) and v > 0)
 _NON_NEGATIVE = ("a finite number >= 0", lambda v: _is_real(v) and v >= 0)
 _BETA = ("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1)
@@ -132,10 +130,14 @@ _MAX_ATTACK_SEQUENCES = 2 * _GIB // (WORD_LEN * WORD_LEN * N_FEATURES * 8)
 # eval.n_sequences: one test's (n, n, 64) code differences, from which its n x n
 # distances are summed; 1,448 sequences at most.
 _MAX_EVAL_SEQUENCES = math.isqrt(_GIB // (EMBED_OUT_DIM * 8))
+# verifier.*_pairs: make_pairs draws all three splits as one pair set, two (n, 15, 5)
+# arrays at 1,200 bytes per pair, so 894,784 pairs in total: half for training, a
+# quarter each for calibration and test.
+_MAX_PAIRS = _GIB // (2 * WORD_LEN * N_FEATURES * 8)
 
 
-def _size(most: int) -> tuple:
-    return (f"an integer in [1, {most}]", lambda v: _is_int(v) and 1 <= v <= most)
+def _size(most: int, least: int = 1) -> tuple:
+    return (f"an integer in [{least}, {most}]", lambda v: _is_int(v) and least <= v <= most)
 
 
 # (description, predicate) per checked key of each section
@@ -144,8 +146,10 @@ _VALUE_CHECKS = {
               **{k: _SEED for k in ("data", "verifier", "gan", "attack", "attack_b", "eval")}},
     "data": {"users": ("an integer >= 2", lambda v: _is_int(v) and v >= 2),
              "sentences_per_user": _COUNT},
-    "verifier": {**{k: _COUNT for k in ("epochs", "batch_size", "hidden", "test_pairs")},
-                 "train_pairs": _PAIRS, "calibration_pairs": _PAIRS,
+    # make_pairs alternates genuine and impostor pairs, so a split needs two to hold both
+    "verifier": {**{k: _COUNT for k in ("epochs", "batch_size", "hidden")},
+                 "train_pairs": _size(_MAX_PAIRS // 2, 2), "calibration_pairs": _size(_MAX_PAIRS // 4, 2),
+                 "test_pairs": _size(_MAX_PAIRS // 4),
                  "lr": _RATE, "margin": _RATE, "beta1": _BETA, "beta2": _BETA},
     "gan": {**{k: _COUNT for k in ("max_epochs", "check_interval", "batch_size", "g_hidden",
                                    "d_hidden1", "d_hidden2")},

@@ -173,6 +173,42 @@ def write_report(report: EvalReport, json_path: str | Path | None, table_path: s
     return table
 
 
+def report_metadata(
+    cfg: RunConfig,
+    verifier: VerifierBundle,
+    verifier_path: str | Path,
+    target_user: str,
+    corpus_path: str | Path,
+    fake_paths: dict[str, str | Path],
+) -> dict:
+    """A report's metadata: the scoring config, the verifier's operating point and a digest of every file scored.
+
+    fake_paths maps fake_<condition>_<tag> to each fake stream; the seed that
+    write_attack recorded beside a stream joins the config's seeds as
+    attack:<file name>. run_all adds the generator's fields, which evaluate
+    does not see.
+    """
+    seeds = cfg.seeds.resolved()
+    metadata = {
+        "config_hash": config_hash(cfg),
+        "seeds": {
+            "global": seeds.global_seed, "data": seeds.data, "verifier": seeds.verifier,
+            "gan": seeds.gan, "attack": seeds.attack, "attack_b": seeds.attack_b,
+            "eval": seeds.eval,
+        },
+        "target_user": target_user,
+        "tau": verifier.tau,
+        "verifier_eer": verifier.metadata.get("eer"),
+        "verifier_heldout_accuracy": verifier.metadata.get("heldout_accuracy"),
+        "checkpoints": {"verifier": file_digest(verifier_path)},
+        "inputs": {name: file_digest(path) for name, path in {"corpus": corpus_path, **fake_paths}.items()},
+    }
+    for path in fake_paths.values():
+        if (side := read_attack_meta(path)) is not None:
+            metadata["seeds"][f"attack:{Path(path).name}"] = side.get("seed")
+    return metadata
+
+
 def _require_windows(count: int, n: int, what: str) -> None:
     if count < n:
         raise DataError(f"{what}: only {count} sequences available, need {n}")
@@ -243,7 +279,6 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = cfg.seeds.resolved()
-    cfg_hash = config_hash(cfg)
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
@@ -273,10 +308,9 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     log(f"generator: {gan_bundle.epochs_trained} epochs, {status}")
 
     t0 = time.perf_counter()
-    fake_paths: dict[str, dict[str, Path]] = {}
+    fake_paths: dict[str, Path] = {}  # by evaluate's name, fake_<condition>_<tag>
     fakes_by_condition: dict[str, tuple[Corpus, Corpus]] = {}
     for condition in cfg.conditions:
-        paths = {}
         corpora = []
         for tag, seed in (("a", seeds.attack), ("b", seeds.attack_b)):
             try:
@@ -285,32 +319,15 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
                 raise TrainingError(f"trained generator fails the attack phase: {exc}") from None
             path = out_dir / f"attack_{condition}_{tag}.tsv"
             write_attack(events, path, condition, seed, cfg.target_user, cfg)
-            paths[tag] = path
+            fake_paths[f"fake_{condition}_{tag}"] = path
             corpora.append(attack_events_to_corpus(events))
             log(f"attack [{condition}/{tag}]: {len(events)} events -> {path}")
-        fake_paths[condition] = paths
         fakes_by_condition[condition] = (corpora[0], corpora[1])
     timings["attack"] = time.perf_counter() - t0
 
-    metadata = {
-        "config_hash": cfg_hash,
-        "seeds": {
-            "global": seeds.global_seed, "data": seeds.data, "verifier": seeds.verifier,
-            "gan": seeds.gan, "attack": seeds.attack, "attack_b": seeds.attack_b,
-            "eval": seeds.eval,
-        },
-        "target_user": cfg.target_user,
-        "tau": verifier_bundle.tau,
-        "verifier_eer": vsummary["eer"],
-        "verifier_heldout_accuracy": vsummary["heldout_accuracy"],
-        "gan_epochs": gan_bundle.epochs_trained,
-        "gan_converged": gan_bundle.converged,
-        "checkpoints": {
-            "verifier": file_digest(verifier_path),
-            "generator": file_digest(g_path),
-            "discriminator": file_digest(d_path),
-        },
-    }
+    metadata = report_metadata(cfg, verifier_bundle, verifier_path, cfg.target_user, corpus_path, fake_paths)
+    metadata.update(gan_epochs=gan_bundle.epochs_trained, gan_converged=gan_bundle.converged)
+    metadata["checkpoints"].update(generator=file_digest(g_path), discriminator=file_digest(d_path))
     t0 = time.perf_counter()
     report = evaluate_attack(verifier_bundle, corpus, cfg.target_user, fakes_by_condition, cfg, metadata)
     timings["evaluate"] = time.perf_counter() - t0

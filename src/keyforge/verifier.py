@@ -200,25 +200,38 @@ def make_pairs(
     n_pairs: int,
     rng: np.random.Generator,
 ) -> PairSet:
-    """Sample a balanced 1:1 genuine/impostor pair set, genuine pairs at even indices."""
+    """Sample a balanced 1:1 genuine/impostor pair set, genuine pairs at even indices.
+
+    A genuine pair is a uniform user among those with >= 2 sequences and a
+    uniform ordered pair of two of its distinct sequences; an impostor pair
+    is a uniform ordered pair of distinct users and a uniform sequence of
+    each. Every pair is drawn in a few array draws over the users' sequences
+    stacked in sorted-user order, and each side is one gather.
+    """
     users = sorted(sequences_by_user)
-    multi = [u for u in users if len(sequences_by_user[u]) >= 2]
-    if len(users) < 2 or not multi:
+    counts = np.array([len(sequences_by_user[u]) for u in users], dtype=np.int64)
+    if not counts.all():
+        raise ValueError(f"user {users[int(np.argmin(counts))]!r} has no sequences to pair")
+    multi = np.flatnonzero(counts >= 2)
+    if len(users) < 2 or not multi.size:
         raise ValueError("need >= 2 users and one user with >= 2 sequences to build pairs")
-    a, b = [], []
-    for k in range(n_pairs):
-        if k % 2 == 0:
-            seqs = sequences_by_user[multi[rng.integers(len(multi))]]
-            i, j = rng.choice(len(seqs), size=2, replace=False)
-            a.append(seqs[i])
-            b.append(seqs[j])
-        else:
-            ui, uj = rng.choice(len(users), size=2, replace=False)
-            seqs_a = sequences_by_user[users[ui]]
-            seqs_b = sequences_by_user[users[uj]]
-            a.append(seqs_a[rng.integers(len(seqs_a))])
-            b.append(seqs_b[rng.integers(len(seqs_b))])
-    return PairSet(np.stack(a), np.stack(b), np.arange(n_pairs) % 2 == 0)
+    windows = np.concatenate([sequences_by_user[u] for u in users])
+    firsts = np.cumsum(counts) - counts
+    a = np.empty(n_pairs, dtype=np.int64)
+    b = np.empty(n_pairs, dtype=np.int64)
+
+    user = multi[rng.integers(multi.size, size=(n_pairs + 1) // 2)]
+    i = rng.integers(counts[user])
+    j = rng.integers(counts[user] - 1)
+    j += j >= i  # skip i: a uniform j != i
+    a[0::2], b[0::2] = firsts[user] + i, firsts[user] + j
+
+    user_a = rng.integers(len(users), size=n_pairs // 2)
+    user_b = rng.integers(len(users) - 1, size=n_pairs // 2)
+    user_b += user_b >= user_a
+    a[1::2] = firsts[user_a] + rng.integers(counts[user_a])
+    b[1::2] = firsts[user_b] + rng.integers(counts[user_b])
+    return PairSet(windows[a], windows[b], np.arange(n_pairs) % 2 == 0)
 
 
 def train_verifier(pairs: PairSet, config: VerifierConfig, seed: int) -> VerifierBundle:

@@ -114,6 +114,8 @@ def test_config_hash_of_valid_configs_is_pinned():
     {"attack": {"fit_space_model": False, "space_hold_mean": 0, "space_hold_std": 0.0,
                 "space_gap_mean": 2, "space_gap_std": 1e-300}},
     {"attack": {"n_sequences": 238609}, "eval": {"n_sequences": 1448}},
+    {"verifier": {"train_pairs": 447392, "calibration_pairs": 223696, "test_pairs": 223696}},
+    {"verifier": {"train_pairs": 2, "calibration_pairs": 2, "test_pairs": 1}},
 ])
 def test_boundary_values_accepted(doc):
     config_from_dict(doc)
@@ -148,7 +150,21 @@ def test_boundary_values_accepted(doc):
     ({"attack": {"space_gap_mean": "0.1"}}, "config.attack.space_gap_mean"),
     ({"attack": {"n_sequences": 238610}}, "config.attack.n_sequences must be an integer in [1, 238609]"),
     ({"eval": {"n_sequences": 1449}}, "config.eval.n_sequences must be an integer in [1, 1448]"),
+    ({"verifier": {"train_pairs": 447393}},
+     "config.verifier.train_pairs must be an integer in [2, 447392], got 447393"),
+    ({"verifier": {"calibration_pairs": 223697}},
+     "config.verifier.calibration_pairs must be an integer in [2, 223696], got 223697"),
+    ({"verifier": {"test_pairs": 223697}},
+     "config.verifier.test_pairs must be an integer in [1, 223696], got 223697"),
 ])
 def test_bad_values_rejected_naming_the_key(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         config_from_dict(doc)
+
+
+def test_pair_ceilings_keep_the_pair_set_within_a_gib():
+    """At every pair ceiling, make_pairs' one pair set is two (n, 15, 5) float64 arrays of <= 1 GiB."""
+    v = config_from_dict({"verifier": {"train_pairs": 447392, "calibration_pairs": 223696,
+                                       "test_pairs": 223696}}).verifier
+    n = v.train_pairs + v.calibration_pairs + v.test_pairs
+    assert n * 2 * 15 * 5 * 8 <= 2**30 < (n + 1) * 2 * 15 * 5 * 8

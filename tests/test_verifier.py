@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -277,6 +278,71 @@ def test_pair_set_slices_and_masks_every_array(sequence_sets, rng):
         assert np.array_equal(picked.a, pairs.a[index])
         assert np.array_equal(picked.b, pairs.b[index])
         assert np.array_equal(picked.same, pairs.same[index])
+
+
+def labelled_windows(counts):
+    """Windows for users u0, u1, ... with counts[u] windows each; window k of user u is all 1000 u + k."""
+    return {f"u{u}": np.broadcast_to((1000.0 * u + np.arange(count))[:, None, None], (count, 15, 5)).copy()
+            for u, count in enumerate(counts)}
+
+
+def labels(windows):
+    """The (user, k) that labelled_windows wrote into each window, after checking it is one label throughout."""
+    first = windows[:, 0, 0]
+    assert (windows == first[:, None, None]).all()
+    return [divmod(int(label), 1000) for label in first]
+
+
+@given(counts=st.lists(st.integers(1, 6), min_size=2, max_size=6), n_pairs=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_make_pairs_draws_genuine_pairs_of_one_user_and_impostor_pairs_of_two(counts, n_pairs, seed):
+    assume(max(counts) >= 2)
+    sequences = labelled_windows(counts)
+    pairs = make_pairs(sequences, n_pairs, np.random.default_rng(seed))
+    assert len(pairs) == n_pairs and pairs.a.shape == pairs.b.shape == (n_pairs, 15, 5)
+    assert np.array_equal(pairs.same, np.arange(n_pairs) % 2 == 0)
+    for (user_a, k_a), (user_b, k_b), same in zip(labels(pairs.a), labels(pairs.b), pairs.same):
+        # every window is a row of the input
+        assert k_a < counts[user_a] and k_b < counts[user_b]
+        if same:
+            assert user_a == user_b and k_a != k_b
+        else:
+            assert user_a != user_b
+    again = make_pairs(sequences, n_pairs, np.random.default_rng(seed))
+    for got, want in ((again.a, pairs.a), (again.b, pairs.b), (again.same, pairs.same)):
+        assert np.array_equal(got, want)
+
+
+def test_make_pairs_draws_each_pair_uniformly():
+    """Every genuine (user, i, j) with i != j and every ordered impostor (user, user') within 15% of uniform."""
+    counts = (2, 3, 5)
+    pairs = make_pairs(labelled_windows(counts), 30_000, np.random.default_rng(0))
+    drawn = list(zip(labels(pairs.a), labels(pairs.b)))
+    genuine = Counter((user, i, j) for (user, i), (_, j) in drawn[0::2])
+    impostor = Counter((user_a, user_b) for (user_a, _), (user_b, _) in drawn[1::2])
+    # a uniform user of the three, then a uniform ordered pair of its distinct windows
+    want_genuine = {(user, i, j): 15_000 / len(counts) / (count * (count - 1))
+                    for user, count in enumerate(counts) for i in range(count) for j in range(count) if i != j}
+    want_impostor = {(a, b): 15_000 / 6 for a in range(3) for b in range(3) if a != b}
+    for got, want in ((genuine, want_genuine), (impostor, want_impostor)):
+        assert set(got) == set(want)
+        for key, expected in want.items():
+            assert abs(got[key] - expected) <= 0.15 * expected, key
+
+
+def test_make_pairs_names_a_user_without_windows_before_any_draw():
+    sequences = {**labelled_windows((3, 2)), "empty": np.empty((0, 15, 5))}
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="user 'empty' has no sequences"):
+        make_pairs(sequences, 10, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("counts", [(5,), (1, 1, 1)], ids=["one-user", "no-user-with-two"])
+def test_make_pairs_needs_two_users_and_one_with_two_windows(counts):
+    with pytest.raises(ValueError, match=re.escape("need >= 2 users and one user with >= 2 sequences")):
+        make_pairs(labelled_windows(counts), 10, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
