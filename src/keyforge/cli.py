@@ -37,6 +37,7 @@ class _Parser(argparse.ArgumentParser):
 def cmd_synth_data(args) -> int:
     check_flag(args.users, "--users", "data", "users")
     check_flag(args.sentences, "--sentences", "data", "sentences_per_user")
+    check_flag(args.seed, "--seed", "seeds", "global_seed")
     corpus = synth_corpus(args.users, args.sentences, args.seed)
     export_log(corpus, args.out)
     print(f"wrote {args.out}: {len(corpus.users)} users, "
@@ -62,6 +63,7 @@ def cmd_train_verifier(args) -> int:
         check_flag(args.epochs, "--epochs", "verifier", "epochs")
         cfg.verifier.epochs = args.epochs
     if args.seed is not None:
+        check_flag(args.seed, "--seed", "seeds", "global_seed")
         cfg.seeds.verifier = args.seed
     corpus = ingest_log(args.corpus)
     bundle, summary = pipeline.prepare_verifier(corpus, cfg)
@@ -79,6 +81,7 @@ def cmd_train_cgan(args) -> int:
         check_flag(args.max_epochs, "--max-epochs", "gan", "max_epochs")
         cfg.gan.max_epochs = args.max_epochs
     if args.seed is not None:
+        check_flag(args.seed, "--seed", "seeds", "global_seed")
         cfg.seeds.gan = args.seed
     corpus = ingest_log(args.corpus)
     bundle = pipeline.train_user_gan(corpus, args.user, cfg)
@@ -95,6 +98,8 @@ def cmd_attack(args) -> int:
     if args.n_sequences is not None:
         check_flag(args.n_sequences, "--n-sequences", "attack", "n_sequences")
         cfg.attack.n_sequences = args.n_sequences
+    if args.seed is not None:
+        check_flag(args.seed, "--seed", "seeds", "global_seed")
     seed = args.seed if args.seed is not None else cfg.seeds.resolved().attack
     corpus = ingest_log(args.corpus)
     bundle = gan_mod.load_bundle(args.gan_dir)
@@ -112,6 +117,7 @@ def cmd_attack(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _base_config(args)
     if args.seed is not None:
+        check_flag(args.seed, "--seed", "seeds", "global_seed")
         cfg.seeds.eval = args.seed
     # the fake streams by their metadata name, one a/b pair for each configured condition
     fake_paths = {}
@@ -140,6 +146,7 @@ def cmd_evaluate(args) -> int:
 def cmd_run_all(args) -> int:
     cfg = _base_config(args)
     if args.seed is not None:
+        check_flag(args.seed, "--seed", "seeds", "global_seed")
         cfg.seeds.global_seed = args.seed
     _, artifacts = pipeline.run_all(cfg, args.out_dir)
     print("phase timings (s): "

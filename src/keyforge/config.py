@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .attack import CONDITIONS, SpaceModel
 from .data import N_FEATURES, WORD_LEN
-from .gan import GanTrainConfig
+from .gan import GEN_IN_DIM, GEN_OUT_DIM, GanTrainConfig
 from .verifier import EMBED_OUT_DIM, VerifierConfig
 
 
@@ -119,7 +119,7 @@ _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 _RATE = ("a finite number > 0", lambda v: _is_real(v) and v > 0)
 _NON_NEGATIVE = ("a finite number >= 0", lambda v: _is_real(v) and v >= 0)
 _BETA = ("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1)
-_SEED = ("an integer or null", lambda v: v is None or _is_int(v))
+_SEED = ("an integer >= 0 or null", lambda v: v is None or (_is_int(v) and v >= 0))
 
 # A size key's ceiling keeps the largest float64 array it sizes within about 1 GiB.
 _GIB = 2**30
@@ -134,6 +134,11 @@ _MAX_EVAL_SEQUENCES = math.isqrt(_GIB // (EMBED_OUT_DIM * 8))
 # arrays at 1,200 bytes per pair, so 894,784 pairs in total: half for training, a
 # quarter each for calibration and test.
 _MAX_PAIRS = _GIB // (2 * WORD_LEN * N_FEATURES * 8)
+# gan.*_hidden, verifier.hidden: one width ceiling, at which every network's flat
+# parameters stay within 1 GiB. The generator (600 -> h -> h -> 75, with biases) holds
+# the most at width h, h^2 + 677h + 75, so 11,251 at most.
+_GEN_LINEAR = GEN_IN_DIM + GEN_OUT_DIM + 2
+_MAX_WIDTH = (math.isqrt(_GEN_LINEAR**2 + 4 * (_GIB // 8 - GEN_OUT_DIM)) - _GEN_LINEAR) // 2
 
 
 def _size(most: int, least: int = 1) -> tuple:
@@ -142,17 +147,17 @@ def _size(most: int, least: int = 1) -> tuple:
 
 # (description, predicate) per checked key of each section
 _VALUE_CHECKS = {
-    "seeds": {"global_seed": ("an integer", _is_int),
+    "seeds": {"global_seed": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
               **{k: _SEED for k in ("data", "verifier", "gan", "attack", "attack_b", "eval")}},
     "data": {"users": ("an integer >= 2", lambda v: _is_int(v) and v >= 2),
              "sentences_per_user": _COUNT},
     # make_pairs alternates genuine and impostor pairs, so a split needs two to hold both
-    "verifier": {**{k: _COUNT for k in ("epochs", "batch_size", "hidden")},
+    "verifier": {**{k: _COUNT for k in ("epochs", "batch_size")}, "hidden": _size(_MAX_WIDTH),
                  "train_pairs": _size(_MAX_PAIRS // 2, 2), "calibration_pairs": _size(_MAX_PAIRS // 4, 2),
                  "test_pairs": _size(_MAX_PAIRS // 4),
                  "lr": _RATE, "margin": _RATE, "beta1": _BETA, "beta2": _BETA},
-    "gan": {**{k: _COUNT for k in ("max_epochs", "check_interval", "batch_size", "g_hidden",
-                                   "d_hidden1", "d_hidden2")},
+    "gan": {**{k: _COUNT for k in ("max_epochs", "check_interval", "batch_size")},
+            **{k: _size(_MAX_WIDTH) for k in ("g_hidden", "d_hidden1", "d_hidden2")},
             "g_lr": _RATE, "d_lr": _RATE, "beta1": _BETA, "beta2": _BETA,
             "stop_threshold": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1)},
     "attack": {"n_sequences": _size(_MAX_ATTACK_SEQUENCES),

@@ -15,7 +15,6 @@ timing cells are ever learned or judged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -80,47 +79,41 @@ def new_bundle(seed: int, config: GanTrainConfig) -> GanBundle:
     )
 
 
-@lru_cache(maxsize=None)
-def _text_layout(text: str) -> np.ndarray:
-    """Gradient mask and fixed cells of one text's flat 15x5 sample, built once per text.
+def _word_tables(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Condition rows, gradient masks and fixed cells of the texts' flat 15x5 samples.
 
-    Row 0, the mask, is 1 exactly on the timing cells of the text's rows.
-    Row 1 holds the text's normalized keycodes in its rows and 0 elsewhere.
+    Row i of the (n, 100) conditions is embed_word(texts[i]). Row i of the
+    (n, 75) mask is 1 exactly on the timing cells of the text's rows, and row i
+    of the (n, 75) fixed cells holds its normalized keycodes there and 0 elsewhere.
     """
-    n = len(text)
-    layout = np.zeros((2, WORD_LEN, N_FEATURES))
-    layout[0, :n] = 1.0
-    layout[0, :, COL_KEYCODE] = 0.0
-    layout[1, :n, COL_KEYCODE] = [ord(ch) / 255.0 for ch in text]
-    layout.flags.writeable = False
-    return layout.reshape(2, GEN_OUT_DIM)
+    conds = np.stack([embed_word(t) for t in texts])
+    mask = np.zeros((len(texts), WORD_LEN, N_FEATURES))
+    fixed = np.zeros((len(texts), WORD_LEN, N_FEATURES))
+    for i, text in enumerate(texts):
+        mask[i, : len(text)] = 1.0
+        fixed[i, : len(text), COL_KEYCODE] = [ord(ch) / 255.0 for ch in text]
+    mask[:, :, COL_KEYCODE] = 0.0
+    return conds, mask.reshape(len(texts), GEN_OUT_DIM), fixed.reshape(len(texts), GEN_OUT_DIM)
 
 
-def _postprocess(raw: np.ndarray, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Zero padding rows and overwrite keycodes; also return the gradient mask.
-
-    The mask is 1 exactly on the surviving generator cells (timing columns of
-    valid rows), so backpropagation ignores overwritten and zeroed outputs.
-    """
-    layouts = np.array([_text_layout(t) for t in texts])
-    mask = layouts[:, 0]
-    return np.where(mask > 0, raw, layouts[:, 1]), mask
+def _postprocess(raw: np.ndarray, mask: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Raw cells where the mask is 1, fixed cells elsewhere: padding zeroed, keycodes the text's."""
+    return np.where(mask > 0, raw, fixed)
 
 
 def _generate_flat(
-    bundle: GanBundle, texts: list[str], rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, nn.ForwardTape, np.ndarray]:
-    """Generate post-processed flat samples for a batch of conditioning texts."""
-    conds = np.stack([embed_word(t) for t in texts])
-    latents = rng.standard_normal((len(texts), LATENT_DIM))
+    bundle: GanBundle, rows: tuple[np.ndarray, ...], rng: np.random.Generator
+) -> tuple[np.ndarray, nn.ForwardTape]:
+    """Generate post-processed flat samples for word-table rows (conditions, mask, fixed cells)."""
+    conds, mask, fixed = rows
+    latents = rng.standard_normal((len(conds), LATENT_DIM))
     raw, tape = nn.forward(bundle.generator, np.hstack([latents, conds]))
-    flat, mask = _postprocess(raw, texts)
-    return flat, conds, tape, mask
+    return _postprocess(raw, mask, fixed), tape
 
 
 def generate_word(bundle: GanBundle, text: str, rng: np.random.Generator) -> np.ndarray:
     """Sample one synthetic (15, 5) word matrix conditioned on the given text."""
-    flat, _, _, _ = _generate_flat(bundle, [text], rng)
+    flat, _ = _generate_flat(bundle, _word_tables([text]), rng)
     return flat.reshape(WORD_LEN, N_FEATURES)
 
 
@@ -152,19 +145,20 @@ def train_epoch(
         raise ValueError("batch_size must be >= 1")
 
     flat = matrices.reshape(len(texts), GEN_OUT_DIM)
+    tables = _word_tables(texts)
     order = rng.permutation(len(texts))
     d_losses, g_losses = [], []
     real_hits = fake_hits = seen = 0
 
     for start in range(0, len(order), batch_size):
         batch = order[start : start + batch_size]
-        batch_texts = [texts[i] for i in batch]
+        rows = tuple(table[batch] for table in tables)
+        conds, mask, _ = rows
         n = len(batch)
 
         # Discriminator step: real pairs labelled 1, generated pairs labelled 0.
-        real_flat = flat[batch]
-        fake_flat, conds, _, _ = _generate_flat(bundle, batch_texts, rng)
-        x = np.vstack([np.hstack([real_flat, conds]), np.hstack([fake_flat, conds])])
+        fake_flat, _ = _generate_flat(bundle, rows, rng)
+        x = np.vstack([np.hstack([flat[batch], conds]), np.hstack([fake_flat, conds])])
         targets = np.concatenate([np.ones(n), np.zeros(n)])[:, None]
         probs, tape = nn.forward(bundle.discriminator, x)
         losses, dldp = nn.bce_loss(probs, targets)
@@ -177,12 +171,12 @@ def train_epoch(
         seen += n
 
         # Generator step through the frozen discriminator, non-saturating target 1.
-        gen_flat, gen_conds, g_tape, g_mask = _generate_flat(bundle, batch_texts, rng)
-        probs, tape = nn.forward(bundle.discriminator, np.hstack([gen_flat, gen_conds]))
+        gen_flat, g_tape = _generate_flat(bundle, rows, rng)
+        probs, tape = nn.forward(bundle.discriminator, np.hstack([gen_flat, conds]))
         losses, dldp = nn.bce_loss(probs, np.ones((n, 1)))
         g_loss = float(losses.mean())
         dx = nn.backward(bundle.discriminator, tape, dldp / n)
-        nn.backward(bundle.generator, g_tape, dx[:, :GEN_OUT_DIM] * g_mask, g_state.grads)
+        nn.backward(bundle.generator, g_tape, dx[:, :GEN_OUT_DIM] * mask, g_state.grads)
         nn.adam_step(bundle.generator, g_state)
 
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
@@ -250,17 +244,17 @@ def stop_check(
     if not texts:
         raise ValueError("stop_check needs real word samples")
     flat = matrices.reshape(len(texts), GEN_OUT_DIM)
+    tables = _word_tables(texts)
     replace = len(texts) < STOP_SUBSET_SIZE
     real_accs, fake_accs = [], []
     for _ in range(STOP_SUBSETS):
         idx = rng.choice(len(texts), size=STOP_SUBSET_SIZE, replace=replace)
-        real_flat = flat[idx]
-        real_conds = np.stack([embed_word(texts[i]) for i in idx])
-        fake_texts = [texts[i] for i in rng.choice(len(texts), size=STOP_SUBSET_SIZE, replace=True)]
-        fake_flat, fake_conds, _, _ = _generate_flat(bundle, fake_texts, rng)
+        fake_idx = rng.choice(len(texts), size=STOP_SUBSET_SIZE, replace=True)
+        fake_rows = tuple(table[fake_idx] for table in tables)
+        fake_flat, _ = _generate_flat(bundle, fake_rows, rng)
         real_acc, fake_acc = subset_accuracies(
-            _scores(bundle, real_flat, real_conds),
-            _scores(bundle, fake_flat, fake_conds),
+            _scores(bundle, flat[idx], tables[0][idx]),
+            _scores(bundle, fake_flat, fake_rows[0]),
         )
         real_accs.append(real_acc)
         fake_accs.append(fake_acc)
@@ -286,13 +280,6 @@ def train(
     g_state = AdamState.for_params(
         bundle.generator, lr=config.g_lr, beta1=config.beta1, beta2=config.beta2
     )
-    # Fill the per-text caches before the loop, so their small long-lived
-    # arrays sit below the loop's short-lived ones on the heap. Filled
-    # mid-loop, they kept freed memory resident: ~6 MiB more peak RSS in a
-    # shortened default study.
-    for text in texts:
-        embed_word(text)
-        _text_layout(text)
     epochs = 0
     for epoch in range(1, config.max_epochs + 1):
         bundle, _ = train_epoch(bundle, texts, matrices, config.batch_size, rng, d_state, g_state)

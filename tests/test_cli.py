@@ -305,6 +305,24 @@ def test_count_override_below_one_is_config_error(tmp_path, tiny_config, corpus_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, args", [
+    ("synth-data", ["--out", "{x}"]),
+    ("train-verifier", ["--corpus", "{x}", "--out", "{x}"]),
+    ("train-cgan", ["--corpus", "{x}", "--user", "u0", "--out-dir", "{x}"]),
+    ("attack", ["--gan-dir", "{x}", "--corpus", "{x}", "--user", "u0", "--condition", "ordered",
+                "--out", "{x}"]),
+    ("evaluate", ["--verifier", "{x}", "--corpus", "{x}", "--user", "u0"]),
+    ("run-all", ["--out-dir", "{x}"]),
+])
+def test_negative_seed_flag_is_config_error(tmp_path, command, args, capsys):
+    """Every --seed meets the seeds' check before any file is read or written."""
+    missing = tmp_path / "missing"
+    code = main([command, *(a.format(x=missing) for a in args), "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "config error: --seed must be an integer >= 0, got -1\n"
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("section", ["attack", "eval"])
 def test_zero_sequences_in_config_is_config_error(tmp_path, section, capsys):
     cfg_path = tmp_path / "config.json"
@@ -326,6 +344,10 @@ def test_zero_sequences_in_config_is_config_error(tmp_path, section, capsys):
     ({"verifier": {"train_pairs": 1}}, "config.verifier.train_pairs must be an integer in [2, 447392]"),
     ({"verifier": {"calibration_pairs": 1}},
      "config.verifier.calibration_pairs must be an integer in [2, 223696]"),
+    ({"seeds": {"global_seed": -3}}, "config.seeds.global_seed must be an integer >= 0, got -3"),
+    ({"seeds": {"gan": -1}}, "config.seeds.gan must be an integer >= 0 or null, got -1"),
+    ({"gan": {"g_hidden": 10**8}}, "config.gan.g_hidden must be an integer in [1, 11251]"),
+    ({"verifier": {"hidden": 11252}}, "config.verifier.hidden must be an integer in [1, 11251]"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, doc, key, capsys):
     cfg_path = tmp_path / "config.json"
@@ -790,8 +812,14 @@ def test_evaluate_fake_flags_that_do_not_match_the_conditions_are_usage_errors(
      "config.verifier.calibration_pairs must be an integer in [2, 223696], got 1000000000000"),
     ({"verifier": {"test_pairs": 10**12}},
      "config.verifier.test_pairs must be an integer in [1, 223696], got 1000000000000"),
+    ({"seeds": {"global_seed": -3}}, "config.seeds.global_seed must be an integer >= 0, got -3"),
+    ({"seeds": {"attack": -1}}, "config.seeds.attack must be an integer >= 0 or null, got -1"),
+    ({"gan": {"g_hidden": 10**8}}, "config.gan.g_hidden must be an integer in [1, 11251], got 100000000"),
+    ({"gan": {"d_hidden2": 11252}}, "config.gan.d_hidden2 must be an integer in [1, 11251], got 11252"),
+    ({"verifier": {"hidden": 11252}}, "config.verifier.hidden must be an integer in [1, 11251], got 11252"),
 ], ids=["negative-space-std", "nan-space-mean", "string-bool", "no-conditions", "huge-attack-sequences",
-        "huge-eval-sequences", "huge-train-pairs", "huge-calibration-pairs", "huge-test-pairs"])
+        "huge-eval-sequences", "huge-train-pairs", "huge-calibration-pairs", "huge-test-pairs",
+        "negative-global-seed", "negative-phase-seed", "huge-g-hidden", "wide-d-hidden2", "wide-v-hidden"])
 def test_run_all_config_hole_is_config_error_naming_the_key(tmp_path, override, message, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(dict(TINY_CONFIG, **override)))

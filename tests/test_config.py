@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from keyforge import gan, verifier
 from keyforge.config import (
     ConfigError,
     RunConfig,
@@ -109,13 +110,14 @@ def test_config_hash_of_valid_configs_is_pinned():
     {"gan": {"stop_threshold": 1.0, "beta1": 0, "beta2": 0.0}},
     {"data": {"users": 2, "sentences_per_user": 1}},
     {"verifier": {"margin": 1e-9, "lr": 3}},
-    {"seeds": {"global_seed": -4, "gan": None, "eval": 0}},
+    {"seeds": {"global_seed": 0, "gan": None, "eval": 0}},
     {"conditions": ["random"]},
     {"attack": {"fit_space_model": False, "space_hold_mean": 0, "space_hold_std": 0.0,
                 "space_gap_mean": 2, "space_gap_std": 1e-300}},
     {"attack": {"n_sequences": 238609}, "eval": {"n_sequences": 1448}},
     {"verifier": {"train_pairs": 447392, "calibration_pairs": 223696, "test_pairs": 223696}},
     {"verifier": {"train_pairs": 2, "calibration_pairs": 2, "test_pairs": 1}},
+    {"verifier": {"hidden": 11251}, "gan": {"g_hidden": 11251, "d_hidden1": 11251, "d_hidden2": 11251}},
 ])
 def test_boundary_values_accepted(doc):
     config_from_dict(doc)
@@ -139,6 +141,13 @@ def test_boundary_values_accepted(doc):
     ({"seeds": {"global_seed": "x"}}, "config.seeds.global_seed"),
     ({"seeds": {"global_seed": False}}, "config.seeds.global_seed"),
     ({"seeds": {"attack_b": 1.5}}, "config.seeds.attack_b"),
+    ({"seeds": {"global_seed": -3}}, "config.seeds.global_seed must be an integer >= 0, got -3"),
+    ({"seeds": {"verifier": -1}}, "config.seeds.verifier must be an integer >= 0 or null, got -1"),
+    ({"seeds": {"eval": -1}}, "config.seeds.eval must be an integer >= 0 or null, got -1"),
+    ({"gan": {"g_hidden": 11252}}, "config.gan.g_hidden must be an integer in [1, 11251], got 11252"),
+    ({"gan": {"d_hidden1": 11252}}, "config.gan.d_hidden1 must be an integer in [1, 11251], got 11252"),
+    ({"gan": {"d_hidden2": 0}}, "config.gan.d_hidden2 must be an integer in [1, 11251], got 0"),
+    ({"verifier": {"hidden": 10**8}}, "config.verifier.hidden must be an integer in [1, 11251]"),
     ({"conditions": ["ordered", "ordered"]}, "config.conditions"),
     ({"conditions": "ordered"}, "config.conditions"),
     ({"target_user": 0}, "config.target_user"),
@@ -168,3 +177,18 @@ def test_pair_ceilings_keep_the_pair_set_within_a_gib():
                                        "test_pairs": 223696}}).verifier
     n = v.train_pairs + v.calibration_pairs + v.test_pairs
     assert n * 2 * 15 * 5 * 8 <= 2**30 < (n + 1) * 2 * 15 * 5 * 8
+
+
+def test_width_ceiling_keeps_each_network_within_a_gib():
+    """At the width ceiling every network's flat float64 parameters fit in 1 GiB; the generator's just."""
+    cfg = config_from_dict({"verifier": {"hidden": 11251},
+                            "gan": {"g_hidden": 11251, "d_hidden1": 11251, "d_hidden2": 11251}})
+
+    def n_params(specs):
+        return sum(spec.in_dim * spec.out_dim + spec.out_dim for spec in specs)
+
+    networks = [gan.generator_specs(cfg.gan.g_hidden),
+                gan.discriminator_specs(cfg.gan.d_hidden1, cfg.gan.d_hidden2),
+                verifier.embedding_specs(cfg.verifier.hidden)]
+    assert all(n_params(specs) * 8 <= 2**30 for specs in networks)
+    assert n_params(gan.generator_specs(11252)) * 8 > 2**30

@@ -99,22 +99,29 @@ def test_discriminate_rejects_bad_shapes(bundle, rng):
         gan._scores(bundle, np.zeros((1, 15)), embed_word("x")[None, :])
 
 
-def test_postprocess_matches_per_text_loop(rng):
-    texts = ["a", "hello", "x" * 15, "hello", "typing"]
-    raw = rng.uniform(size=(len(texts), gan.GEN_OUT_DIM))
-    mats = raw.reshape(-1, WORD_LEN, 5).copy()
+def test_word_tables_match_per_text_loop():
+    texts = ["a", "hello", "x" * 15, "hello", "caf\u00e9"]  # lengths 1 and 15, a repeat, keycode 233
+    mats = np.zeros((len(texts), WORD_LEN, 5))
     mask = np.zeros_like(mats)
     for i, text in enumerate(texts):
         n = len(text)
-        mats[i, n:, :] = 0.0
         mats[i, :n, COL_KEYCODE] = [ord(ch) / 255.0 for ch in text]
         mask[i, :n, :] = 1.0
         mask[i, :, COL_KEYCODE] = 0.0
-    flat, got_mask = gan._postprocess(raw, texts)
-    assert np.array_equal(flat, mats.reshape(len(texts), -1))
+    conds, got_mask, fixed = gan._word_tables(texts)
+    assert np.array_equal(conds, np.stack([embed_word(t) for t in texts]))
     assert np.array_equal(got_mask, mask.reshape(len(texts), -1))
-    flat[:] = -1.0  # the outputs are fresh arrays; the per-text layout cache is untouched
-    assert np.array_equal(gan._postprocess(raw, texts)[0], mats.reshape(len(texts), -1))
+    assert np.array_equal(fixed, mats.reshape(len(texts), -1))
+    assert fixed.reshape(-1, WORD_LEN, 5)[4, 3, COL_KEYCODE] == 233 / 255.0
+
+
+def test_postprocess_keeps_raw_only_where_the_mask_is_one(rng):
+    texts = ["a", "hello", "x" * 15, "hello", "caf\u00e9"]
+    _, mask, fixed = gan._word_tables(texts)
+    raw = rng.uniform(0.1, 0.9, size=(len(texts), gan.GEN_OUT_DIM))
+    flat = gan._postprocess(raw, mask, fixed)
+    assert np.array_equal(flat[mask == 1], raw[mask == 1])
+    assert np.array_equal(flat[mask == 0], fixed[mask == 0])
 
 
 # ---------------------------------------------------------------------------
