@@ -141,13 +141,6 @@ def test_boundary_values_accepted(doc):
     ({"seeds": {"global_seed": "x"}}, "config.seeds.global_seed"),
     ({"seeds": {"global_seed": False}}, "config.seeds.global_seed"),
     ({"seeds": {"attack_b": 1.5}}, "config.seeds.attack_b"),
-    ({"seeds": {"global_seed": -3}}, "config.seeds.global_seed must be an integer >= 0, got -3"),
-    ({"seeds": {"verifier": -1}}, "config.seeds.verifier must be an integer >= 0 or null, got -1"),
-    ({"seeds": {"eval": -1}}, "config.seeds.eval must be an integer >= 0 or null, got -1"),
-    ({"gan": {"g_hidden": 11252}}, "config.gan.g_hidden must be an integer in [1, 11251], got 11252"),
-    ({"gan": {"d_hidden1": 11252}}, "config.gan.d_hidden1 must be an integer in [1, 11251], got 11252"),
-    ({"gan": {"d_hidden2": 0}}, "config.gan.d_hidden2 must be an integer in [1, 11251], got 0"),
-    ({"verifier": {"hidden": 10**8}}, "config.verifier.hidden must be an integer in [1, 11251]"),
     ({"conditions": ["ordered", "ordered"]}, "config.conditions"),
     ({"conditions": "ordered"}, "config.conditions"),
     ({"target_user": 0}, "config.target_user"),
@@ -165,6 +158,13 @@ def test_boundary_values_accepted(doc):
      "config.verifier.calibration_pairs must be an integer in [2, 223696], got 223697"),
     ({"verifier": {"test_pairs": 223697}},
      "config.verifier.test_pairs must be an integer in [1, 223696], got 223697"),
+    ({"seeds": {"global_seed": -3}}, "config.seeds.global_seed must be an integer >= 0, got -3"),
+    ({"seeds": {"verifier": -1}}, "config.seeds.verifier must be an integer >= 0 or null, got -1"),
+    ({"seeds": {"eval": -1}}, "config.seeds.eval must be an integer >= 0 or null, got -1"),
+    ({"gan": {"g_hidden": 11252}}, "config.gan.g_hidden must be an integer in [1, 11251], got 11252"),
+    ({"gan": {"d_hidden1": 11252}}, "config.gan.d_hidden1 must be an integer in [1, 11251], got 11252"),
+    ({"gan": {"d_hidden2": 0}}, "config.gan.d_hidden2 must be an integer in [1, 11251], got 0"),
+    ({"verifier": {"hidden": 10**8}}, "config.verifier.hidden must be an integer in [1, 11251]"),
 ])
 def test_bad_values_rejected_naming_the_key(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
