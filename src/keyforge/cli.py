@@ -15,7 +15,7 @@ from . import gan as gan_mod
 from . import pipeline
 from . import verifier as verifier_mod
 from .attack import CONDITIONS, NonFiniteSampleError
-from .config import ConfigError, RunConfig, check_flag, load_config
+from .config import ConfigError, RunConfig, check_corpus_size, check_flag, load_config
 from .data import ParseError, ValidationError, export_log, ingest_log, synth_corpus
 from .nn import CheckpointError, TrainingError
 from .pipeline import DataError
@@ -37,6 +37,7 @@ class _Parser(argparse.ArgumentParser):
 def cmd_synth_data(args) -> int:
     check_flag(args.users, "--users", "data", "users")
     check_flag(args.sentences, "--sentences", "data", "sentences_per_user")
+    check_corpus_size(args.users, args.sentences, "--users x --sentences")
     check_flag(args.seed, "--seed", "seeds", "global_seed")
     corpus = synth_corpus(args.users, args.sentences, args.seed)
     export_log(corpus, args.out)

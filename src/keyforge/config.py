@@ -14,11 +14,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attack import CONDITIONS, SpaceModel
-from .data import N_FEATURES, WORD_LEN
+from .data import N_FEATURES, T_MAX_SECONDS, WORD_LEN
 from .gan import GEN_IN_DIM, GEN_OUT_DIM, GanTrainConfig
 from .verifier import EMBED_OUT_DIM, VerifierConfig
 
@@ -49,7 +50,7 @@ class AttackSection:
 
 @dataclass
 class EvalSection:
-    n_sequences: int = 20
+    n_sequences: int = 15  # the windows that data.sentences_per_user 15 guarantees
 
 
 @dataclass
@@ -117,7 +118,6 @@ def _is_real(value) -> bool:
 
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
 _RATE = ("a finite number > 0", lambda v: _is_real(v) and v > 0)
-_NON_NEGATIVE = ("a finite number >= 0", lambda v: _is_real(v) and v >= 0)
 _BETA = ("a number in [0, 1)", lambda v: _is_real(v) and 0 <= v < 1)
 _SEED = ("an integer >= 0 or null", lambda v: v is None or (_is_int(v) and v >= 0))
 
@@ -139,6 +139,14 @@ _MAX_PAIRS = _GIB // (2 * WORD_LEN * N_FEATURES * 8)
 # the most at width h, h^2 + 677h + 75, so 11,251 at most.
 _GEN_LINEAR = GEN_IN_DIM + GEN_OUT_DIM + 2
 _MAX_WIDTH = (math.isqrt(_GEN_LINEAR**2 + 4 * (_GIB // 8 - GEN_OUT_DIM)) - _GEN_LINEAR) // 2
+# data.users x data.sentences_per_user: a synthetic sentence is at most 40 keys of 24 B.
+_MAX_SENTENCES = _GIB // (40 * 3 * 8)
+# verifier.margin: an epoch sums a pair loss of at most margin^2 / 2 over at most 447,392
+# train pairs, finite up to sqrt(2 * float max / 447,392) = 2.8e151; the power of ten below.
+_MAX_MARGIN = 10.0 ** math.floor(math.log10(math.sqrt(sys.float_info.max / (_MAX_PAIRS // 2) * 2)))
+# attack.space_*: seconds, at most data.T_MAX_SECONDS, the longest time the features keep.
+_SPACE_TIME = (f"a number in [0, {T_MAX_SECONDS:g}]", lambda v: _is_real(v) and 0 <= v <= T_MAX_SECONDS)
+_MARGIN = (f"a number in (0, {_MAX_MARGIN:g}]", lambda v: _is_real(v) and 0 < v <= _MAX_MARGIN)
 
 
 def _size(most: int, least: int = 1) -> tuple:
@@ -155,14 +163,14 @@ _VALUE_CHECKS = {
     "verifier": {**{k: _COUNT for k in ("epochs", "batch_size")}, "hidden": _size(_MAX_WIDTH),
                  "train_pairs": _size(_MAX_PAIRS // 2, 2), "calibration_pairs": _size(_MAX_PAIRS // 4, 2),
                  "test_pairs": _size(_MAX_PAIRS // 4),
-                 "lr": _RATE, "margin": _RATE, "beta1": _BETA, "beta2": _BETA},
+                 "lr": _RATE, "margin": _MARGIN, "beta1": _BETA, "beta2": _BETA},
     "gan": {**{k: _COUNT for k in ("max_epochs", "check_interval", "batch_size")},
             **{k: _size(_MAX_WIDTH) for k in ("g_hidden", "d_hidden1", "d_hidden2")},
             "g_lr": _RATE, "d_lr": _RATE, "beta1": _BETA, "beta2": _BETA,
             "stop_threshold": ("a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1)},
     "attack": {"n_sequences": _size(_MAX_ATTACK_SEQUENCES),
                "fit_space_model": ("a JSON bool", lambda v: isinstance(v, bool)),
-               **{f"space_{k}": _NON_NEGATIVE for k in ("hold_mean", "hold_std", "gap_mean", "gap_std")}},
+               **{f"space_{k}": _SPACE_TIME for k in ("hold_mean", "hold_std", "gap_mean", "gap_std")}},
     "eval": {"n_sequences": _size(_MAX_EVAL_SEQUENCES)},
 }
 
@@ -196,6 +204,8 @@ def config_from_dict(doc: dict) -> RunConfig:
             value = getattr(values, key)
             if not ok(value):
                 raise ConfigError(f"config.{section}.{key} must be {what}, got {value!r}")
+    check_corpus_size(cfg.data.users, cfg.data.sentences_per_user,
+                      "config.data.users x config.data.sentences_per_user")
     return cfg
 
 
@@ -204,6 +214,11 @@ def check_flag(value, flag: str, section: str, key: str) -> None:
     what, ok = _VALUE_CHECKS[section][key]
     if not ok(value):
         raise ConfigError(f"{flag} must be {what}, got {value!r}")
+
+
+def check_corpus_size(users: int, sentences: int, names: str) -> None:  # names: the two sizes' keys or flags
+    if users * sentences > _MAX_SENTENCES:
+        raise ConfigError(f"{names} must be at most {_MAX_SENTENCES} sentences, got {users} x {sentences}")
 
 
 def load_config(path: str | Path) -> RunConfig:

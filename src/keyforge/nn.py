@@ -19,22 +19,11 @@ gradients and computes no input gradient; given none, it computes no weight
 gradient and returns the input gradient. The buffers belong to the training
 state (`AdamState.grads`, or a second set from `gradient_buffers`), so a
 caller that keeps gradients across two passes passes separate buffers.
-
-When the process may run on two or more CPUs, a training step uses one helper
-thread, started on first use. adam_step shares its ADAM_CHUNK chunks with it,
-and buffer-mode backward gives it each large weight-gradient product while the
-caller goes on down the input-gradient chain. Each element and each product
-is computed by the same numpy call in the same order on either thread, so the
-bits do not depend on which thread does what. The helper runs numpy calls
-only. Every call takes back the work the helper has not begun, and waits for
-the rest, before it returns. On one CPU no helper exists and all of the work
-runs on the caller.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,70 +55,6 @@ class CheckpointShapeError(CheckpointError):
 
 class TrainingError(RuntimeError):
     """A training step produced unusable (non-finite) numbers."""
-
-
-# ---------------------------------------------------------------------------
-# Helper thread
-# ---------------------------------------------------------------------------
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# Threads that share a training step: the caller, plus one helper when the
-# process may run on two or more CPUs.
-WORKERS = min(2, _usable_cpus())
-
-_helper_pool = None  # a one-thread executor, created on first use
-
-
-def _helper():
-    """The helper thread's executor, or None when WORKERS is 1."""
-    global _helper_pool
-    if WORKERS < 2:
-        return None
-    if _helper_pool is None:
-        from concurrent.futures import ThreadPoolExecutor  # ~8 ms, so not at import
-
-        _helper_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="keyforge-nn")
-    return _helper_pool
-
-
-def _forget_helper() -> None:
-    """A forked child has no helper thread, so it starts its own on first use."""
-    global _helper_pool
-    _helper_pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _submit(helper, fn, *args, **kwargs) -> tuple:
-    """Hand fn(*args, **kwargs) to the helper as a job for _finish."""
-    return helper.submit(fn, *args, **kwargs), fn, args, kwargs
-
-
-def _finish(jobs: list) -> None:
-    """Run on the caller each job the helper has not begun; wait for the others.
-
-    Then raises the first error of any job. A helper that waits for a CPU so
-    costs the caller at most the job it is running.
-    """
-    errors = []
-    for future, fn, args, kwargs in jobs:
-        if future.cancel():
-            try:
-                fn(*args, **kwargs)
-            except Exception as exc:
-                errors.append(exc)
-        elif (exc := future.exception()) is not None:
-            errors.append(exc)
-    if errors:
-        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -260,16 +185,6 @@ def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTape]:
     return a, ForwardTape(inputs=inputs, pre_activations=pres, output=a)
 
 
-# Multiply-adds (rows x out x in) from which buffer-mode backward moves a
-# weight-gradient product to the helper thread. Medians of 8 interleaved rounds,
-# one BLAS thread, 2-core host: generator backward at 32 rows took 2.10 ms
-# serial and 1.36 ms with its 8.4M-MAC product overlapped; the discriminator's
-# at 64 rows (2.1M) 0.48 -> 0.44 ms. Overlapping the verifier's 0.5M-MAC product
-# at 64 rows took 0.155 ms against 0.112 serial: the hand-off costs more than
-# the product.
-OVERLAP_MACS = 1 << 21
-
-
 def backward(
     params: NetworkParams,
     tape: ForwardTape,
@@ -283,37 +198,22 @@ def backward(
     gradients summed over the batch, and None comes back: the input gradient
     is not computed. Without grads, no weight gradient is computed and the
     per-sample input gradient comes back.
-
-    With grads and a helper thread, the weight-gradient product of each layer
-    above the first with at least OVERLAP_MACS multiply-adds goes to the
-    helper while the caller goes on down the chain. Before backward returns
-    or raises, the caller computes each such product that the helper has not
-    begun and waits for the others.
     """
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.shape != tape.output.shape:
         raise ValueError(f"output gradient shape {g.shape} != output shape {tape.output.shape}")
     n_layers = len(params.specs)
-    helper = _helper() if grads is not None else None
-    jobs = []
-    try:
-        for k in range(n_layers - 1, -1, -1):
-            z = tape.pre_activations[k]
-            h = tape.inputs[k + 1] if k + 1 < n_layers else tape.output
-            dz = _activation_backward(params.specs[k].activation, g, z, h)
-            if grads is not None:
-                w_grad = grads[k][0]
-                if helper is not None and k > 0 and len(dz) * w_grad.size >= OVERLAP_MACS:
-                    jobs.append(_submit(helper, np.matmul, dz.T, tape.inputs[k], out=w_grad))
-                else:
-                    np.matmul(dz.T, tape.inputs[k], out=w_grad)
-                dz.sum(axis=0, out=grads[k][1])
-                if k == 0:
-                    return None
-            g = dz @ params.weights[k]
-        return g
-    finally:
-        _finish(jobs)
+    for k in range(n_layers - 1, -1, -1):
+        z = tape.pre_activations[k]
+        h = tape.inputs[k + 1] if k + 1 < n_layers else tape.output
+        dz = _activation_backward(params.specs[k].activation, g, z, h)
+        if grads is not None:
+            np.matmul(dz.T, tape.inputs[k], out=grads[k][0])
+            dz.sum(axis=0, out=grads[k][1])
+            if k == 0:
+                return None
+        g = dz @ params.weights[k]
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +276,7 @@ class AdamState:
     beta1: float
     beta2: float
     step: int = 0
-    # two rows per thread: the caller's and the helper's
-    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 2, ADAM_CHUNK)))
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_CHUNK)))
 
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float, beta1: float, beta2: float) -> "AdamState":
@@ -386,13 +285,10 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2)
 
 
-def _adam_chunks(p, g, m, v, starts, scratch, b1, b2, lr, eps, corr1, corr2) -> None:
-    """Update p, m and v in place over the ADAM_CHUNK chunks that begin at starts.
-
-    starts may be an iterator that another thread draws from at the same time.
-    """
+def _adam_chunks(p, g, m, v, scratch, b1, b2, lr, eps, corr1, corr2) -> None:
+    """Update p, m and v in place, ADAM_CHUNK elements at a time."""
     one_minus_b1, one_minus_b2 = 1 - b1, 1 - b2
-    for start in starts:
+    for start in range(0, p.size, ADAM_CHUNK):
         end = min(start + ADAM_CHUNK, p.size)
         pc, gc, mc, vc = p[start:end], g[start:end], m[start:end], v[start:end]
         s1, s2 = scratch[0, : end - start], scratch[1, : end - start]
@@ -418,10 +314,7 @@ def adam_step(params: NetworkParams, state: AdamState) -> tuple[NetworkParams, A
     The gradient is checked before any parameter or moment changes. m, v and
     the parameters are updated ADAM_CHUNK elements at a time, each operation
     elementwise in the order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-    p -= (lr*(m/corr1)) / (sqrt(v/corr2) + eps), so neither chunking nor the
-    thread a chunk runs on moves a bit. With a helper thread and two or more
-    chunks, the caller and the helper each take the next chunk not yet taken,
-    each with its own scratch rows, until none is left.
+    p -= (lr*(m/corr1)) / (sqrt(v/corr2) + eps), so chunking moves no bit.
     """
     p, g, m, v = params.flat, state.grad, state.m, state.v
     if not p.size == g.size == m.size == v.size:
@@ -431,17 +324,8 @@ def adam_step(params: NetworkParams, state: AdamState) -> tuple[NetworkParams, A
     if not np.isfinite(total) and not np.all(np.isfinite(g)):
         raise TrainingError(f"non-finite gradient in layer {_non_finite_layer(state.grads)}")
     state.step += 1
-    t = state.step
-    coefs = (state.beta1, state.beta2, state.lr, ADAM_EPSILON,
-             1.0 - state.beta1**t, 1.0 - state.beta2**t)
-    shared = iter(range(0, p.size, ADAM_CHUNK))  # each next() runs under the GIL
-    helper = _helper() if p.size > ADAM_CHUNK else None
-    jobs = [] if helper is None else [
-        _submit(helper, _adam_chunks, p, g, m, v, shared, state.scratch[1], *coefs)]
-    try:
-        _adam_chunks(p, g, m, v, shared, state.scratch[0], *coefs)
-    finally:
-        _finish(jobs)
+    b1, b2, t = state.beta1, state.beta2, state.step
+    _adam_chunks(p, g, m, v, state.scratch, b1, b2, state.lr, ADAM_EPSILON, 1.0 - b1**t, 1.0 - b2**t)
     return params, state
 
 
@@ -473,7 +357,7 @@ def save_params(
         "trained_epochs": trained_epochs,
         "metadata": metadata,
     }
-    text = json.dumps(doc, sort_keys=True)
+    text = json.dumps(doc, sort_keys=True, allow_nan=False)
     del doc  # free the tolist() floats before the text is encoded
     Path(path).write_text(text, encoding="utf-8")
 

@@ -109,7 +109,7 @@ def save_gan(bundle: gan_mod.GanBundle, out_dir: Path, cfg: RunConfig) -> tuple[
     history_path = out_dir / "gan_history.json"
     history = {"history": bundle.history, "epochs_trained": bundle.epochs_trained,
                "converged": bundle.converged, "config_hash": config_hash(cfg)}
-    history_path.write_text(json.dumps(history, sort_keys=True, indent=2), encoding="utf-8")
+    history_path.write_text(json.dumps(history, sort_keys=True, indent=2, allow_nan=False), encoding="utf-8")
     return g_path, d_path, history_path
 
 
@@ -146,7 +146,7 @@ def write_attack(
     export_log(attack_events_to_corpus(events), path)
     meta = {"condition": condition, "seed": seed, "config_hash": config_hash(cfg),
             "n_sequences": cfg.attack.n_sequences, "target_user": user_id}
-    Path(f"{path}.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2), encoding="utf-8")
+    Path(f"{path}.meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2, allow_nan=False), encoding="utf-8")
 
 
 def read_attack_meta(path: str | Path) -> dict | None:
@@ -156,7 +156,8 @@ def read_attack_meta(path: str | Path) -> dict | None:
         return None
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        json.dumps(meta, allow_nan=False)  # a NaN or Infinity literal would reach the report
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or a NaN or Infinity
         raise DataError(f"{meta_path}: not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise DataError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
@@ -166,7 +167,7 @@ def read_attack_meta(path: str | Path) -> dict | None:
 def write_report(report: EvalReport, json_path: str | Path | None, table_path: str | Path | None) -> str:
     """Write the report as JSON and as its table, each to its path when one is given; returns the table."""
     table = render_table(report)
-    for path, text in ((json_path, json.dumps(report_to_dict(report), sort_keys=True, indent=2)),
+    for path, text in ((json_path, json.dumps(report_to_dict(report), sort_keys=True, indent=2, allow_nan=False)),
                        (table_path, table)):
         if path:
             Path(path).write_text(text + "\n", encoding="utf-8")
@@ -209,9 +210,9 @@ def report_metadata(
     return metadata
 
 
-def _require_windows(count: int, n: int, what: str) -> None:
+def _require_windows(count: int, n: int, what: str, why: str = "") -> None:
     if count < n:
-        raise DataError(f"{what}: only {count} sequences available, need {n}")
+        raise DataError(f"{what}: only {count} sequences available, need {n}{why}")
 
 
 def _first_windows(corpus: Corpus, user_id: str, n: int) -> np.ndarray:
@@ -288,9 +289,11 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     log(f"corpus: {cfg.data.users} users x {cfg.data.sentences_per_user} sentences "
         f"({corpus.n_events()} events) -> {corpus_path}")
     timings["corpus"] = time.perf_counter() - t_start
-    # fail before the verifier trains
-    _require_windows(verifier_mod.window_count(_get_user(corpus, cfg.target_user)),
-                     cfg.eval.n_sequences, f"real sequences of {cfg.target_user}")
+    # fail before the verifier trains; the corpus is synthetic, so name both keys
+    n, per_user = cfg.eval.n_sequences, cfg.data.sentences_per_user
+    _require_windows(verifier_mod.window_count(_get_user(corpus, cfg.target_user)), n,
+                     f"real sequences of {cfg.target_user}",
+                     f" (eval.n_sequences); data.sentences_per_user {per_user} guarantees {per_user}")
 
     t0 = time.perf_counter()
     verifier_bundle, vsummary = prepare_verifier(corpus, cfg)

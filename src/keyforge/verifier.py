@@ -12,6 +12,7 @@ sentences: spaces and cross-word latencies stay in. A window set is one
 
 from __future__ import annotations
 
+import json
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .data import (
     stack_sentences,
 )
 from . import nn
-from .nn import AdamState, LayerSpec, NetworkParams
+from .nn import AdamState, LayerSpec, NetworkParams, TrainingError
 
 SEQ_DIM = WORD_LEN * N_FEATURES  # 75
 EMBED_OUT_DIM = 64
@@ -267,6 +268,8 @@ def train_verifier(pairs: PairSet, config: VerifierConfig, seed: int) -> Verifie
             nn.backward(net, tape_b, -ga, grads_b)
             state.grad += grad_b
             nn.adam_step(net, state)
+        if not np.isfinite(epoch_loss):
+            raise TrainingError(f"non-finite verifier loss in epoch {len(loss_curve)}: {epoch_loss}")
         loss_curve.append(epoch_loss / len(pairs))
     bundle.metadata.update(loss_curve=loss_curve, margin=config.margin, train_seed=seed, epochs=config.epochs)
     return bundle
@@ -314,4 +317,8 @@ def load_verifier(path: str | Path) -> VerifierBundle:
     # bool is no number here; a JSON integer beyond float range would overflow in a comparison
     if not (type(tau) in (int, float) and 0 <= tau <= sys.float_info.max):
         raise nn.CorruptCheckpointError(f"{path}: tau {tau!r} is not a finite number >= 0")
+    try:  # a NaN or Infinity literal here would reach the report's metadata
+        json.dumps(meta, allow_nan=False)
+    except ValueError:
+        raise nn.CorruptCheckpointError(f"{path}: non-finite number in the metadata") from None
     return VerifierBundle(network=net, tau=float(tau), metadata=meta)

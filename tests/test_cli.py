@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import keyforge
@@ -14,6 +15,7 @@ from keyforge import gan as gan_mod
 from keyforge import nn, pipeline
 from keyforge import verifier as verifier_mod
 from keyforge.cli import main
+from keyforge.config import RunConfig
 from keyforge.data import WORD_LEN, Corpus, UserLog, export_log, synth_corpus
 
 TINY_CONFIG = {
@@ -348,6 +350,10 @@ def test_zero_sequences_in_config_is_config_error(tmp_path, section, capsys):
     ({"seeds": {"gan": -1}}, "config.seeds.gan must be an integer >= 0 or null, got -1"),
     ({"gan": {"g_hidden": 10**8}}, "config.gan.g_hidden must be an integer in [1, 11251]"),
     ({"verifier": {"hidden": 11252}}, "config.verifier.hidden must be an integer in [1, 11251]"),
+    ({"verifier": {"margin": 1e200}}, "config.verifier.margin must be a number in (0, 1e+151]"),
+    ({"attack": {"space_gap_mean": 1e308}}, "config.attack.space_gap_mean must be a number in [0, 5]"),
+    ({"data": {"users": 10**6, "sentences_per_user": 10**6}},
+     "config.data.users x config.data.sentences_per_user must be at most 1118481 sentences"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, doc, key, capsys):
     cfg_path = tmp_path / "config.json"
@@ -582,17 +588,36 @@ def test_evaluate_with_a_directory_as_verifier_is_data_error(tmp_path, corpus_fi
 def test_evaluate_with_bad_tau_is_data_error(tmp_path, corpus_file, tau, capsys):
     path = tmp_path / "verifier.json"
     net = nn.init_network(verifier_mod.embedding_specs(8), 0)
-    nn.save_params(net, path, "verifier", 0, 0, {"tau": tau, "margin": 1.0})
+    nn.save_params(net, path, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    doc = json.loads(path.read_text())
+    doc["metadata"]["tau"] = tau
+    path.write_text(json.dumps(doc))  # save_params itself writes no NaN
     out_json = tmp_path / "report.json"
     code = main(evaluate_args(path, corpus_file, out_json))
     assert_data_error(code, capsys, path, f"tau {tau!r} is not a finite number >= 0")
     assert not out_json.exists()
 
 
+@pytest.mark.parametrize("key, value", [("eer", float("nan")), ("heldout_accuracy", float("inf"))])
+def test_evaluate_with_a_non_finite_verifier_metadata_value_is_data_error(tmp_path, corpus_file, key,
+                                                                          value, capsys):
+    path = tmp_path / "verifier.json"
+    net = nn.init_network(verifier_mod.embedding_specs(8), 0)
+    nn.save_params(net, path, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    doc = json.loads(path.read_text())
+    doc["metadata"][key] = value
+    path.write_text(json.dumps(doc))
+    out_json = tmp_path / "report.json"
+    code = main(evaluate_args(path, corpus_file, out_json))
+    assert_data_error(code, capsys, path, "non-finite number in the metadata")
+    assert not out_json.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("{not json", "not valid JSON: "),
     ("[1]", "expected a JSON object, got list"),
-], ids=["malformed", "list"])
+    ('{"seed": NaN}', "not valid JSON: Out of range float values are not JSON compliant"),
+], ids=["malformed", "list", "nan-seed"])
 def test_evaluate_with_bad_attack_side_file_is_data_error(tmp_path, corpus_file, text, message,
                                                           capsys):
     path = tmp_path / "verifier.json"
@@ -796,9 +821,9 @@ def test_evaluate_fake_flags_that_do_not_match_the_conditions_are_usage_errors(
 
 @pytest.mark.parametrize("override, message", [
     ({"attack": {"n_sequences": 3, "fit_space_model": False, "space_hold_std": -1}},
-     "config.attack.space_hold_std must be a finite number >= 0, got -1"),
+     "config.attack.space_hold_std must be a number in [0, 5], got -1"),
     ({"attack": {"n_sequences": 3, "fit_space_model": False, "space_gap_mean": float("nan")}},
-     "config.attack.space_gap_mean must be a finite number >= 0, got nan"),
+     "config.attack.space_gap_mean must be a number in [0, 5], got nan"),
     ({"attack": {"n_sequences": 3, "fit_space_model": "no"}},
      "config.attack.fit_space_model must be a JSON bool, got 'no'"),
     ({"conditions": []}, "config.conditions must be a non-empty list, got []"),
@@ -817,9 +842,18 @@ def test_evaluate_fake_flags_that_do_not_match_the_conditions_are_usage_errors(
     ({"gan": {"g_hidden": 10**8}}, "config.gan.g_hidden must be an integer in [1, 11251], got 100000000"),
     ({"gan": {"d_hidden2": 11252}}, "config.gan.d_hidden2 must be an integer in [1, 11251], got 11252"),
     ({"verifier": {"hidden": 11252}}, "config.verifier.hidden must be an integer in [1, 11251], got 11252"),
+    ({"verifier": {"margin": 1e200}}, "config.verifier.margin must be a number in (0, 1e+151], got 1e+200"),
+    ({"attack": {"n_sequences": 3, "fit_space_model": False, "space_gap_mean": 1e308}},
+     "config.attack.space_gap_mean must be a number in [0, 5], got 1e+308"),
+    ({"attack": {"n_sequences": 3, "fit_space_model": False, "space_hold_std": 1e308}},
+     "config.attack.space_hold_std must be a number in [0, 5], got 1e+308"),
+    ({"data": {"users": 10**6, "sentences_per_user": 5}},
+     "config.data.users x config.data.sentences_per_user must be at most 1118481 sentences, "
+     "got 1000000 x 5"),
 ], ids=["negative-space-std", "nan-space-mean", "string-bool", "no-conditions", "huge-attack-sequences",
         "huge-eval-sequences", "huge-train-pairs", "huge-calibration-pairs", "huge-test-pairs",
-        "negative-global-seed", "negative-phase-seed", "huge-g-hidden", "wide-d-hidden2", "wide-v-hidden"])
+        "negative-global-seed", "negative-phase-seed", "huge-g-hidden", "wide-d-hidden2", "wide-v-hidden",
+        "huge-margin", "huge-space-gap-mean", "huge-space-hold-std", "huge-corpus"])
 def test_run_all_config_hole_is_config_error_naming_the_key(tmp_path, override, message, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(dict(TINY_CONFIG, **override)))
@@ -830,6 +864,41 @@ def test_run_all_config_hole_is_config_error_naming_the_key(tmp_path, override, 
     assert not out_dir.exists()
 
 
+def test_default_config_has_the_windows_to_evaluate_at_every_seed():
+    """run_all's pre-training window check passes at the default config for seeds 0-49."""
+    for seed in range(50):
+        cfg = RunConfig()
+        cfg.seeds.global_seed = seed
+        u0 = pipeline.build_corpus(cfg).get(cfg.target_user)
+        assert verifier_mod.window_count(u0) >= cfg.eval.n_sequences, f"seed {seed}"
+
+
+def test_synth_data_past_the_corpus_ceiling_is_config_error(tmp_path, capsys):
+    out = tmp_path / "c.tsv"
+    code = main(["synth-data", "--users", "1000000", "--sentences", "2", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: --users x --sentences must be at most 1118481 sentences, got 1000000 x 2\n")
+    assert not out.exists()
+
+
+def test_run_all_non_finite_verifier_loss_is_training_error(tmp_path, monkeypatch, capsys):
+    contrastive_loss = nn.contrastive_loss
+
+    def infinite_loss(*args):
+        loss, grad = contrastive_loss(*args)
+        return np.full_like(loss, np.inf), grad
+
+    monkeypatch.setattr(nn, "contrastive_loss", infinite_loss)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    out_dir = tmp_path / "run"
+    code = main(["run-all", "--out-dir", str(out_dir), "--config", str(cfg_path)])
+    assert code == 3
+    assert capsys.readouterr().err == "training error: non-finite verifier loss in epoch 0: inf\n"
+    assert not (out_dir / "verifier.json").exists()
+
+
 def test_run_all_short_target_user_fails_before_training(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(dict(TINY_CONFIG, eval={"n_sequences": 50})))
@@ -837,8 +906,8 @@ def test_run_all_short_target_user_fails_before_training(tmp_path, capsys):
     code = main(["run-all", "--out-dir", str(out_dir), "--config", str(cfg_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"data error: real sequences of u0: only \d+ sequences available, need 50\n",
-                        err)
+    assert re.fullmatch(r"data error: real sequences of u0: only \d+ sequences available, need 50 "
+                        r"\(eval.n_sequences\); data.sentences_per_user 5 guarantees 5\n", err)
     assert not (out_dir / "verifier.json").exists()
 
 
@@ -857,5 +926,6 @@ def test_run_all_target_user_without_a_full_window_fails_before_training(tmp_pat
     code = main(["run-all", "--out-dir", str(out_dir), "--config", str(cfg_path)])
     assert code == 2
     assert (capsys.readouterr().err
-            == "data error: real sequences of u0: only 0 sequences available, need 3\n")
+            == "data error: real sequences of u0: only 0 sequences available, need 3 "
+               "(eval.n_sequences); data.sentences_per_user 5 guarantees 5\n")
     assert not (out_dir / "verifier.json").exists()

@@ -1,9 +1,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from keyforge import gan, verifier
+from keyforge import gan, nn, verifier
 from keyforge.config import (
     ConfigError,
     RunConfig,
@@ -12,6 +13,7 @@ from keyforge.config import (
     config_to_dict,
     load_config,
 )
+from keyforge.data import synth_corpus
 
 
 def test_defaults_are_paper_scale():
@@ -20,7 +22,7 @@ def test_defaults_are_paper_scale():
     assert cfg.data.sentences_per_user == 15
     assert cfg.seeds.global_seed == 7
     assert cfg.attack.n_sequences == 20
-    assert cfg.eval.n_sequences == 20
+    assert cfg.eval.n_sequences == 15  # the windows that 15 sentences per user guarantee
     assert cfg.gan.max_epochs == 5000
     assert cfg.gan.check_interval == 50
     assert cfg.gan.stop_threshold == 0.85
@@ -99,10 +101,10 @@ def test_config_to_dict_is_json_serializable():
 def test_config_hash_of_valid_configs_is_pinned():
     # the load-time value checks accept these unchanged; an int rate stays an int
     assert config_hash(RunConfig()) == (
-        "c35d6290bf81c6125e655f28c9acb894da3bda717d11bed816c2069c88a92bf8")
+        "3aa6df86cc51168b70b67f831cfd73f06818f420ba75daff699025cc0ae34018")
     doc = {"gan": {"g_lr": 1, "stop_threshold": 1}, "seeds": {"gan": 3}}
     assert config_hash(config_from_dict(doc)) == (
-        "b7eab4b5e9df7abf3f84d1d53f06be029e636f1ad169f956627de02c5ca97220")
+        "aea8237b074be7e0b9016c2ba6a207ffccf7a2a92e3bdd4ac51faacb849affe3")
 
 
 @pytest.mark.parametrize("doc", [
@@ -118,6 +120,9 @@ def test_config_hash_of_valid_configs_is_pinned():
     {"verifier": {"train_pairs": 447392, "calibration_pairs": 223696, "test_pairs": 223696}},
     {"verifier": {"train_pairs": 2, "calibration_pairs": 2, "test_pairs": 1}},
     {"verifier": {"hidden": 11251}, "gan": {"g_hidden": 11251, "d_hidden1": 11251, "d_hidden2": 11251}},
+    {"verifier": {"margin": 1e151}},
+    {"attack": {"space_hold_mean": 5, "space_hold_std": 5.0, "space_gap_mean": 5, "space_gap_std": 5.0}},
+    {"data": {"users": 3, "sentences_per_user": 372827}},
 ])
 def test_boundary_values_accepted(doc):
     config_from_dict(doc)
@@ -165,6 +170,14 @@ def test_boundary_values_accepted(doc):
     ({"gan": {"d_hidden1": 11252}}, "config.gan.d_hidden1 must be an integer in [1, 11251], got 11252"),
     ({"gan": {"d_hidden2": 0}}, "config.gan.d_hidden2 must be an integer in [1, 11251], got 0"),
     ({"verifier": {"hidden": 10**8}}, "config.verifier.hidden must be an integer in [1, 11251]"),
+    ({"verifier": {"margin": 1e200}}, "config.verifier.margin must be a number in (0, 1e+151], got 1e+200"),
+    ({"verifier": {"margin": 1.01e151}}, "config.verifier.margin must be a number in (0, 1e+151]"),
+    ({"attack": {"space_gap_mean": 1e308}}, "config.attack.space_gap_mean must be a number in [0, 5], got 1e+308"),
+    ({"attack": {"space_hold_std": 5.001}}, "config.attack.space_hold_std must be a number in [0, 5]"),
+    ({"data": {"users": 3, "sentences_per_user": 372828}},
+     "config.data.users x config.data.sentences_per_user must be at most 1118481 sentences, got 3 x 372828"),
+    ({"data": {"users": 10**9}},
+     "config.data.users x config.data.sentences_per_user must be at most 1118481 sentences"),
 ])
 def test_bad_values_rejected_naming_the_key(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
@@ -192,3 +205,18 @@ def test_width_ceiling_keeps_each_network_within_a_gib():
                 verifier.embedding_specs(cfg.verifier.hidden)]
     assert all(n_params(specs) * 8 <= 2**30 for specs in networks)
     assert n_params(gan.generator_specs(11252)) * 8 > 2**30
+
+
+def test_margin_ceiling_keeps_an_epoch_loss_finite():
+    """At the margin ceiling, impostor pairs at distance 0 over the largest train split sum to a finite loss."""
+    v = config_from_dict({"verifier": {"margin": 1e151, "train_pairs": 447392}}).verifier
+    losses, _ = nn.contrastive_loss(np.zeros(v.train_pairs), np.zeros(v.train_pairs, bool), v.margin)
+    assert np.isfinite(losses.sum())
+
+
+def test_corpus_ceiling_keeps_the_rows_within_a_gib():
+    """A synthetic sentence has at most 40 keys of 3 float64, so 1,118,481 sentences fit in 1 GiB."""
+    corpus = synth_corpus(20, 50, 3)
+    assert max(len(sentence) for user in corpus.users for sentence in user.sentences) <= 40
+    config_from_dict({"data": {"users": 3, "sentences_per_user": 1118481 // 3}})
+    assert 1118481 * 40 * 3 * 8 <= 2**30 < 1118482 * 40 * 3 * 8

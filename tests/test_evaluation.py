@@ -26,7 +26,7 @@ from keyforge.nn import LayerSpec, NetworkParams
 from keyforge.verifier import NonFiniteDistanceError, VerifierBundle, sequences_from_corpus, window_count
 
 counts = st.integers(min_value=0, max_value=1000)
-N = 20  # the default eval.n_sequences
+N = 20  # sequences per set
 
 
 def oracle_metrics(tp, tn, fp, fn):
