@@ -5,7 +5,9 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -534,14 +536,42 @@ def adam_run(specs, steps=3):
     return params, state
 
 
-def test_adam_non_finite_gradient_on_any_chunk_changes_nothing():
+def run_on(mode, fn):
+    """Run fn() from the calling context that mode names and return its result.
+
+    serial: on the test's own thread. helper: on a second thread, as a program
+    that trains off its main thread would; an error comes back to the test.
+    stalled: on the test's thread while another thread stays blocked until fn
+    returns, so a step that waited on any other thread would not finish.
+    """
+    if mode == "helper":
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(fn).result(timeout=60)
+    release = threading.Event()
+    blocked = threading.Thread(target=release.wait, daemon=True)
+    if mode == "stalled":
+        blocked.start()
+    try:
+        return fn()
+    finally:
+        release.set()
+        if mode == "stalled":
+            blocked.join()
+
+
+@pytest.mark.parametrize("mode", ["serial", "helper", "stalled"])
+def test_adam_non_finite_gradient_on_any_chunk_changes_nothing(mode):
     params, state = adam_run(MANY_CHUNKS, steps=1)
     before, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
-    for index in (0, nn.ADAM_CHUNK + 5, params.flat.size - 1):  # the first, second and last chunk
-        state.grad[index] = np.nan
-        with pytest.raises(TrainingError, match="non-finite gradient"):
-            adam_step(params, state)
-        state.grad[index] = 0.0
+
+    def reject_each_chunk():
+        for index in (0, nn.ADAM_CHUNK + 5, params.flat.size - 1):  # the first, second and last chunk
+            state.grad[index] = np.nan
+            with pytest.raises(TrainingError, match="non-finite gradient"):
+                adam_step(params, state)
+            state.grad[index] = 0.0
+
+    run_on(mode, reject_each_chunk)
     assert state.step == 1
     assert np.array_equal(params.flat, before)
     assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
