@@ -35,7 +35,7 @@ from .data import (
     WORD_LEN,
     Sentence,
 )
-from .gan import GanBundle, generate_word
+from .gan import GanBundle, generate_word, word_tables
 
 if TYPE_CHECKING:
     from .config import AttackSection
@@ -167,9 +167,10 @@ def build_attack_stream(
 ) -> Sentence:
     """Generate and stitch enough events to window config.n_sequences full sequences.
 
-    The plan repeats, with fresh latents per pass, until the stream is long
-    enough. A generator that gives a NaN or infinite cell, as overflowing
-    weights do, raises NonFiniteSampleError; the overflow itself stays silent.
+    The plan's word tables are built once; the plan repeats, with fresh
+    latents per pass, until the stream is long enough. A generator that gives
+    a NaN or infinite cell, as overflowing weights do, raises
+    NonFiniteSampleError; the overflow itself stays silent.
     """
     if not word_plan:
         raise ValueError("empty word plan")
@@ -178,11 +179,13 @@ def build_attack_stream(
     passes = (config.n_sequences * WORD_LEN + per_pass) // per_pass
     # canonical (sorted, occurrence-stable) order: plans over one multiset draw equal latents per word
     canonical = sorted(range(len(word_plan)), key=lambda i: (word_plan[i], i))
+    tables = word_tables(word_plan)
+    rows = [tuple(table[i : i + 1] for table in tables) for i in range(len(word_plan))]
     matrices = np.empty((passes, len(word_plan), WORD_LEN, N_FEATURES))
     with np.errstate(all="ignore"):
         for p in range(passes):
             for i in canonical:
-                matrices[p, i] = generate_word(bundle, word_plan[i], rng)
+                matrices[p, i] = generate_word(bundle, rows[i], rng)
     matrices = matrices.reshape(-1, WORD_LEN, N_FEATURES)
     bad = np.flatnonzero(~np.isfinite(matrices).all(axis=(1, 2)))
     if bad.size:

@@ -9,8 +9,6 @@ anagram symmetry while keeping near-identical spellings nearby.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .data import WORD_LEN
@@ -31,13 +29,8 @@ def _build_char_table() -> np.ndarray:
 _CHAR_VECTORS = _build_char_table()
 
 
-@lru_cache(maxsize=None)
 def embed_word(text: str) -> np.ndarray:
-    """Map 1-15 characters of text to a unit-norm 100-d conditioning vector.
-
-    Computed once per distinct text; every later call returns the same
-    read-only array.
-    """
+    """Map 1-15 characters of text to a new unit-norm 100-d conditioning vector."""
     if not 1 <= len(text) <= WORD_LEN:
         raise ValueError(f"text length {len(text)} outside 1..{WORD_LEN}")
     codes = [ord(ch) for ch in text]
@@ -49,6 +42,4 @@ def embed_word(text: str) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm < 1e-12:  # cannot occur for random character vectors; guards table edits
         raise ValueError(f"degenerate embedding for {text!r}")
-    out = vec / norm
-    out.flags.writeable = False
-    return out
+    return vec / norm

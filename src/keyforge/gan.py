@@ -9,7 +9,8 @@ apply the discriminator-accuracy stopping rule.
 Generated samples are always post-processed before any use: padding rows are
 zeroed and the keycode column is overwritten with the conditioning word's true
 normalized keycodes (the attacker knows the text being typed), so only the
-timing cells are ever learned or judged.
+timing cells are ever learned or judged. A word's condition, mask and fixed
+cells depend on its text alone: train and the attack build word_tables once.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def new_bundle(seed: int, config: GanTrainConfig) -> GanBundle:
     )
 
 
-def _word_tables(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def word_tables(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Condition rows, gradient masks and fixed cells of the texts' flat 15x5 samples.
 
     Row i of the (n, 100) conditions is embed_word(texts[i]). Row i of the
@@ -111,9 +112,9 @@ def _generate_flat(
     return _postprocess(raw, mask, fixed), tape
 
 
-def generate_word(bundle: GanBundle, text: str, rng: np.random.Generator) -> np.ndarray:
-    """Sample one synthetic (15, 5) word matrix conditioned on the given text."""
-    flat, _ = _generate_flat(bundle, _word_tables([text]), rng)
+def generate_word(bundle: GanBundle, row: tuple[np.ndarray, ...], rng: np.random.Generator) -> np.ndarray:
+    """Sample one synthetic (15, 5) word matrix for one word's word_tables row, each table sliced to 1 row."""
+    flat, _ = _generate_flat(bundle, row, rng)
     return flat.reshape(WORD_LEN, N_FEATURES)
 
 
@@ -124,29 +125,27 @@ def _scores(bundle: GanBundle, flat: np.ndarray, conds: np.ndarray) -> np.ndarra
 
 def train_epoch(
     bundle: GanBundle,
-    texts: list[str],
-    matrices: np.ndarray,
+    flat: np.ndarray,
+    tables: tuple[np.ndarray, ...],
     batch_size: int,
     rng: np.random.Generator,
     d_state: AdamState,
     g_state: AdamState,
-) -> tuple[GanBundle, dict]:
-    """One adversarial epoch over shuffled batches of the words (texts, matrices).
+) -> dict:
+    """One adversarial epoch, in place, over shuffled batches of the (n, 75) flat real samples.
 
-    Per batch: (1) discriminator step on real pairs (target 1) and freshly
-    generated pairs (target 0); (2) generator step through the frozen
-    discriminator with target 1. d_state and g_state are the networks' Adam
-    states, carried across epochs. Returns per-epoch mean losses and
-    discriminator accuracies.
+    tables are word_tables of the samples' texts. Per batch: (1) discriminator
+    step on real pairs (target 1) and freshly generated pairs (target 0);
+    (2) generator step through the frozen discriminator with target 1. d_state
+    and g_state are the networks' Adam states, carried across epochs. Returns
+    per-epoch mean losses and discriminator accuracies.
     """
-    if not texts:
+    if not len(flat):
         raise ValueError("train_epoch needs at least one word sample")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
-    flat = matrices.reshape(len(texts), GEN_OUT_DIM)
-    tables = _word_tables(texts)
-    order = rng.permutation(len(texts))
+    order = rng.permutation(len(flat))
     d_losses, g_losses = [], []
     real_hits = fake_hits = seen = 0
 
@@ -192,7 +191,7 @@ def train_epoch(
         "d_real_acc": real_hits / seen,
         "d_fake_acc": fake_hits / seen,
     }
-    return bundle, stats
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +234,19 @@ def stop_decision(
 
 def stop_check(
     bundle: GanBundle,
-    texts: list[str],
-    matrices: np.ndarray,
+    flat: np.ndarray,
+    tables: tuple[np.ndarray, ...],
     rng: np.random.Generator,
     threshold: float,
 ) -> tuple[bool, dict]:
-    """Evaluate the pause-and-measure stopping rule on 5 subsets of 32+32 samples."""
-    if not texts:
+    """Evaluate the pause-and-measure stopping rule on 5 subsets of 32+32 of train_epoch's samples."""
+    if not len(flat):
         raise ValueError("stop_check needs real word samples")
-    flat = matrices.reshape(len(texts), GEN_OUT_DIM)
-    tables = _word_tables(texts)
-    replace = len(texts) < STOP_SUBSET_SIZE
+    replace = len(flat) < STOP_SUBSET_SIZE
     real_accs, fake_accs = [], []
     for _ in range(STOP_SUBSETS):
-        idx = rng.choice(len(texts), size=STOP_SUBSET_SIZE, replace=replace)
-        fake_idx = rng.choice(len(texts), size=STOP_SUBSET_SIZE, replace=True)
+        idx = rng.choice(len(flat), size=STOP_SUBSET_SIZE, replace=replace)
+        fake_idx = rng.choice(len(flat), size=STOP_SUBSET_SIZE, replace=True)
         fake_rows = tuple(table[fake_idx] for table in tables)
         fake_flat, _ = _generate_flat(bundle, fake_rows, rng)
         real_acc, fake_acc = subset_accuracies(
@@ -272,8 +269,11 @@ def train(
 
     Runs stop_check every check_interval epochs; stops on the criterion or at
     max_epochs (flagging the bundle not-converged). The criterion history is
-    recorded on the bundle.
+    recorded on the bundle. Overflow stays silent: a non-finite loss or
+    gradient, or a trained generator's non-finite cell, raises TrainingError.
     """
+    flat = matrices.reshape(len(texts), GEN_OUT_DIM)
+    tables = word_tables(texts)
     d_state = AdamState.for_params(
         bundle.discriminator, lr=config.d_lr, beta1=config.beta1, beta2=config.beta2
     )
@@ -281,15 +281,25 @@ def train(
         bundle.generator, lr=config.g_lr, beta1=config.beta1, beta2=config.beta2
     )
     epochs = 0
-    for epoch in range(1, config.max_epochs + 1):
-        bundle, _ = train_epoch(bundle, texts, matrices, config.batch_size, rng, d_state, g_state)
-        epochs = epoch
-        if epoch % config.check_interval == 0:
-            stop, details = stop_check(bundle, texts, matrices, rng, config.stop_threshold)
-            bundle.history.append({"epoch": epoch, "stop": stop, **details})
-            if stop:
-                bundle.converged = True
-                break
+    with np.errstate(all="ignore"):
+        for epoch in range(1, config.max_epochs + 1):
+            train_epoch(bundle, flat, tables, config.batch_size, rng, d_state, g_state)
+            epochs = epoch
+            if epoch % config.check_interval == 0:
+                stop, details = stop_check(bundle, flat, tables, rng, config.stop_threshold)
+                bundle.history.append({"epoch": epoch, "stop": stop, **details})
+                if stop:
+                    bundle.converged = True
+                    break
+        # finite weights can still give NaN cells; latents from their own stream move no training bit
+        check_rng = np.random.default_rng(bundle.seed)
+        bad = 0
+        for start in range(0, len(flat), config.batch_size):
+            rows = tuple(table[start : start + config.batch_size] for table in tables)
+            sample, _ = _generate_flat(bundle, rows, check_rng)
+            bad += int(np.count_nonzero(~np.isfinite(sample).all(axis=1)))
+    if bad:
+        raise TrainingError(f"trained generator gives non-finite cells for {bad} of {len(flat)} word samples")
     bundle.epochs_trained = epochs
     return bundle
 

@@ -249,28 +249,29 @@ def train_verifier(pairs: PairSet, config: VerifierConfig, seed: int) -> Verifie
     b_all = pairs.b.reshape(len(pairs), SEQ_DIM)
 
     loss_curve = []
-    for _ in range(config.epochs):
-        order = rng.permutation(len(pairs))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            ea, tape_a = nn.forward(net, a_all[idx])
-            eb, tape_b = nn.forward(net, b_all[idx])
-            diff = ea - eb
-            d = code_distances(diff)
-            losses, dldd = nn.contrastive_loss(d, pairs.same[idx], config.margin)
-            epoch_loss += float(losses.sum())
-            # unit direction of d wrt ea; zero where d == 0 (valid subgradient)
-            safe = np.where(d > 0, d, 1.0)
-            direction = diff / safe[:, None]
-            ga = (dldd / len(idx))[:, None] * direction
-            nn.backward(net, tape_a, ga, state.grads)
-            nn.backward(net, tape_b, -ga, grads_b)
-            state.grad += grad_b
-            nn.adam_step(net, state)
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(f"non-finite verifier loss in epoch {len(loss_curve)}: {epoch_loss}")
-        loss_curve.append(epoch_loss / len(pairs))
+    with np.errstate(all="ignore"):  # overflow stays silent; the finite checks raise TrainingError
+        for _ in range(config.epochs):
+            order = rng.permutation(len(pairs))
+            epoch_loss = 0.0
+            for start in range(0, len(order), config.batch_size):
+                idx = order[start : start + config.batch_size]
+                ea, tape_a = nn.forward(net, a_all[idx])
+                eb, tape_b = nn.forward(net, b_all[idx])
+                diff = ea - eb
+                d = code_distances(diff)
+                losses, dldd = nn.contrastive_loss(d, pairs.same[idx], config.margin)
+                epoch_loss += float(losses.sum())
+                # unit direction of d wrt ea; zero where d == 0 (valid subgradient)
+                safe = np.where(d > 0, d, 1.0)
+                direction = diff / safe[:, None]
+                ga = (dldd / len(idx))[:, None] * direction
+                nn.backward(net, tape_a, ga, state.grads)
+                nn.backward(net, tape_b, -ga, grads_b)
+                state.grad += grad_b
+                nn.adam_step(net, state)
+            if not np.isfinite(epoch_loss):
+                raise TrainingError(f"non-finite verifier loss in epoch {len(loss_curve)}: {epoch_loss}")
+            loss_curve.append(epoch_loss / len(pairs))
     bundle.metadata.update(loss_curve=loss_curve, margin=config.margin, train_seed=seed, epochs=config.epochs)
     return bundle
 

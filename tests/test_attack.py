@@ -141,7 +141,7 @@ def test_stitch_inserts_one_space_per_boundary(user_words, rng):
 def test_stitch_presses_strictly_increase(bundle, rng):
     # untrained generator output is the degenerate case the 1ms floor guards
     texts = ["aa", "longerword", "mid"]
-    matrices = np.array([gan.generate_word(bundle, t, rng) for t in texts])
+    matrices = np.array([gan.generate_word(bundle, gan.word_tables([t]), rng) for t in texts])
     events = stitch_events(texts, matrices, DEFAULT_SPACES, rng)
     presses = [ev.press_time for ev in events]
     assert all(b > a for a, b in zip(presses, presses[1:]))
@@ -150,7 +150,8 @@ def test_stitch_presses_strictly_increase(bundle, rng):
 def test_stitched_rows_satisfy_latency_identity(bundle, user_words, rng):
     texts, matrices = user_words
     texts = texts[:3] + ["xyzzy"]
-    matrices = np.concatenate([matrices[:3], gan.generate_word(bundle, "xyzzy", rng)[None]])
+    xyzzy = gan.generate_word(bundle, gan.word_tables(["xyzzy"]), rng)
+    matrices = np.concatenate([matrices[:3], xyzzy[None]])
     events = stitch_events(texts, matrices, DEFAULT_SPACES, rng)
     rows = extract_features(events, [len(events)])
     for row in rows[:-1]:
@@ -199,8 +200,8 @@ def test_stitch_matches_per_key_reference(bundle, user_words, n_words):
     generated = ["a", "qwertyuiopasdfg", "mid"]
     real_texts, real_matrices = user_words
     texts = [generated[i % 3] if i % 4 == 3 else real_texts[i % len(real_texts)] for i in range(n_words)]
-    matrices = np.array([gan.generate_word(bundle, generated[i % 3], np.random.default_rng(i)) if i % 4 == 3
-                         else real_matrices[i % len(real_texts)] for i in range(n_words)])
+    matrices = np.array([gan.generate_word(bundle, gan.word_tables([generated[i % 3]]), np.random.default_rng(i))
+                         if i % 4 == 3 else real_matrices[i % len(real_texts)] for i in range(n_words)])
     space_model = fit_space_model(synth_corpus(2, 3, 1).users[1].sentences, DEFAULT_SPACES)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
     got = stitch_events(texts, matrices, space_model, got_rng)
@@ -309,6 +310,17 @@ def test_build_attack_stream_regenerates_short_plans(bundle):
     cfg = AttackSection(n_sequences=3)
     events = build_attack_stream(bundle, ["ab", "cd"], cfg, DEFAULT_SPACES, np.random.default_rng(1))
     assert len(events) >= 3 * 15
+
+
+def test_build_attack_stream_embeds_each_planned_word_once(small_bundle, monkeypatch):
+    """The plan's word table is built once: neither a repeated word nor a further pass embeds again."""
+    embed, calls = gan.embed_word, []
+    monkeypatch.setattr(gan, "embed_word", lambda text: calls.append(text) or embed(text))
+    plan = ["ab", "cd", "ab"]
+    events = build_attack_stream(small_bundle, plan, AttackSection(n_sequences=3), DEFAULT_SPACES,
+                                 np.random.default_rng(1))
+    assert (len(events) + 1) // (sum(map(len, plan)) + len(plan)) == 6  # passes
+    assert calls == plan
 
 
 def passes_reference(word_plan, n_sequences):

@@ -219,7 +219,6 @@ def test_run_all_unknown_target_user_fails_before_training(tmp_path, capsys):
     assert not (out_dir / "verifier.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_cgan_blowup_is_training_failure(tmp_path, corpus_file, capsys):
     cfg = dict(TINY_CONFIG)
     cfg["gan"] = dict(TINY_CONFIG["gan"], g_lr=1e150, d_lr=1e150, max_epochs=30)
@@ -229,6 +228,34 @@ def test_train_cgan_blowup_is_training_failure(tmp_path, corpus_file, capsys):
                  "--out-dir", str(tmp_path / "gan"), "--config", str(cfg_path)])
     assert code == 3
     assert "training error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("gan", "g_lr"), ("gan", "d_lr"), ("verifier", "lr")])
+def test_overflowing_learning_rate_is_one_training_error_line(tmp_path, corpus_file, section, key, capsys):
+    """The overflow itself stays silent (a RuntimeWarning fails the test); the finite checks report it."""
+    cfg = dict(TINY_CONFIG)
+    cfg[section] = dict(TINY_CONFIG[section], **{key: 1e308})
+    cfg_path = tmp_path / "lr.json"
+    cfg_path.write_text(json.dumps(cfg))
+    args = (["train-cgan", "--user", "u0", "--out-dir", str(tmp_path / "gan")] if section == "gan"
+            else ["train-verifier", "--out", str(tmp_path / "v.json")])
+    code = main([*args, "--corpus", str(corpus_file), "--config", str(cfg_path)])
+    assert code == 3
+    assert capsys.readouterr().err == "training error: non-finite gradient in layer 0\n"
+    assert not (tmp_path / "gan").exists() and not (tmp_path / "v.json").exists()
+
+
+def test_train_cgan_whose_generator_gives_non_finite_cells_is_training_error(tmp_path, corpus_file, capsys):
+    """One Adam step at a rate near the float ceiling leaves finite weights whose every sample is NaN."""
+    cfg_path = tmp_path / "found.json"
+    cfg_path.write_text(json.dumps({"gan": {"g_lr": 1.7e308, "batch_size": 1000, "g_hidden": 32,
+                                            "d_hidden1": 32, "d_hidden2": 16}}))
+    code = main(["train-cgan", "--corpus", str(corpus_file), "--user", "u0",
+                 "--out-dir", str(tmp_path / "gan"), "--config", str(cfg_path), "--max-epochs", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "training error: trained generator gives non-finite cells for 17 of 17 word samples\n")
+    assert not (tmp_path / "gan").exists()
 
 
 @pytest.fixture()

@@ -65,16 +65,3 @@ def test_injective_on_random_vocabulary():
     np.fill_diagonal(gram, -1.0)
     min_dist = np.sqrt(max(0.0, 2.0 - 2.0 * float(gram.max())))
     assert min_dist > 1e-3
-
-
-def test_cached_result_equals_fresh_computation():
-    first = embed_word("cache")
-    assert embed_word("cache") is first
-    assert np.array_equal(first, embed_word.__wrapped__("cache"))
-
-
-def test_cached_result_is_read_only():
-    vec = embed_word("frozen")
-    with pytest.raises(ValueError):
-        vec[0] = 1.0
-    assert np.array_equal(embed_word("frozen"), embed_word.__wrapped__("frozen"))

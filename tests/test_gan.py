@@ -36,6 +36,11 @@ def corpus_words():
     return words_from_corpus(corpus.users[0])
 
 
+def flat_words(texts, matrices):
+    """(flat samples, word tables) of words (texts, matrices), as train_epoch and stop_check take them."""
+    return matrices.reshape(len(texts), gan.GEN_OUT_DIM), gan.word_tables(texts)
+
+
 def constant_words(cell_value, texts):
     """Words (texts, matrices) whose timing cells all equal cell_value."""
     matrices = np.zeros((len(texts), WORD_LEN, 5))
@@ -52,7 +57,7 @@ def constant_words(cell_value, texts):
 
 
 def test_generate_word_padding_and_ranges(bundle, rng):
-    word = gan.generate_word(bundle, "hello", rng)
+    word = gan.generate_word(bundle, gan.word_tables(["hello"]), rng)
     assert word.shape == (WORD_LEN, 5)
     assert np.all(word[5:] == 0.0)
     valid = word[:5]
@@ -61,27 +66,27 @@ def test_generate_word_padding_and_ranges(bundle, rng):
 
 
 def test_generate_word_keycode_column_is_exact(bundle, rng):
-    word = gan.generate_word(bundle, "abc", rng)
+    word = gan.generate_word(bundle, gan.word_tables(["abc"]), rng)
     expected = np.array([ord(c) / 255.0 for c in "abc"])
     assert np.array_equal(word[:3, COL_KEYCODE], expected)
 
 
 def test_generate_word_rng_changes_timing_not_keycodes(bundle):
-    a = gan.generate_word(bundle, "hello", np.random.default_rng(1))
-    b = gan.generate_word(bundle, "hello", np.random.default_rng(2))
+    a = gan.generate_word(bundle, gan.word_tables(["hello"]), np.random.default_rng(1))
+    b = gan.generate_word(bundle, gan.word_tables(["hello"]), np.random.default_rng(2))
     assert not np.array_equal(a[:5, :4], b[:5, :4])
     assert np.array_equal(a[:, COL_KEYCODE], b[:, COL_KEYCODE])
 
 
-def test_generate_word_rejects_bad_text(bundle, rng):
+def test_word_tables_reject_bad_text():
     with pytest.raises(ValueError):
-        gan.generate_word(bundle, "", rng)
+        gan.word_tables([""])
     with pytest.raises(ValueError):
-        gan.generate_word(bundle, "x" * 16, rng)
+        gan.word_tables(["x" * 16])
 
 
 def test_discriminate_in_unit_interval_and_deterministic(bundle, rng):
-    word = gan.generate_word(bundle, "hello", rng)
+    word = gan.generate_word(bundle, gan.word_tables(["hello"]), rng)
     flat = word.reshape(1, -1)
     cond = embed_word("hello")[None, :]
     p1 = gan._scores(bundle, flat, cond)
@@ -92,7 +97,7 @@ def test_discriminate_in_unit_interval_and_deterministic(bundle, rng):
 
 
 def test_discriminate_rejects_bad_shapes(bundle, rng):
-    word = gan.generate_word(bundle, "hello", rng)
+    word = gan.generate_word(bundle, gan.word_tables(["hello"]), rng)
     with pytest.raises(ValueError):
         gan._scores(bundle, word.reshape(1, -1), np.ones((1, 5)))
     with pytest.raises(ValueError):
@@ -108,7 +113,7 @@ def test_word_tables_match_per_text_loop():
         mats[i, :n, COL_KEYCODE] = [ord(ch) / 255.0 for ch in text]
         mask[i, :n, :] = 1.0
         mask[i, :, COL_KEYCODE] = 0.0
-    conds, got_mask, fixed = gan._word_tables(texts)
+    conds, got_mask, fixed = gan.word_tables(texts)
     assert np.array_equal(conds, np.stack([embed_word(t) for t in texts]))
     assert np.array_equal(got_mask, mask.reshape(len(texts), -1))
     assert np.array_equal(fixed, mats.reshape(len(texts), -1))
@@ -117,7 +122,7 @@ def test_word_tables_match_per_text_loop():
 
 def test_postprocess_keeps_raw_only_where_the_mask_is_one(rng):
     texts = ["a", "hello", "x" * 15, "hello", "caf\u00e9"]
-    _, mask, fixed = gan._word_tables(texts)
+    _, mask, fixed = gan.word_tables(texts)
     raw = rng.uniform(0.1, 0.9, size=(len(texts), gan.GEN_OUT_DIM))
     flat = gan._postprocess(raw, mask, fixed)
     assert np.array_equal(flat[mask == 1], raw[mask == 1])
@@ -143,8 +148,7 @@ def test_train_epoch_reproducible(corpus_words):
         stats = []
         rng = np.random.default_rng(5)
         for _ in range(3):
-            b, s = gan.train_epoch(b, *corpus_words, 16, rng, d_state, g_state)
-            stats.append(s)
+            stats.append(gan.train_epoch(b, *flat_words(*corpus_words), 16, rng, d_state, g_state))
         return b, stats
 
     b1, stats1 = run()
@@ -157,14 +161,15 @@ def test_train_epoch_reproducible(corpus_words):
 def test_train_epoch_single_sample_is_finite(corpus_words, rng):
     b = gan.new_bundle(6, DEFAULT)
     texts, matrices = corpus_words
-    b, stats = gan.train_epoch(b, texts[:1], matrices[:1], 32, rng, *adam_states(b))
+    stats = gan.train_epoch(b, *flat_words(texts[:1], matrices[:1]), 32, rng, *adam_states(b))
     assert np.isfinite(stats["d_loss"]) and np.isfinite(stats["g_loss"])
 
 
 def test_train_epoch_rejects_empty_inputs(rng):
     b = gan.new_bundle(7, DEFAULT)
     with pytest.raises(ValueError):
-        gan.train_epoch(b, [], np.zeros((0, WORD_LEN, 5)), 32, rng, *adam_states(b))
+        gan.train_epoch(b, np.zeros((0, gan.GEN_OUT_DIM)), gan.word_tables(["a"]), 32, rng,
+                        *adam_states(b))
 
 
 def test_discriminator_learns_separable_data(rng):
@@ -174,7 +179,7 @@ def test_discriminator_learns_separable_data(rng):
     epochs of discriminator-only training must classify both sides >= 0.95.
     """
     texts = ["hello", "world", "stream", "typing"] * 8
-    words = constant_words(0.9, texts)
+    words = flat_words(*constant_words(0.9, texts))
     bundle = gan.new_bundle(8, DEFAULT)
     # force the generator output to sigmoid(-2.1972) ~= 0.1 and freeze it via lr=0
     last = bundle.generator.weights[-1]
@@ -183,7 +188,7 @@ def test_discriminator_learns_separable_data(rng):
     d_state = AdamState.for_params(bundle.discriminator, lr=1e-3, beta1=0.5, beta2=0.999)
     g_state = AdamState.for_params(bundle.generator, lr=0.0, beta1=0.5, beta2=0.999)
     for _ in range(200):
-        bundle, stats = gan.train_epoch(bundle, *words, 32, rng, d_state, g_state)
+        stats = gan.train_epoch(bundle, *words, 32, rng, d_state, g_state)
     assert stats["d_real_acc"] >= 0.95
     assert stats["d_fake_acc"] >= 0.95
 
@@ -230,7 +235,7 @@ def test_stop_check_constant_half_discriminator_end_to_end(corpus_words, rng):
         w[:] = 0.0
     for b in bundle.discriminator.biases:
         b[:] = 0.0
-    stop, details = gan.stop_check(bundle, *corpus_words, rng, 0.85)
+    stop, details = gan.stop_check(bundle, *flat_words(*corpus_words), rng, 0.85)
     assert not stop
     assert details["real_mean"] == 0.0
     assert details["fake_mean"] == 1.0
@@ -238,7 +243,7 @@ def test_stop_check_constant_half_discriminator_end_to_end(corpus_words, rng):
 
 def test_stop_check_samples_with_replacement_when_short(rng):
     bundle = gan.new_bundle(10, DEFAULT)
-    stop, details = gan.stop_check(bundle, *constant_words(0.5, ["ab"]), rng, 0.85)
+    stop, details = gan.stop_check(bundle, *flat_words(*constant_words(0.5, ["ab"])), rng, 0.85)
     assert len(details["real_accuracies"]) == 5
 
 
@@ -276,6 +281,17 @@ def test_train_history_length_is_epochs_over_interval(corpus_words, rng):
     assert len(bundle.history) == 2  # checks at epochs 3 and 6
 
 
+def test_train_embeds_each_word_sample_once(corpus_words, rng, monkeypatch):
+    """train builds the word tables once, not once per epoch or stop check."""
+    embed, calls = gan.embed_word, []
+    monkeypatch.setattr(gan, "embed_word", lambda text: calls.append(text) or embed(text))
+    cfg = gan.GanTrainConfig(max_epochs=4, check_interval=2, batch_size=16, g_hidden=8, d_hidden1=8,
+                             d_hidden2=4, stop_threshold=1.01)
+    bundle = gan.train(gan.new_bundle(17, cfg), *corpus_words, cfg, rng)
+    assert bundle.epochs_trained == 4 and len(bundle.history) == 2
+    assert calls == corpus_words[0]
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -292,8 +308,8 @@ def test_bundle_save_load_round_trip(tmp_path, corpus_words, rng):
     assert loaded.converged
     for a, b in zip(loaded.generator.weights, bundle.generator.weights):
         assert np.array_equal(a, b)
-    word_a = gan.generate_word(bundle, "same", np.random.default_rng(0))
-    word_b = gan.generate_word(loaded, "same", np.random.default_rng(0))
+    word_a = gan.generate_word(bundle, gan.word_tables(["same"]), np.random.default_rng(0))
+    word_b = gan.generate_word(loaded, gan.word_tables(["same"]), np.random.default_rng(0))
     assert np.array_equal(word_a, word_b)
 
 
