@@ -65,8 +65,9 @@ def fit_space_model(sentences: Sequence[Sentence], fallback: SpaceModel) -> Spac
     """Estimate space-key hold and surrounding-gap statistics from real typing.
 
     Pre- and post-space gaps are pooled into one distribution, space by space
-    in sentence order (each space's gap before it, then after it). Returns
-    fallback when the sentences contain no space keys.
+    in sentence order (each space's gap before it, then after it). A hold or gap
+    counts as at most T_MAX_SECONDS, as in the features, so finite times give a
+    finite model. Returns fallback when the sentences contain no space keys.
     """
     holds, gaps = [], []
     for sentence in sentences:
@@ -83,6 +84,7 @@ def fit_space_model(sentences: Sequence[Sentence], fallback: SpaceModel) -> Spac
     gaps = np.concatenate(gaps) if gaps else np.empty(0)
     if not holds.size or not gaps.size:
         return fallback
+    holds, gaps = np.clip(holds, 0.0, T_MAX_SECONDS), np.clip(gaps, -T_MAX_SECONDS, T_MAX_SECONDS)
     return SpaceModel(
         hold_mean=float(np.mean(holds)),
         hold_std=float(np.std(holds)),

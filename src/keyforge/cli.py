@@ -16,7 +16,7 @@ from . import pipeline
 from . import verifier as verifier_mod
 from .attack import CONDITIONS, NonFiniteSampleError
 from .config import ConfigError, RunConfig, check_corpus_size, check_flag, load_config
-from .data import ParseError, ValidationError, export_log, ingest_log, synth_corpus
+from .data import ParseError, ValidationError, export_log, ingest_log
 from .nn import CheckpointError, TrainingError
 from .pipeline import DataError
 
@@ -35,15 +35,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_synth_data(args) -> int:
-    check_flag(args.users, "--users", "data", "users")
-    check_flag(args.sentences, "--sentences", "data", "sentences_per_user")
-    check_corpus_size(args.users, args.sentences, "--users x --sentences")
-    check_flag(args.seed, "--seed", "seeds", "global_seed")
-    corpus = synth_corpus(args.users, args.sentences, args.seed)
+    cfg = _config(args)
+    corpus = pipeline.build_corpus(cfg)
     export_log(corpus, args.out)
     print(f"wrote {args.out}: {len(corpus.users)} users, "
           f"{sum(len(u.sentences) for u in corpus.users)} sentences, "
-          f"{corpus.n_events()} events (seed {args.seed})")
+          f"{corpus.n_events()} events (seed {cfg.seeds.resolved().data})")
     return EXIT_OK
 
 
@@ -59,13 +56,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train_verifier(args) -> int:
-    cfg = _base_config(args)
-    if args.epochs is not None:
-        check_flag(args.epochs, "--epochs", "verifier", "epochs")
-        cfg.verifier.epochs = args.epochs
-    if args.seed is not None:
-        check_flag(args.seed, "--seed", "seeds", "global_seed")
-        cfg.seeds.verifier = args.seed
+    cfg = _config(args)
     corpus = ingest_log(args.corpus)
     bundle, summary = pipeline.prepare_verifier(corpus, cfg)
     verifier_mod.save_verifier(bundle, args.out)
@@ -77,13 +68,7 @@ def cmd_train_verifier(args) -> int:
 
 
 def cmd_train_cgan(args) -> int:
-    cfg = _base_config(args)
-    if args.max_epochs is not None:
-        check_flag(args.max_epochs, "--max-epochs", "gan", "max_epochs")
-        cfg.gan.max_epochs = args.max_epochs
-    if args.seed is not None:
-        check_flag(args.seed, "--seed", "seeds", "global_seed")
-        cfg.seeds.gan = args.seed
+    cfg = _config(args)
     corpus = ingest_log(args.corpus)
     bundle = pipeline.train_user_gan(corpus, args.user, cfg)
     pipeline.save_gan(bundle, Path(args.out_dir), cfg)
@@ -95,13 +80,8 @@ def cmd_train_cgan(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    cfg = _base_config(args)
-    if args.n_sequences is not None:
-        check_flag(args.n_sequences, "--n-sequences", "attack", "n_sequences")
-        cfg.attack.n_sequences = args.n_sequences
-    if args.seed is not None:
-        check_flag(args.seed, "--seed", "seeds", "global_seed")
-    seed = args.seed if args.seed is not None else cfg.seeds.resolved().attack
+    cfg = _config(args)
+    seed = cfg.seeds.resolved().attack
     corpus = ingest_log(args.corpus)
     bundle = gan_mod.load_bundle(args.gan_dir)
     try:
@@ -116,10 +96,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _base_config(args)
-    if args.seed is not None:
-        check_flag(args.seed, "--seed", "seeds", "global_seed")
-        cfg.seeds.eval = args.seed
+    cfg = _config(args)
     # the fake streams by their metadata name, one a/b pair for each configured condition
     fake_paths = {}
     for condition in CONDITIONS:
@@ -145,18 +122,36 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run_all(args) -> int:
-    cfg = _base_config(args)
-    if args.seed is not None:
-        check_flag(args.seed, "--seed", "seeds", "global_seed")
-        cfg.seeds.global_seed = args.seed
+    cfg = _config(args)
     _, artifacts = pipeline.run_all(cfg, args.out_dir)
     print("phase timings (s): "
           + ", ".join(f"{phase}={seconds:.1f}" for phase, seconds in artifacts["timings"].items()))
     return EXIT_OK
 
 
-def _base_config(args) -> RunConfig:
-    return load_config(args.config) if getattr(args, "config", None) else RunConfig()
+# each subcommand's integer flags and the config key each sets; a --seed meets the global seed's check
+_FLAG_KEYS = {
+    "synth-data": {"--users": ("data", "users"), "--sentences": ("data", "sentences_per_user"),
+                   "--seed": ("seeds", "global_seed")},
+    "train-verifier": {"--epochs": ("verifier", "epochs"), "--seed": ("seeds", "verifier")},
+    "train-cgan": {"--max-epochs": ("gan", "max_epochs"), "--seed": ("seeds", "gan")},
+    "attack": {"--n-sequences": ("attack", "n_sequences"), "--seed": ("seeds", "attack")},
+    "evaluate": {"--seed": ("seeds", "eval")},
+    "run-all": {"--seed": ("seeds", "global_seed")},
+}
+
+
+def _config(args) -> RunConfig:
+    """--config or the defaults, with every flag of _FLAG_KEYS that was given checked and set."""
+    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+    for flag, (section, key) in _FLAG_KEYS[args.command].items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            check_flag(value, flag, section, "global_seed" if section == "seeds" else key)
+            setattr(getattr(cfg, section), key, value)
+    if args.command == "synth-data":
+        check_corpus_size(cfg.data.users, cfg.data.sentences_per_user, "--users x --sentences")
+    return cfg
 
 
 def build_parser() -> _Parser:
@@ -164,9 +159,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("synth-data", help="generate a deterministic synthetic corpus TSV")
-    p.add_argument("--users", type=int, default=25)
-    p.add_argument("--sentences", type=int, default=15)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth_data)
 
@@ -179,8 +171,6 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train_verifier)
 
     p = sub.add_parser("train-cgan", help="adversarially train the word generator for one user")
@@ -188,8 +178,6 @@ def build_parser() -> _Parser:
     p.add_argument("--user", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train_cgan)
 
     p = sub.add_parser("attack", help="reconstruct synthetic typing sequences from a trained generator")
@@ -199,8 +187,6 @@ def build_parser() -> _Parser:
     p.add_argument("--condition", choices=CONDITIONS, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--n-sequences", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("evaluate", help="run the three test protocols for each configured condition")
@@ -213,15 +199,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out-json", default=None)
     p.add_argument("--out-table", default=None)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run-all", help="synth-data, train both models, attack, and evaluate")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_run_all)
 
+    for command, flags in _FLAG_KEYS.items():
+        for flag in flags:
+            sub.choices[command].add_argument(flag, type=int)
     return parser
 
 

@@ -79,7 +79,7 @@ class Seeds:
 @dataclass
 class RunConfig:
     target_user: str = "u0"
-    conditions: list[str] = field(default_factory=lambda: ["ordered", "random"])
+    conditions: list[str] = field(default_factory=lambda: list(CONDITIONS))
     seeds: Seeds = field(default_factory=Seeds)
     data: DataConfig = field(default_factory=DataConfig)
     verifier: VerifierConfig = field(default_factory=VerifierConfig)
@@ -112,8 +112,8 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+def _is_real(value) -> bool:  # an int past the largest float would overflow where it meets one
+    return _is_int(value) and abs(value) <= sys.float_info.max or isinstance(value, float) and math.isfinite(value)
 
 
 _COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1)
@@ -225,10 +225,10 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's 4,300 digits
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return config_from_dict(doc)
 
 

@@ -375,7 +375,7 @@ def load_params(path: str | Path, model_kind: str, in_dim: int, out_dim: int) ->
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or an integer past 4,300 digits
         raise CorruptCheckpointError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise CorruptCheckpointError(f"{path}: expected a JSON object")
@@ -402,7 +402,7 @@ def load_params(path: str | Path, model_kind: str, in_dim: int, out_dim: int) ->
         ]
         weights = [np.array(w, dtype=np.float64) for w in doc["weights"]]
         biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise CorruptCheckpointError(f"{path}: malformed layer data: {exc}") from None
     try:
         _check_chain(specs)

@@ -103,14 +103,14 @@ def train_user_gan(corpus: Corpus, user_id: str, cfg: RunConfig) -> gan_mod.GanB
     return gan_mod.train(bundle, texts, matrices, cfg.gan, np.random.default_rng(seeds.gan))
 
 
-def save_gan(bundle: gan_mod.GanBundle, out_dir: Path, cfg: RunConfig) -> tuple[Path, Path, Path]:
-    """Write both checkpoints and gan_history.json into out_dir; returns the three paths, in that order."""
-    g_path, d_path = gan_mod.save_bundle(bundle, out_dir)
-    history_path = out_dir / "gan_history.json"
+def save_gan(bundle: gan_mod.GanBundle, out_dir: Path, cfg: RunConfig) -> tuple[Path, Path]:
+    """Write both checkpoints, then gan_history.json, into out_dir; returns the two checkpoint paths."""
+    paths = gan_mod.save_bundle(bundle, out_dir)  # makes out_dir
     history = {"history": bundle.history, "epochs_trained": bundle.epochs_trained,
                "converged": bundle.converged, "config_hash": config_hash(cfg)}
-    history_path.write_text(json.dumps(history, sort_keys=True, indent=2, allow_nan=False), encoding="utf-8")
-    return g_path, d_path, history_path
+    (out_dir / "gan_history.json").write_text(json.dumps(history, sort_keys=True, indent=2, allow_nan=False),
+                                              encoding="utf-8")
+    return paths
 
 
 def make_attack_events(
@@ -306,7 +306,7 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     t0 = time.perf_counter()
     gan_bundle = train_user_gan(corpus, cfg.target_user, cfg)
     timings["gan"] = time.perf_counter() - t0
-    g_path, d_path, history_path = save_gan(gan_bundle, out_dir, cfg)
+    g_path, d_path = save_gan(gan_bundle, out_dir, cfg)
     status = "converged" if gan_bundle.converged else "NOT CONVERGED"
     log(f"generator: {gan_bundle.epochs_trained} epochs, {status}")
 
@@ -336,17 +336,6 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     timings["evaluate"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_start
 
-    report_json, report_txt = out_dir / "report.json", out_dir / "report.txt"
-    log(write_report(report, report_json, report_txt))
+    log(write_report(report, out_dir / "report.json", out_dir / "report.txt"))
 
-    artifacts = {
-        "corpus": corpus_path,
-        "verifier": verifier_path,
-        "gan_history": history_path,
-        "fakes": fake_paths,
-        "report_json": report_json,
-        "report_txt": report_txt,
-        # wall-clock only; deliberately kept out of the deterministic artifacts
-        "timings": timings,
-    }
-    return report, artifacts
+    return report, {"timings": timings}  # wall-clock only; kept out of the deterministic artifacts

@@ -270,6 +270,14 @@ def test_fit_space_model_pools_gaps_in_key_order():
     assert fit_space_model([lone_space], DEFAULT_SPACES) is DEFAULT_SPACES
 
 
+def test_fit_space_model_counts_a_hold_or_gap_as_at_most_t_max():
+    """Times near the float ceiling overflowed np.std; each hold and gap now counts as at most 5 s."""
+    sentence = [KeyEvent(97, 0.0, 80.0), KeyEvent(SPACE_KEYCODE, 1e306, 1.5e306), KeyEvent(98, 1.6e306, 1.7e306)]
+    with np.errstate(all="raise"):
+        model = fit_space_model(UserLog("u", [sentence]).sentences, DEFAULT_SPACES)
+    assert model == SpaceModel(T_MAX_SECONDS, 0.0, T_MAX_SECONDS, 0.0)
+
+
 def test_fit_space_model_on_synthetic_corpus_is_plausible():
     corpus = synth_corpus(2, 5, 3)
     model = fit_space_model(corpus.users[0].sentences, DEFAULT_SPACES)

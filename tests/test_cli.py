@@ -15,7 +15,7 @@ from keyforge import gan as gan_mod
 from keyforge import nn, pipeline
 from keyforge import verifier as verifier_mod
 from keyforge.cli import main
-from keyforge.config import RunConfig
+from keyforge.config import RunConfig, config_hash, load_config
 from keyforge.data import WORD_LEN, Corpus, UserLog, export_log, synth_corpus
 
 TINY_CONFIG = {
@@ -956,3 +956,46 @@ def test_run_all_target_user_without_a_full_window_fails_before_training(tmp_pat
             == "data error: real sequences of u0: only 0 sequences available, need 3 "
                "(eval.n_sequences); data.sentences_per_user 5 guarantees 5\n")
     assert not (out_dir / "verifier.json").exists()
+
+
+def test_attack_seed_flag_enters_the_side_files_config_hash(tmp_path, tiny_config, corpus_file, trained_artifacts,
+                                                            capsys):
+    """attack --seed sets seeds.attack, so each side file holds the hash of the config that made its stream."""
+    gan_dir, _ = trained_artifacts
+    hashes = []
+    for seed in (10, 11):
+        out = tmp_path / f"fake-{seed}.tsv"
+        assert main(["attack", "--gan-dir", str(gan_dir), "--corpus", str(corpus_file), "--user", "u0",
+                     "--condition", "ordered", "--out", str(out), "--config", str(tiny_config),
+                     "--seed", str(seed)]) == 0
+        cfg = load_config(tiny_config)
+        cfg.seeds.attack = seed
+        hashes.append(json.loads(Path(f"{out}.meta.json").read_text())["config_hash"])
+        assert hashes[-1] == config_hash(cfg)
+    assert hashes[0] != hashes[1]
+
+
+def test_synth_data_without_flags_is_the_default_config_corpus(tmp_path, capsys):
+    default, explicit = tmp_path / "default.tsv", tmp_path / "explicit.tsv"
+    assert main(["synth-data", "--out", str(default)]) == 0
+    assert main(["synth-data", "--users", "25", "--sentences", "15", "--seed", "7", "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
+# each subcommand's options, as they were before one table declared the integer flags
+OPTIONS = {
+    "synth-data": {"--users", "--sentences", "--seed", "--out"},
+    "ingest": {"--log", "--out"},
+    "train-verifier": {"--corpus", "--out", "--config", "--epochs", "--seed"},
+    "train-cgan": {"--corpus", "--user", "--out-dir", "--config", "--max-epochs", "--seed"},
+    "attack": {"--gan-dir", "--corpus", "--user", "--condition", "--out", "--config", "--n-sequences", "--seed"},
+    "evaluate": {"--verifier", "--corpus", "--user", "--fake-ordered-a", "--fake-ordered-b", "--fake-random-a",
+                 "--fake-random-b", "--out-json", "--out-table", "--config", "--seed"},
+    "run-all": {"--out-dir", "--config", "--seed"},
+}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_each_subcommand_keeps_its_options(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) == OPTIONS[command] | {"--help"}
