@@ -13,6 +13,10 @@ the same layout, and `AdamState.grads` are the per-layer (weight, bias) views
 into `grad`, so one Adam update and one finiteness check cover a network.
 An `AdamState` takes lr and betas from the caller's config; epsilon is `ADAM_EPSILON`.
 
+`forward` activates each layer's freshly computed pre-activation in place, and
+its `ForwardTape` holds only the activations: the input, then each layer's
+output. `backward` reads each activation's derivative from the layer's output.
+
 Inputs are 2-D (batch, in_dim) arrays. `backward` runs in one of two modes:
 given per-layer gradient buffers, it overwrites them with the weight and bias
 gradients and computes no input gradient; given none, it computes no weight
@@ -110,11 +114,13 @@ class NetworkParams:
 
 @dataclass
 class ForwardTape:
-    """Cached per-layer inputs and pre-activations from one forward pass."""
+    """The activations of one forward pass: the input, then each layer's output."""
 
-    inputs: list[np.ndarray]
-    pre_activations: list[np.ndarray]
-    output: np.ndarray  # 2-D (batch, out_dim)
+    activations: list[np.ndarray]
+
+    @property
+    def output(self) -> np.ndarray:  # 2-D (batch, out_dim)
+        return self.activations[-1]
 
 
 def _check_chain(specs: list[LayerSpec]) -> None:
@@ -139,32 +145,32 @@ def init_network(specs: list[LayerSpec], seed) -> NetworkParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    z[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    z[~pos] = ez / (1.0 + ez)
+    return z
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """The activation of z, written over z and returned."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "leaky_relu":
         # equals np.where(z > 0, z, LEAKY_SLOPE * z) for 0 <= slope <= 1, at a tenth of the cost
-        return np.maximum(z, LEAKY_SLOPE * z)
+        return np.maximum(z, LEAKY_SLOPE * z, out=z)
     if name == "sigmoid":
         return _sigmoid(z)
     return z  # identity
 
 
-def _activation_backward(name: str, g: np.ndarray, z: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """dLoss/dz from g = dLoss/dh: g times the activation's derivative at z, whose output is h."""
+def _activation_backward(name: str, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """dLoss/dz from g = dLoss/dh, read from the output h (relu, leaky_relu: h > 0 exactly where z > 0)."""
     if name == "relu":
-        return g * (z > 0)  # the bool mask multiplies as 0.0 / 1.0
+        return g * (h > 0)  # the bool mask multiplies as 0.0 / 1.0
     if name == "leaky_relu":
-        # equals np.where(z > 0, 1.0, LEAKY_SLOPE) for 0 <= slope <= 1, at a tenth of the cost
-        return g * np.maximum(z > 0, LEAKY_SLOPE)
+        # equals np.where(h > 0, 1.0, LEAKY_SLOPE) for 0 <= slope <= 1, at a tenth of the cost
+        return g * np.maximum(h > 0, LEAKY_SLOPE)
     if name == "sigmoid":
         return g * (h * (1.0 - h))
     return g  # identity
@@ -175,14 +181,13 @@ def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTape]:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != params.in_dim:
         raise ValueError(f"input shape {a.shape}, network expects (batch, {params.in_dim})")
-    inputs, pres = [], []
+    activations = [a]
     for spec, w, b in zip(params.specs, params.weights, params.biases):
-        inputs.append(a)
-        z = a @ w.T
+        z = a @ w.T  # a fresh array, so activating it in place leaves x and the tape intact
         z += b
-        pres.append(z)
         a = _activate(spec.activation, z)
-    return a, ForwardTape(inputs=inputs, pre_activations=pres, output=a)
+        activations.append(a)
+    return a, ForwardTape(activations)
 
 
 def backward(
@@ -202,13 +207,10 @@ def backward(
     g = np.asarray(output_gradient, dtype=np.float64)
     if g.shape != tape.output.shape:
         raise ValueError(f"output gradient shape {g.shape} != output shape {tape.output.shape}")
-    n_layers = len(params.specs)
-    for k in range(n_layers - 1, -1, -1):
-        z = tape.pre_activations[k]
-        h = tape.inputs[k + 1] if k + 1 < n_layers else tape.output
-        dz = _activation_backward(params.specs[k].activation, g, z, h)
+    for k in range(len(params.specs) - 1, -1, -1):
+        dz = _activation_backward(params.specs[k].activation, g, tape.activations[k + 1])
         if grads is not None:
-            np.matmul(dz.T, tape.inputs[k], out=grads[k][0])
+            np.matmul(dz.T, tape.activations[k], out=grads[k][0])
             dz.sum(axis=0, out=grads[k][1])
             if k == 0:
                 return None
@@ -308,8 +310,8 @@ def _adam_chunks(p, g, m, v, scratch, b1, b2, lr, eps, corr1, corr2) -> None:
         np.subtract(pc, s2, out=pc)
 
 
-def adam_step(params: NetworkParams, state: AdamState) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected Adam update of params from state.grad, in place; returns both.
+def adam_step(params: NetworkParams, state: AdamState) -> None:
+    """One bias-corrected Adam update of params from state.grad, in place.
 
     The gradient is checked before any parameter or moment changes. m, v and
     the parameters are updated ADAM_CHUNK elements at a time, each operation
@@ -326,7 +328,6 @@ def adam_step(params: NetworkParams, state: AdamState) -> tuple[NetworkParams, A
     state.step += 1
     b1, b2, t = state.beta1, state.beta2, state.step
     _adam_chunks(p, g, m, v, state.scratch, b1, b2, state.lr, ADAM_EPSILON, 1.0 - b1**t, 1.0 - b2**t)
-    return params, state
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,6 @@ def prepare_verifier(corpus: Corpus, cfg: RunConfig) -> tuple[VerifierBundle, di
         "heldout_accuracy": accuracy,
         "n_sequences": sum(len(s) for s in sequences.values()),
         "n_users": len(sequences),
-        "train_pairs": len(train),
-        "calibration_pairs": len(calib),
-        "test_pairs": len(test),
     }
     return bundle, summary
 

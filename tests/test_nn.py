@@ -165,6 +165,27 @@ def test_forward_relu_clips_negative_preactivations():
     assert np.all(y == 0.0)
 
 
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+def test_forward_leaves_its_input_intact_and_unaliased(activation):
+    params = random_net(activation, np.random.default_rng(23))
+    x = np.random.default_rng(24).normal(size=(5, 4))
+    before = x.copy()
+    out, tape = forward(params, x)
+    assert np.array_equal(x, before)
+    assert out is tape.output
+    assert tape.activations[0] is x and len(tape.activations) == len(params.specs) + 1
+    assert not any(np.shares_memory(a, x) for a in tape.activations[1:])
+
+
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+def test_activation_backward_reads_the_pre_activation_mask_from_the_output(activation):
+    z = np.array([-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, np.inf, np.nan])
+    ones = np.ones_like(z)
+    dz = nn._activation_backward(activation, ones, nn._activate(activation, z.copy()))
+    below = 0.0 if activation == "relu" else nn.LEAKY_SLOPE
+    assert np.array_equal(dz, np.where(z > 0, 1.0, below))
+
+
 def test_forward_rejects_wrong_input_length():
     params = init_network([LayerSpec(4, 2, "relu")], 0)
     with pytest.raises(ValueError):
@@ -480,12 +501,17 @@ ACTIVATION_GRADS = {
 
 
 def reference_backward(params, tape, dy):
-    """A plain reverse pass over the tape: every weight, bias and input gradient, all allocated."""
-    outputs = tape.inputs[1:] + [tape.output]
+    """A plain reverse pass over the tape: every weight, bias and input gradient, all allocated.
+
+    Each pre-activation is recomputed from the params, so the reference reads
+    only the layer inputs and outputs from the tape.
+    """
+    acts = tape.activations
     g, grads = dy, []
     for k in reversed(range(len(params.specs))):
-        dz = g * ACTIVATION_GRADS[params.specs[k].activation](tape.pre_activations[k], outputs[k])
-        grads.insert(0, (dz.T @ tape.inputs[k], dz.sum(axis=0)))
+        z = acts[k] @ params.weights[k].T + params.biases[k]
+        dz = g * ACTIVATION_GRADS[params.specs[k].activation](z, acts[k + 1])
+        grads.insert(0, (dz.T @ acts[k], dz.sum(axis=0)))
         g = dz @ params.weights[k]
     return grads, g
 
