@@ -2,8 +2,9 @@
 
 The generator maps a 500-d Gaussian latent plus the 100-d word embedding to a
 15x5 matrix; the discriminator scores a flattened matrix plus the same
-embedding. Training alternates a discriminator step on real/generated pairs
-with a non-saturating generator step, pausing every check_interval epochs to
+embedding. Each batch generates one set of fakes; training alternates a
+discriminator step on real/generated pairs with a non-saturating generator
+step on the same generated pairs, pausing every check_interval epochs to
 apply the discriminator-accuracy stopping rule.
 
 Generated samples are always post-processed before any use: padding rows are
@@ -134,11 +135,14 @@ def train_epoch(
 ) -> dict:
     """One adversarial epoch, in place, over shuffled batches of the (n, 75) flat real samples.
 
-    tables are word_tables of the samples' texts. Per batch: (1) discriminator
-    step on real pairs (target 1) and freshly generated pairs (target 0);
-    (2) generator step through the frozen discriminator with target 1. d_state
-    and g_state are the networks' Adam states, carried across epochs. Returns
-    per-epoch mean losses and discriminator accuracies.
+    tables are word_tables of the samples' texts. Per batch of n samples the
+    generator runs once, on fresh latents, to give n post-processed fakes. (1)
+    The discriminator steps on the mean BCE over the n real pairs (target 1) and
+    the n fake pairs (target 0). (2) The generator steps on the same fakes and
+    tape: the mean BCE of the updated, frozen discriminator's scores of the fake
+    pairs against target 1 (non-saturating), through the timing cells alone.
+    d_state and g_state are the networks' Adam states, carried across epochs.
+    Returns per-epoch mean losses and discriminator accuracies.
     """
     if not len(flat):
         raise ValueError("train_epoch needs at least one word sample")
@@ -156,7 +160,7 @@ def train_epoch(
         n = len(batch)
 
         # Discriminator step: real pairs labelled 1, generated pairs labelled 0.
-        fake_flat, _ = _generate_flat(bundle, rows, rng)
+        fake_flat, g_tape = _generate_flat(bundle, rows, rng)
         x = np.vstack([np.hstack([flat[batch], conds]), np.hstack([fake_flat, conds])])
         targets = np.concatenate([np.ones(n), np.zeros(n)])[:, None]
         probs, tape = nn.forward(bundle.discriminator, x)
@@ -169,9 +173,8 @@ def train_epoch(
         fake_hits += int(np.count_nonzero(probs[n:, 0] <= 0.5))
         seen += n
 
-        # Generator step through the frozen discriminator, non-saturating target 1.
-        gen_flat, g_tape = _generate_flat(bundle, rows, rng)
-        probs, tape = nn.forward(bundle.discriminator, np.hstack([gen_flat, conds]))
+        # Generator step on the same fakes (x's last n rows) through the updated, frozen discriminator.
+        probs, tape = nn.forward(bundle.discriminator, x[n:])
         losses, dldp = nn.bce_loss(probs, np.ones((n, 1)))
         g_loss = float(losses.mean())
         dx = nn.backward(bundle.discriminator, tape, dldp / n)

@@ -464,21 +464,21 @@ def test_run_all_is_deterministic(tmp_path, tiny_config, capsys):
 # sha256 of every run-all artifact at TINY_CONFIG. The generator's float bits
 # depend on the BLAS thread count, so the run below pins one thread.
 GOLDEN_SHA256 = {
-    "attack_ordered_a.tsv": "000852dc0850560a166a76ff5b2e99183b604ddb2a6139efc8a6d4d99d471217",
+    "attack_ordered_a.tsv": "d42880b77c7bd4710e23560be5c10fb381c7c3e60b2151cb4af3bd02b5dd3e7d",
     "attack_ordered_a.tsv.meta.json": "7dba715673b1fe2f9ea2da0bae3d6ed68b9b708dfc19f995942228ddee5416ea",
-    "attack_ordered_b.tsv": "a7cdcfb2c3cc4c37b20ae605a1b14cc1c2bdb6db93e74f08ad485523fb100edf",
+    "attack_ordered_b.tsv": "87ea75032822651dfbe51276d90b4f72033d80e32ca3e8491adbcf6debf10dea",
     "attack_ordered_b.tsv.meta.json": "b8b966b7eacff66dd756e6df4b868ef5df4cf459255ca8f65687529b1cb1b5fc",
-    "attack_random_a.tsv": "2efa566607bf74073eb080c42757a7e40e9106ff4a98166a9031501fa83a1ca5",
+    "attack_random_a.tsv": "593c0067a97e2a01e8bceab3cc94ed87011f87d372125bf53ff93d1760a2e815",
     "attack_random_a.tsv.meta.json": "e967abf92e4bb1f4644f6ccc76a9178ecf1239907e7e09477dc2c17db8d74c53",
-    "attack_random_b.tsv": "85946609ba316a814b5939b095790fbc474ded141414038a1b7e3254a4d71f28",
+    "attack_random_b.tsv": "7f33bb518f74eb46933d4bd073c1a47d5fc650a80575e76b9fae5fb181d38e33",
     "attack_random_b.tsv.meta.json": "bce6e4fadc0dc539cf16ff24dc7e59782fb9e90cfc292964848531bf1676af82",
     "corpus.tsv": "d1c702dba63f6431c0778a1bc55d0403b624d2ecf62404da75101632411fa64a",
-    "discriminator.json": "db0db2018fabd1f95b5c563a2ce9b00aa8963c1f2a299fe95027c35f9a524808",
-    "gan_history.json": "27e3b856f47dd57f5837c62d04fa90ad291a84f3a0fd1ef9c0da0f24ab8b3f9b",
-    "generator.json": "62415cc3fa9f6515ac1bdf8f1582740d09ed28dec85c546c86ed790043707b2b",
-    "report.json": "612239fad25615ed1c04944a4d6238ec827ceebef0d4a7ff17e17675d6ff2a1c",
+    "discriminator.json": "f783aa10fc23ee63bc15b20d2b6076a57a8029fe0de638379c4422b6f39f6c1e",
+    "gan_history.json": "19a585d89711af6c8f95ff718a501cd149b104ef89b7e6450fdc1f748f6f1115",
+    "generator.json": "dba2ea815887e36c8b9bfe5aefbcb114c0855427bf73089adbd13777f63662ea",
+    "report.json": "bee903922fccc72c450dc6dd3d77edb7721b14035c8284c09670db60a6c52f45",
     "report.txt": "37037af609411af5e563af95f43cc49938a20a7bca0754f9f732a028e838fb83",
-    "verifier.json": "ffd284571533d4463f1ab9dccb93a00693051a200bb57689af1c8957c1e40d63",
+    "verifier.json": "99385275b1386811a30f544a995098361d168863d21ef07842ea7b1a143237ba",
 }
 
 
@@ -499,7 +499,7 @@ def test_run_all_golden_digests(tmp_path, tiny_config):
 # of tau each distance falls; this pins the distances themselves. Their bits
 # depend on the BLAS thread count, so the run pins one thread in a fresh
 # interpreter.
-DISTANCES_SHA256 = "4bd561a3d879cbaf82d274492820b835d9d3972c25399583145fb92e776e84a1"
+DISTANCES_SHA256 = "ab5b3bcd4825d7968084c4c805360e6904a0cd76100447f964eef128e2eb63f9"
 
 _DISTANCES_SCRIPT = """
 import hashlib, json, sys, tempfile

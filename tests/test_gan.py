@@ -19,6 +19,7 @@ from keyforge.nn import (
     LayerSpec,
     NetworkParams,
 )
+from test_nn import copy_of, max_relative_error, numeric_gradients
 
 
 DEFAULT = gan.GanTrainConfig()
@@ -193,6 +194,70 @@ def test_discriminator_learns_separable_data(rng):
     assert stats["d_fake_acc"] >= 0.95
 
 
+def test_gan_step_gradients_match_finite_differences_of_the_stated_losses(corpus_words, monkeypatch):
+    """The gradients train_epoch hands nn.adam_step are those of the losses its docstring states.
+
+    One batch of 4 distinct words at small widths, captured at nn.forward and
+    nn.adam_step. The D step: the mean BCE of its 2n input rows (n real with
+    target 1, then n fake with target 0) at its parameters. The G step: the
+    mean BCE against target 1 of the updated discriminator's scores of the
+    post-processed output of the last generator forward before the generator's
+    update. Neither depends on where that forward's latents come from.
+    """
+    texts, matrices = corpus_words
+    first = [texts.index(text) for text in dict.fromkeys(texts)][:4]  # 4 distinct words
+    texts, n = [texts[i] for i in first], len(first)
+    flat, tables = flat_words(texts, matrices[first])
+    bundle = gan.new_bundle(21, gan.GanTrainConfig(g_hidden=8, d_hidden1=8, d_hidden2=4))
+    forward, adam_step, calls = nn.forward, nn.adam_step, []
+
+    def recording_forward(params, x):
+        calls.append(("forward", params, copy_of(params), np.array(x)))
+        return forward(params, x)
+
+    def recording_adam_step(params, state):
+        grads = [(w.copy(), b.copy()) for w, b in state.grads]
+        adam_step(params, state)
+        calls.append(("adam", params, grads, copy_of(params)))
+
+    monkeypatch.setattr(nn, "forward", recording_forward)
+    monkeypatch.setattr(nn, "adam_step", recording_adam_step)
+    gan.train_epoch(bundle, flat, tables, n, np.random.default_rng(22), *adam_states(bundle))
+
+    def update_of(network):
+        return next(k for k, call in enumerate(calls) if call[:2] == ("adam", network))
+
+    def last_forward_before(k, network):  # (params, input) of that forward
+        return next(call[2:] for call in reversed(calls[:k]) if call[:2] == ("forward", network))
+
+    d_update, g_update = update_of(bundle.discriminator), update_of(bundle.generator)
+    assert d_update < g_update
+    d_params, d_input = last_forward_before(d_update, bundle.discriminator)
+    _, _, d_grads, d_after = calls[d_update]
+    g_params, g_input = last_forward_before(g_update, bundle.generator)
+    g_grads = calls[g_update][2]
+    assert d_input.shape == (2 * n, gan.DISC_IN_DIM) and g_input.shape == (n, gan.GEN_IN_DIM)
+    assert all(any(np.array_equal(row, sample) for sample in flat) for row in d_input[:n, : gan.GEN_OUT_DIM])
+
+    targets = np.concatenate([np.ones(n), np.zeros(n)])[:, None]
+
+    def d_loss():
+        probs, _ = forward(d_params, d_input)
+        return float(nn.bce_loss(probs, targets)[0].mean())
+
+    conds = g_input[:, gan.LATENT_DIM :]
+    rows = [next(i for i, cond in enumerate(tables[0]) if np.array_equal(cond, c)) for c in conds]
+    mask, fixed = tables[1][rows], tables[2][rows]
+
+    def g_loss():
+        raw, _ = forward(g_params, g_input)
+        probs, _ = forward(d_after, np.hstack([gan._postprocess(raw, mask, fixed), conds]))
+        return float(nn.bce_loss(probs, np.ones((n, 1)))[0].mean())
+
+    assert max_relative_error(d_grads, numeric_gradients(d_params, d_loss)) < 1e-4
+    assert max_relative_error(g_grads, numeric_gradients(g_params, g_loss)) < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # stopping rule
 # ---------------------------------------------------------------------------
@@ -202,6 +267,11 @@ def test_subset_accuracy_tie_counts_as_synthetic():
     real_acc, fake_acc = gan.subset_accuracies(np.full(32, 0.5), np.full(32, 0.5))
     assert real_acc == 0.0
     assert fake_acc == 1.0
+
+
+def test_subset_accuracies_count_the_share_of_each_side():
+    real_acc, fake_acc = gan.subset_accuracies([0.9, 0.51, 0.5, 0.7], [0.1, 0.6, 0.5, 0.2, 0.8])
+    assert (real_acc, fake_acc) == (0.75, 0.6)
 
 
 def test_stop_decision_constant_half_discriminator():
@@ -245,6 +315,32 @@ def test_stop_check_samples_with_replacement_when_short(rng):
     bundle = gan.new_bundle(10, DEFAULT)
     stop, details = gan.stop_check(bundle, *flat_words(*constant_words(0.5, ["ab"])), rng, 0.85)
     assert len(details["real_accuracies"]) == 5
+
+
+class ChoiceLog:
+    """An rng that keeps what each choice() call returned."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def choice(self, *args, **kwargs):
+        self.draws.append(self.rng.choice(*args, **kwargs))
+        return self.draws[-1]
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_stop_check_with_exactly_a_subset_of_samples_draws_without_replacement(rng):
+    assert gan.STOP_SUBSET_SIZE == 32
+    bundle = gan.new_bundle(10, DEFAULT)
+    log = ChoiceLog(rng)
+    gan.stop_check(bundle, *flat_words(*constant_words(0.5, ["hello", "world", "stream", "typing"] * 8)),
+                   log, 0.85)
+    real_draws = log.draws[0::2]  # each subset draws its reals, then its fakes' words
+    assert len(real_draws) == gan.STOP_SUBSETS
+    for idx in real_draws:
+        assert sorted(idx) == list(range(32))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +450,7 @@ def test_bundle_validates_dimensions(tmp_path):
 # 3 epochs at default shapes (600->512->512->75, 175->256->128->1) on the
 # default corpus's u0 words. The float bits depend on the BLAS thread count,
 # so the run pins one thread in a fresh interpreter.
-DEFAULT_SHAPE_GAN_SHA256 = "ec4124f61d1ebd08ec712e4a44913e805db77f59d2292f7d68fac2121bac5e39"
+DEFAULT_SHAPE_GAN_SHA256 = "3c2df56e737e97ab00d38547b24bebf5b9c6a6087db706e223d7c9c712e85e21"
 
 _DEFAULT_SHAPE_SCRIPT = """
 import hashlib

@@ -47,41 +47,23 @@ def random_net(activation, rng, dims=(4, 6, 5, 3)):
     return params
 
 
-def numeric_gradients(params, x, dy, h=1e-5):
-    """Central finite differences of L(p) = sum(forward(p, x) * dy)."""
-
-    def loss():
-        y, _ = forward(params, x)
-        return float(np.sum(y * dy))
-
-    grads = []
-    for k in range(len(params.weights)):
-        dw = np.zeros_like(params.weights[k])
-        for idx in np.ndindex(*dw.shape):
-            params.weights[k][idx] += h
-            up = loss()
-            params.weights[k][idx] -= 2 * h
-            down = loss()
-            params.weights[k][idx] += h
-            dw[idx] = (up - down) / (2 * h)
-        db = np.zeros_like(params.biases[k])
-        for idx in np.ndindex(*db.shape):
-            params.biases[k][idx] += h
-            up = loss()
-            params.biases[k][idx] -= 2 * h
-            down = loss()
-            params.biases[k][idx] += h
-            db[idx] = (up - down) / (2 * h)
-        grads.append((dw, db))
-    dx = np.zeros_like(x)
-    for idx in np.ndindex(*x.shape):
-        x[idx] += h
+def central_differences(array, loss, h=1e-5):
+    """Central finite differences of loss() over each entry of array, perturbed in place and restored."""
+    out = np.zeros_like(array)
+    for idx in np.ndindex(*array.shape):
+        array[idx] += h
         up = loss()
-        x[idx] -= 2 * h
+        array[idx] -= 2 * h
         down = loss()
-        x[idx] += h
-        dx[idx] = (up - down) / (2 * h)
-    return grads, dx
+        array[idx] += h
+        out[idx] = (up - down) / (2 * h)
+    return out
+
+
+def numeric_gradients(params, loss, h=1e-5):
+    """Central finite differences of loss() per layer (weight, bias) of params."""
+    return [(central_differences(w, loss, h), central_differences(b, loss, h))
+            for w, b in zip(params.weights, params.biases)]
 
 
 def max_relative_error(analytic, numeric):
@@ -104,7 +86,13 @@ def test_gradients_match_finite_differences(activation):
         _, analytic = nn.gradient_buffers(params)
         assert backward(params, tape, dy, analytic) is None
         adx = backward(params, tape, dy)
-        numeric, ndx = numeric_gradients(params, x.copy(), dy)
+        probe = x.copy()
+
+        def loss():  # L(p, x) = sum(forward(p, x) * dy)
+            y, _ = forward(params, probe)
+            return float(np.sum(y * dy))
+
+        numeric, ndx = numeric_gradients(params, loss), central_differences(probe, loss)
         assert max_relative_error(analytic, numeric) < 1e-4
         scale = np.maximum(np.maximum(np.abs(adx), np.abs(ndx)), 1e-6)
         assert np.max(np.abs(adx - ndx) / scale) < 1e-4
@@ -404,16 +392,17 @@ def test_adam_rejects_state_of_another_network():
 
 
 def reference_adam_step(params, gradients, m_w, v_w, m_b, v_b, step, lr, b1, b2, eps):
-    """The allocating Adam update that the in-place chunked one must match bit for bit."""
-    corr1 = 1.0 - b1**step
-    corr2 = 1.0 - b2**step
+    """The allocating Adam update, in Kingma & Ba's efficient form, that the chunked one must match bit for bit."""
+    root_corr2 = math.sqrt(1.0 - b2**step)
+    alpha = lr * root_corr2 / (1.0 - b1**step)
+    eps_hat = eps * root_corr2
     for k, (dw, db) in enumerate(gradients):
         m_w[k] = b1 * m_w[k] + (1 - b1) * dw
         v_w[k] = b2 * v_w[k] + (1 - b2) * dw * dw
         m_b[k] = b1 * m_b[k] + (1 - b1) * db
         v_b[k] = b2 * v_b[k] + (1 - b2) * db * db
-        params.weights[k] -= lr * (m_w[k] / corr1) / (np.sqrt(v_w[k] / corr2) + eps)
-        params.biases[k] -= lr * (m_b[k] / corr1) / (np.sqrt(v_b[k] / corr2) + eps)
+        params.weights[k] -= m_w[k] * alpha / (np.sqrt(v_w[k]) + eps_hat)
+        params.biases[k] -= m_b[k] * alpha / (np.sqrt(v_b[k]) + eps_hat)
 
 
 @pytest.mark.parametrize("chunk", [None, 1000])

@@ -384,6 +384,15 @@ def test_calibrate_identical_distributions_gives_chance_eer():
     assert abs(bundle.metadata["eer"] - 0.5) < 0.02
 
 
+@pytest.mark.parametrize("same", [True, False], ids=["genuine-only", "impostor-only"])
+def test_calibrate_rejects_a_one_class_set(same):
+    bundle = identity_bundle()
+    pairs = pair_set([(fixed_sequence(0.0), fixed_sequence(v)) for v in (0.1, 0.2, 0.3)], same)
+    with pytest.raises(ValueError, match="calibration needs both genuine and impostor pairs"):
+        calibrate_threshold(bundle, pairs)
+    assert bundle.tau is None and bundle.metadata == {}
+
+
 def calibrate_reference(d, same):
     """The per-threshold loop calibrate_threshold replaced: (tau, far, frr)."""
     gen_d, imp_d = d[same], d[~same]
