@@ -13,7 +13,7 @@ the same layout, and `AdamState.grads` are the per-layer (weight, bias) views
 into `grad`, so one Adam update and one finiteness check cover a network.
 An `AdamState` takes lr and betas from the caller's config; epsilon is `ADAM_EPSILON`.
 `adam_step` is Kingma & Ba's efficient form: the bias corrections fold into
-one step size per call, and epsilon is added as `ADAM_EPSILON*sqrt(1-beta2**t)`.
+one step size alpha per call, and epsilon is added as `ADAM_EPSILON*sqrt(1-beta2**t)`.
 
 `forward` activates each layer's freshly computed pre-activation in place, and
 its `ForwardTape` holds only the activations: the input, then each layer's
@@ -290,7 +290,7 @@ class AdamState:
                    lr=lr, beta1=beta1, beta2=beta2)
 
 
-def _adam_chunks(p, g, m, v, scratch, b1, b2, step, eps_hat) -> None:
+def _adam_chunks(p, g, m, v, scratch, b1, b2, alpha, eps_hat) -> None:
     """Update p, m and v in place, ADAM_CHUNK elements at a time."""
     one_minus_b1, one_minus_b2 = 1 - b1, 1 - b2
     for start in range(0, p.size, ADAM_CHUNK):
@@ -306,7 +306,7 @@ def _adam_chunks(p, g, m, v, scratch, b1, b2, step, eps_hat) -> None:
         np.add(vc, s1, out=vc)
         np.sqrt(vc, out=s1)
         np.add(s1, eps_hat, out=s1)
-        np.multiply(mc, step, out=s2)
+        np.multiply(mc, alpha, out=s2)
         np.divide(s2, s1, out=s2)
         np.subtract(pc, s2, out=pc)
 
@@ -315,11 +315,11 @@ def adam_step(params: NetworkParams, state: AdamState) -> None:
     """One bias-corrected Adam update of params from state.grad, in place.
 
     The gradient is checked before any parameter or moment changes. This is
-    Kingma & Ba's efficient form (arXiv 1412.6980, end of section 2): step =
+    Kingma & Ba's efficient form (arXiv 1412.6980, end of section 2): alpha =
     lr*sqrt(1-b2**t)/(1-b1**t) and eps_hat = eps*sqrt(1-b2**t) are computed once,
     then m, v and the parameters are updated ADAM_CHUNK elements at a time, each
     operation elementwise in the order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
-    and p -= (m*step) / (sqrt(v) + eps_hat), so chunking moves no bit.
+    and p -= (m*alpha) / (sqrt(v) + eps_hat), so chunking moves no bit.
     """
     p, g, m, v = params.flat, state.grad, state.m, state.v
     if not p.size == g.size == m.size == v.size:
@@ -331,8 +331,8 @@ def adam_step(params: NetworkParams, state: AdamState) -> None:
     state.step += 1
     b1, b2, t = state.beta1, state.beta2, state.step
     root_corr2 = math.sqrt(1.0 - b2**t)
-    step, eps_hat = state.lr * root_corr2 / (1.0 - b1**t), ADAM_EPSILON * root_corr2
-    _adam_chunks(p, g, m, v, state.scratch, b1, b2, step, eps_hat)
+    alpha, eps_hat = state.lr * root_corr2 / (1.0 - b1**t), ADAM_EPSILON * root_corr2
+    _adam_chunks(p, g, m, v, state.scratch, b1, b2, alpha, eps_hat)
 
 
 # ---------------------------------------------------------------------------

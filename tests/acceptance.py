@@ -20,10 +20,12 @@ condition test 1's same_user_rate at the stop, then its median and range over
 the last 10 checks. Below the rows: the medians over seeds, and the number of
 seeds that stop before epoch 500.
 
-The gate (--gate) passes when every seed converges, the median EER moves by
-at most 0.005, and per condition the median over seeds of the per-seed
-check-medians lies inside the range of the other records' per-seed
-check-medians.
+The gate (--gate) passes when both record sets cover the same seeds, every
+seed converges, the median EER moves by at most 0.005, and per condition the
+median over seeds of the per-seed check-medians lies inside the range of the
+other records' per-seed check-medians. That range counts only the seeds that
+run to epoch 500 or later: a seed that stops earlier scores 0 at every check,
+and a lower bound of 0 would pass any drop.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SEEDS = tuple(range(8))
+JOBS = 2
 LAST_CHECKS = 10
 EARLY_EPOCH = 500
 EER_MOVE = 0.005
@@ -124,24 +128,29 @@ def render(records: list[dict]) -> str:
 
 def gate(records: list[dict], parent: list[dict]) -> list[tuple[str, bool]]:
     """The gate's checks, each with whether it holds, for records against the parent's records."""
+    seeds, parent_seeds = [r["seed"] for r in records], [r["seed"] for r in parent]
+    if seeds != parent_seeds:
+        raise ValueError(f"records cover seeds {seeds}, the parent's {parent_seeds}")
     eer_move = abs(statistics.median(r["eer"] for r in records) - statistics.median(r["eer"] for r in parent))
     results = [(f"every seed converges ({sum(r['converged'] for r in records)}/{len(records)})",
                 all(r["converged"] for r in records)),
                (f"median EER moves {eer_move:.4f} <= {EER_MOVE}", eer_move <= EER_MOVE)]
-    stats, parent_stats = [summarize(r) for r in records], [summarize(r) for r in parent]
+    stats = [summarize(r) for r in records]
+    parent_stats = [summarize(r) for r in parent if r["epochs"] >= EARLY_EPOCH]
+    if not parent_stats:
+        raise ValueError(f"no parent seed runs to epoch {EARLY_EPOCH}")
     for condition in records[0]["conditions"]:
         median = statistics.median(s[condition]["median"] for s in stats)
         low = min(s[condition]["median"] for s in parent_stats)
         high = max(s[condition]["median"] for s in parent_stats)
-        results.append((f"{condition}: median check-median {median:.3f} in the parent's per-seed "
-                        f"range [{low:.3f}, {high:.3f}]", low <= median <= high))
+        results.append((f"{condition}: median check-median {median:.3f} in the per-seed range "
+                        f"[{low:.3f}, {high:.3f}] of the parent's {len(parent_stats)} seeds that run "
+                        f"to epoch {EARLY_EPOCH}", low <= median <= high))
     return results
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(8)))
-    parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument("--json", type=Path, help="write the records here")
     parser.add_argument("--gate", type=Path, help="records of the parent, written by --json")
     parser.add_argument("--worker", type=int, help=argparse.SUPPRESS)
@@ -149,22 +158,17 @@ def main(argv=None) -> int:
     if args.worker is not None:
         print(json.dumps(run_seed(args.worker), sort_keys=True))
         return 0
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
-    repeated = REPEATED_SEED in args.seeds
-    with ThreadPoolExecutor(args.jobs) as pool:
-        lines = list(pool.map(spawn, list(args.seeds) + [REPEATED_SEED] * repeated))
-    repeat = lines.pop() if repeated else None
+    with ThreadPoolExecutor(JOBS) as pool:
+        lines = list(pool.map(spawn, SEEDS + (REPEATED_SEED,)))
+    repeat = lines.pop()
     records = [json.loads(line) for line in lines]
     if args.json:
         args.json.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(render(records))
-    ok = True
-    if repeated:
-        same = repeat == lines[args.seeds.index(REPEATED_SEED)]
-        print(f"seed {REPEATED_SEED} run twice: {'byte-identical' if same else 'RECORDS DIFFER'}")
-        ok &= same
+    same = repeat == lines[SEEDS.index(REPEATED_SEED)]
+    print(f"seed {REPEATED_SEED} run twice: {'byte-identical' if same else 'RECORDS DIFFER'}")
+    ok = same
     if args.gate:
         for text, holds in gate(records, json.loads(args.gate.read_text(encoding="utf-8"))):
             print(f"gate: {'pass' if holds else 'FAIL'}  {text}")
