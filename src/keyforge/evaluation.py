@@ -1,23 +1,26 @@
-"""Attack evaluation: test-pair protocols, confusion metrics, and the report.
+"""Attack evaluation: test-pair protocols, report entries, and the report.
 
 Three tests probe the calibrated verifier with sets of eval.n_sequences
 sequences, paired by full cross-product (n² pairs each): real-vs-fake and
 fake-vs-fake expect a same-user decision, fake-vs-other-users expects
-different-user. "same_user" is the positive class for confusion accounting.
-Each test's result is its report entry, a JSON-ready dict.
+different-user. Each test's result is its report entry, a JSON-ready dict.
 
 A test's pairs are its two (n, 15, 5) sets, never n² rows: the verifier
 embeds each distinct set once, every set of every test in one forward pass,
 and a test's n² distances come from the n + n codes of its two sets.
 
-Test 1's accuracy is genuinely ambiguous in direction: a high value here reads
-as attack acceptance under the expectations above, while a strict-verifier
-reading would invert it. The report carries both rates for test 1.
+An entry holds the test's name, expected decision and n_pairs, its
+same_user_rate (the share of pairs with d <= tau) and its accuracy (the
+share given the expected decision). All of a test's pairs expect one
+decision, so recall, precision, F1 and MCC would be undefined or fixed by
+same_user_rate, and the report leaves them out. For test 1, same_user_rate is
+the attack acceptance rate (ISO/IEC 30107-3's IAPMR). The entry's confusion
+counts and test 1's attack_acceptance_rate repeat these figures; they stay
+while the benchmark harness reads them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,48 +33,6 @@ DIFFERENT_USER = "different_user"
 TEST_IDS = (1, 2, 3)
 TEST_EXPECTATIONS = {1: SAME_USER, 2: SAME_USER, 3: DIFFERENT_USER}
 TEST_NAMES = {1: "real vs fake", 2: "fake vs fake", 3: "real other vs fake"}
-
-
-def metrics(tp: int, tn: int, fp: int, fn: int) -> dict:
-    """Accuracy, recall, precision, F1, and MCC from one confusion matrix.
-
-    Zero-denominator metrics report 0 and are named in flags rather than
-    failing the run.
-    """
-    total = tp + tn + fp + fn
-    if total == 0:
-        raise ValueError("cannot compute metrics for an all-zero confusion matrix")
-    flags = []
-
-    accuracy = (tp + tn) / total
-
-    if fn + tp == 0:
-        recall = 0.0
-        flags.append("recall_undefined")
-    else:
-        recall = tp / (fn + tp)
-
-    if tp + fp == 0:
-        precision = 0.0
-        flags.append("precision_undefined")
-    else:
-        precision = tp / (tp + fp)
-
-    if 2 * tp + fn + fp == 0:
-        f1 = 0.0
-        flags.append("f1_undefined")
-    else:
-        f1 = 2 * tp / (2 * tp + fn + fp)
-
-    mcc_den = (tn + fn) * (fp + tp) * (tn + fp) * (fn + tp)
-    if mcc_den == 0:
-        mcc = 0.0
-        flags.append("mcc_undefined")
-    else:
-        mcc = (tn * tp - fp * fn) / math.sqrt(mcc_den)
-
-    return {"accuracy": accuracy, "recall": recall, "precision": precision, "f1": f1, "mcc": mcc,
-            "flags": flags}
 
 
 @dataclass(frozen=True)
@@ -155,19 +116,16 @@ def _test_entry(test_id: int, d: np.ndarray, tau: float, same: bool) -> dict:
     accepted = int(np.count_nonzero(d <= tau))
     rejected = d.size - accepted
     tp, fn, fp, tn = (accepted, rejected, 0, 0) if same else (0, 0, accepted, rejected)
-    same_user_rate = accepted / d.size
     entry = {
         "name": TEST_NAMES[test_id],
         "expected_decision": TEST_EXPECTATIONS[test_id],
         "n_pairs": d.size,
-        "matches": tp + tn,
-        "same_user_rate": same_user_rate,
+        "same_user_rate": accepted / d.size,
+        "accuracy": (tp + tn) / d.size,
         "confusion": {"tp": tp, "tn": tn, "fp": fp, "fn": fn},
-        **metrics(tp, tn, fp, fn),
     }
     if test_id == 1:
-        entry["attack_acceptance_rate"] = same_user_rate
-        entry["verifier_correct_rate"] = 1.0 - same_user_rate
+        entry["attack_acceptance_rate"] = entry["same_user_rate"]
     return entry
 
 
@@ -225,12 +183,9 @@ def render_table(report: EvalReport) -> str:
     for row in rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     lines.append("")
-    lines.append("test 1 rates per condition (acceptance vs strict-verifier reading):")
+    lines.append("test 1 attack acceptance per condition (same_user_rate):")
     for condition in conditions:
         entry = report.results[condition].get("test1")
         if entry is not None:
-            lines.append(
-                f"  {condition}: attack_acceptance={entry['attack_acceptance_rate']:.3f}  "
-                f"verifier_correct={entry['verifier_correct_rate']:.3f}"
-            )
+            lines.append(f"  {condition}: {entry['same_user_rate']:.3f}")
     return "\n".join(lines)

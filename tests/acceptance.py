@@ -15,10 +15,10 @@ the attack seeds and are scored by evaluate_attack with the eval seed, each
 from an rng of its own, so the GAN trains with run_all's bits. Seed 7 runs
 twice, and its two records must be byte-identical.
 
-Per seed the table prints epochs, converged, the verifier's EER, and per
-condition test 1's same_user_rate at the stop, then its median and range over
-the last 10 checks. Below the rows: the medians over seeds, and the number of
-seeds that stop before epoch 500.
+Per seed the table prints epochs, converged, the verifier's EER and held-out
+accuracy, and per condition test 1's same_user_rate at the stop, then its
+median and range over the last 10 checks. Below the rows: the medians over
+seeds, and the number of seeds that stop before epoch 500.
 
 The gate (--gate) passes when both record sets cover the same seeds, every
 seed converges, the median EER moves by at most 0.005, and per condition the
@@ -50,7 +50,7 @@ REPEATED_SEED = 7
 
 
 def run_seed(seed: int) -> dict:
-    """One seed's record: epochs, convergence, EER, test 1 at every check, and a digest of every network."""
+    """One seed's record: epochs, convergence, EER, held-out accuracy, test 1 at every check, network digest."""
     from keyforge import gan, pipeline
     from keyforge.config import RunConfig, Seeds
 
@@ -83,8 +83,8 @@ def run_seed(seed: int) -> dict:
     for net in (verifier_bundle.network, gan_bundle.generator, gan_bundle.discriminator):
         h.update(net.flat.tobytes())
     return {"seed": seed, "epochs": gan_bundle.epochs_trained, "converged": gan_bundle.converged,
-            "eer": summary["eer"], "conditions": list(cfg.conditions), "checks": checks,
-            "sha256": h.hexdigest()}
+            "eer": summary["eer"], "heldout_accuracy": summary["heldout_accuracy"],
+            "conditions": list(cfg.conditions), "checks": checks, "sha256": h.hexdigest()}
 
 
 def spawn(seed: int) -> str:
@@ -110,15 +110,17 @@ def summarize(record: dict) -> dict:
 def render(records: list[dict]) -> str:
     conditions = records[0]["conditions"]
     stats = [summarize(r) for r in records]
-    lines = [f"{'seed':>4} {'epochs':>6} {'conv':>4} {'eer':>5}"
+    lines = [f"{'seed':>4} {'epochs':>6} {'conv':>4} {'eer':>5} {'acc':>5}"
              + "".join(f" | {c + ' stop':>12} {'med10':>5} {'min':>5} {'max':>5}" for c in conditions)]
     for r, s in zip(records, stats):
-        lines.append(f"{r['seed']:>4} {r['epochs']:>6} {'yes' if r['converged'] else 'NO':>4} {r['eer']:.3f}"
+        lines.append(f"{r['seed']:>4} {r['epochs']:>6} {'yes' if r['converged'] else 'NO':>4} {r['eer']:.3f} "
+                     f"{r['heldout_accuracy']:.3f}"
                      + "".join(f" | {s[c]['stop']:>12.3f} {s[c]['median']:>5.3f} {s[c]['min']:>5.3f} "
                                f"{s[c]['max']:>5.3f}" for c in conditions))
     lines.append(f"{'med':>4} {statistics.median(r['epochs'] for r in records):>6g} "
                  f"{sum(r['converged'] for r in records):>2}/{len(records)} "
-                 f"{statistics.median(r['eer'] for r in records):.3f}"
+                 f"{statistics.median(r['eer'] for r in records):.3f} "
+                 f"{statistics.median(r['heldout_accuracy'] for r in records):.3f}"
                  + "".join(f" | {statistics.median(s[c]['stop'] for s in stats):>12.3f} "
                            f"{statistics.median(s[c]['median'] for s in stats):>5.3f}" for c in conditions))
     early = sum(r["epochs"] < EARLY_EPOCH for r in records)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from keyforge import gan, pipeline
+from keyforge import attack, gan, pipeline
 from keyforge.attack import (
     NonFiniteSampleError,
     SpaceModel,
@@ -363,6 +363,23 @@ def test_build_attack_stream_of_overflowing_generator_raises_without_warnings():
         with pytest.raises(NonFiniteSampleError, match="non-finite cells for 6 of 6 planned words, first for 'ab'"):
             build_attack_stream(bundle, ["ab", "cd"], AttackSection(n_sequences=1), DEFAULT_SPACES,
                                 np.random.default_rng(1))
+
+
+def test_build_attack_stream_names_the_planned_word_of_the_first_non_finite_sample(small_bundle, monkeypatch):
+    """Two passes of a 3-word plan, generated in sorted order: only the 5th sample, pass 1's 'cd', is NaN."""
+    generate_word = attack.generate_word
+    calls = []
+
+    def nan_on_fifth_call(bundle, row, rng):
+        calls.append(row)
+        out = generate_word(bundle, row, rng)
+        return np.full_like(out, np.nan) if len(calls) == 5 else out
+
+    monkeypatch.setattr(attack, "generate_word", nan_on_fifth_call)
+    with pytest.raises(NonFiniteSampleError, match="non-finite cells for 1 of 6 planned words, first for 'cd'$"):
+        build_attack_stream(small_bundle, ["cd", "ab", "ef"], AttackSection(n_sequences=1), DEFAULT_SPACES,
+                            np.random.default_rng(1))
+    assert len(calls) == 6
 
 
 def test_conditions_share_per_word_cells(bundle, user_words):

@@ -476,8 +476,8 @@ GOLDEN_SHA256 = {
     "discriminator.json": "f783aa10fc23ee63bc15b20d2b6076a57a8029fe0de638379c4422b6f39f6c1e",
     "gan_history.json": "19a585d89711af6c8f95ff718a501cd149b104ef89b7e6450fdc1f748f6f1115",
     "generator.json": "dba2ea815887e36c8b9bfe5aefbcb114c0855427bf73089adbd13777f63662ea",
-    "report.json": "bee903922fccc72c450dc6dd3d77edb7721b14035c8284c09670db60a6c52f45",
-    "report.txt": "37037af609411af5e563af95f43cc49938a20a7bca0754f9f732a028e838fb83",
+    "report.json": "a606c9136b6f8d6a36d29aa9aacd1b215aae6ce3798084b3bf6a9d0ebda0bac5",
+    "report.txt": "cd8023a76ee82457762ef31c8e202e167c23f4d5d0d3804223f8354374b51cbc",
     "verifier.json": "99385275b1386811a30f544a995098361d168863d21ef07842ea7b1a143237ba",
 }
 
