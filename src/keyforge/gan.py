@@ -12,6 +12,10 @@ zeroed and the keycode column is overwritten with the conditioning word's true
 normalized keycodes (the attacker knows the text being typed), so only the
 timing cells are ever learned or judged. A word's condition, mask and fixed
 cells depend on its text alone: train and the attack build word_tables once.
+
+The generator computes in GEN_DTYPE (float32) and returns float64 samples. The
+discriminator stays float64: its scores sit near 0.5 and decide the stopping rule,
+and an all-float32 GAN did not converge on a seed that converges with it in float64.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ LATENT_DIM = 500
 GEN_IN_DIM = LATENT_DIM + EMBED_DIM  # 600
 GEN_OUT_DIM = WORD_LEN * N_FEATURES  # 75
 DISC_IN_DIM = GEN_OUT_DIM + EMBED_DIM  # 175
+GEN_DTYPE = np.float32
 
 
 @dataclass
@@ -75,7 +80,7 @@ class GanBundle:
 
 def new_bundle(seed: int, config: GanTrainConfig) -> GanBundle:
     return GanBundle(
-        generator=nn.init_network(generator_specs(config.g_hidden), seed),
+        generator=nn.init_network(generator_specs(config.g_hidden), seed, GEN_DTYPE),
         discriminator=nn.init_network(discriminator_specs(config.d_hidden1, config.d_hidden2), seed + 1),
         seed=seed,
     )
@@ -330,7 +335,7 @@ def save_bundle(bundle: GanBundle, directory: str | Path) -> tuple[Path, Path]:
 
 def load_bundle(directory: str | Path) -> GanBundle:
     g_path, d_path = checkpoint_paths(directory)
-    gen, g_info = nn.load_params(g_path, "generator", GEN_IN_DIM, GEN_OUT_DIM)
+    gen, g_info = nn.load_params(g_path, "generator", GEN_IN_DIM, GEN_OUT_DIM, GEN_DTYPE)
     disc, _ = nn.load_params(d_path, "discriminator", DISC_IN_DIM, 1)
     return GanBundle(
         generator=gen,

@@ -6,11 +6,13 @@ pinned by a finite-difference gradient check in the test suite. A network
 and its training state have one owner, which calls forward, backward and
 adam_step from one thread; frozen parameters are safe to share.
 
-Each network's parameters live in one C-contiguous float64 buffer,
-`NetworkParams.flat`, laid out w0, b0, w1, b1, ...; `weights` and `biases` are
-per-layer views into it. `AdamState` keeps m, v and the gradient `grad` in
-the same layout, and `AdamState.grads` are the per-layer (weight, bias) views
-into `grad`, so one Adam update and one finiteness check cover a network.
+Each network's parameters live in one C-contiguous buffer, `NetworkParams.flat`,
+laid out w0, b0, w1, b1, ...; `weights` and `biases` are per-layer views into
+it. Its dtype is the network's: `forward`, `backward` and `adam_step` compute
+in it, casting their input once at entry. `AdamState` keeps m, v and the
+gradient `grad` in the same layout and dtype, and `AdamState.grads` are the
+per-layer (weight, bias) views into `grad`, so one Adam update and one
+finiteness check cover a network.
 An `AdamState` takes lr and betas from the caller's config; epsilon is `ADAM_EPSILON`.
 `adam_step` is Kingma & Ba's efficient form: the bias corrections fold into
 one step size alpha per call, and epsilon is added as `ADAM_EPSILON*sqrt(1-beta2**t)`.
@@ -97,10 +99,11 @@ class NetworkParams:
     specs: list[LayerSpec]
     weights: list[np.ndarray]  # per layer, shape (out_dim, in_dim), a view into flat
     biases: list[np.ndarray]  # per layer, shape (out_dim,), a view into flat
-    flat: np.ndarray = field(init=False, repr=False)  # the given arrays, copied in once
+    flat: np.ndarray = field(init=False, repr=False)  # the given arrays, copied in once, in their dtype
 
     def __post_init__(self):
-        self.flat = np.empty(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
+        self.flat = np.empty(sum(w.size + b.size for w, b in zip(self.weights, self.biases)),
+                             np.result_type(*self.weights, *self.biases))
         weights, biases = _layer_views(self.flat, self.weights, self.biases)
         for view, a in zip(weights + biases, self.weights + self.biases):
             view[...] = a
@@ -135,15 +138,15 @@ def _check_chain(specs: list[LayerSpec]) -> None:
             raise ValueError(f"layer dim mismatch: {a.out_dim} feeds {b.in_dim}")
 
 
-def init_network(specs: list[LayerSpec], seed) -> NetworkParams:
-    """Glorot-uniform weights, zero biases, deterministic for a given seed."""
+def init_network(specs: list[LayerSpec], seed, dtype=np.float64) -> NetworkParams:
+    """Glorot-uniform weights, zero biases, deterministic for a given seed; float64 draws rounded to dtype."""
     _check_chain(specs)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for spec in specs:
         scale = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        weights.append(rng.uniform(-scale, scale, size=(spec.out_dim, spec.in_dim)))
-        biases.append(np.zeros(spec.out_dim))
+        weights.append(rng.uniform(-scale, scale, size=(spec.out_dim, spec.in_dim)).astype(dtype, copy=False))
+        biases.append(np.zeros(spec.out_dim, dtype))
     return NetworkParams(specs=list(specs), weights=weights, biases=biases)
 
 
@@ -172,8 +175,8 @@ def _activation_backward(name: str, g: np.ndarray, h: np.ndarray) -> np.ndarray:
     if name == "relu":
         return g * (h > 0)  # the bool mask multiplies as 0.0 / 1.0
     if name == "leaky_relu":
-        # equals np.where(h > 0, 1.0, LEAKY_SLOPE) for 0 <= slope <= 1, at a tenth of the cost
-        return g * np.maximum(h > 0, LEAKY_SLOPE)
+        # equals np.where(h > 0, 1.0, LEAKY_SLOPE) for 0 <= slope <= 1, at a tenth of the cost, in h's dtype
+        return g * np.maximum(h > 0, h.dtype.type(LEAKY_SLOPE))
     if name == "sigmoid":
         return g * (h * (1.0 - h))
     return g  # identity
@@ -181,7 +184,7 @@ def _activation_backward(name: str, g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def forward(params: NetworkParams, x) -> tuple[np.ndarray, ForwardTape]:
     """Run the network on a (batch, in_dim) matrix; returns the output and a tape for backward()."""
-    a = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=params.flat.dtype)
     if a.ndim != 2 or a.shape[1] != params.in_dim:
         raise ValueError(f"input shape {a.shape}, network expects (batch, {params.in_dim})")
     activations = [a]
@@ -207,7 +210,7 @@ def backward(
     is not computed. Without grads, no weight gradient is computed and the
     per-sample input gradient comes back.
     """
-    g = np.asarray(output_gradient, dtype=np.float64)
+    g = np.asarray(output_gradient, dtype=params.flat.dtype)
     if g.shape != tape.output.shape:
         raise ValueError(f"output gradient shape {g.shape} != output shape {tape.output.shape}")
     for k in range(len(params.specs) - 1, -1, -1):
@@ -256,38 +259,38 @@ def contrastive_loss(distance, same_user, margin: float):
 
 
 def gradient_buffers(params: NetworkParams) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """A zeroed buffer laid out like params.flat, and its per-layer (weight, bias) views."""
-    flat = np.zeros(params.flat.size)
+    """A zeroed buffer laid out like params.flat, in its dtype, and its per-layer (weight, bias) views."""
+    flat = np.zeros_like(params.flat)
     return flat, list(zip(*_layer_views(flat, params.weights, params.biases)))
 
 
-# Elements per Adam chunk: one chunk of param, gradient, m, v and the two
-# scratch rows (6 x 256 KiB) stays in a 2 MiB L2 through all 12 passes of the
-# update. On the 609k-parameter generator (one BLAS thread, 2 MiB L2 per core)
-# a step took 9.0 ms at 4,096 elements, 6.1 ms at 16,384, 5.2 ms at 32,768 and
-# 6.4 ms unchunked; smaller chunks pay numpy's per-call overhead more often.
+# Elements per Adam chunk: one chunk of param, gradient, m, v and the two scratch rows
+# (6 x 256 KiB in float64, 6 x 128 KiB in float32) stays in a 2 MiB L2 through all 12
+# passes of the update. On the 609k-parameter generator in float64 (one BLAS thread) a
+# step took 9.0 ms at 4,096 elements, 6.1 ms at 16,384, 5.2 ms at 32,768 and 6.4 ms
+# unchunked; smaller chunks pay numpy's per-call overhead more often. Not retuned for float32.
 ADAM_CHUNK = 32768
 ADAM_EPSILON = 1e-8
 
 
 @dataclass
 class AdamState:
-    # moments and gradient laid out like NetworkParams.flat; grads views grad per layer
+    # moments, gradient and scratch in NetworkParams.flat's dtype, laid out like it; grads views grad per layer
     m: np.ndarray
     v: np.ndarray
     grad: np.ndarray
     grads: list[tuple[np.ndarray, np.ndarray]]
+    scratch: np.ndarray  # (2, ADAM_CHUNK)
     lr: float
     beta1: float
     beta2: float
     step: int = 0
-    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_CHUNK)))
 
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float, beta1: float, beta2: float) -> "AdamState":
         grad, grads = gradient_buffers(params)
         return cls(m=np.zeros_like(grad), v=np.zeros_like(grad), grad=grad, grads=grads,
-                   lr=lr, beta1=beta1, beta2=beta2)
+                   scratch=np.empty((2, ADAM_CHUNK), grad.dtype), lr=lr, beta1=beta1, beta2=beta2)
 
 
 def _adam_chunks(p, g, m, v, scratch, b1, b2, alpha, eps_hat) -> None:
@@ -368,12 +371,14 @@ def save_params(
     Path(path).write_text(text, encoding="utf-8")
 
 
-def load_params(path: str | Path, model_kind: str, in_dim: int, out_dim: int) -> tuple[NetworkParams, dict]:
-    """Load a model_kind checkpoint that must map in_dim -> out_dim; returns (params, info).
+def load_params(path: str | Path, model_kind: str, in_dim: int, out_dim: int,
+                dtype=np.float64) -> tuple[NetworkParams, dict]:
+    """Load a model_kind checkpoint that must map in_dim -> out_dim; returns (params, info) in dtype.
 
     info holds rng_seed, trained_epochs and metadata. Each failure names the file:
     CorruptCheckpointError for an unreadable file, a missing key, another model
-    kind, malformed layer data, non-finite values or metadata that is not an object;
+    kind, malformed layer data, non-finite values, values dtype does not hold
+    exactly (a float64 file for a float32 network) or metadata that is not an object;
     CheckpointVersionError for a foreign format_version or embedding seed;
     CheckpointShapeError for arrays that disagree with their layer specs, layers
     that do not chain, or a network that does not map in_dim -> out_dim.
@@ -429,6 +434,11 @@ def load_params(path: str | Path, model_kind: str, in_dim: int, out_dim: int) ->
             )
     if (bad := _non_finite_layer(zip(weights, biases))) is not None:
         raise CorruptCheckpointError(f"{path}: non-finite values in layer {bad}")
+    with np.errstate(over="ignore"):  # past dtype's range a value casts to inf, which differs from it
+        cast = [(w.astype(dtype, copy=False), b.astype(dtype, copy=False)) for w, b in zip(weights, biases)]
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        if not (np.array_equal(w, cast[k][0]) and np.array_equal(b, cast[k][1])):
+            raise CorruptCheckpointError(f"{path}: layer {k} holds values that {np.dtype(dtype)} does not")
     info = {
         "rng_seed": doc.get("rng_seed"),
         "trained_epochs": doc.get("trained_epochs", 0),
@@ -436,4 +446,4 @@ def load_params(path: str | Path, model_kind: str, in_dim: int, out_dim: int) ->
     }
     if not isinstance(info["metadata"], dict):
         raise CorruptCheckpointError(f"{path}: metadata is not a JSON object")
-    return NetworkParams(specs=specs, weights=weights, biases=biases), info
+    return NetworkParams(specs=specs, weights=[w for w, _ in cast], biases=[b for _, b in cast]), info

@@ -355,9 +355,9 @@ def test_build_attack_stream_makes_as_many_passes_as_the_summing_loop(small_bund
 
 
 def test_build_attack_stream_of_overflowing_generator_raises_without_warnings():
-    """Weights scaled by 1e306 overflow into NaN cells: one error, and no RuntimeWarning on the way."""
+    """Weights scaled by 1e30 overflow into NaN cells: one error, and no RuntimeWarning on the way."""
     bundle = gan.new_bundle(4, gan.GanTrainConfig(g_hidden=4, d_hidden1=4, d_hidden2=2))
-    bundle.generator.flat *= 1e306
+    bundle.generator.flat *= 1e30
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteSampleError, match="non-finite cells for 6 of 6 planned words, first for 'ab'"):

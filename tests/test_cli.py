@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -464,19 +465,19 @@ def test_run_all_is_deterministic(tmp_path, tiny_config, capsys):
 # sha256 of every run-all artifact at TINY_CONFIG. The generator's float bits
 # depend on the BLAS thread count, so the run below pins one thread.
 GOLDEN_SHA256 = {
-    "attack_ordered_a.tsv": "d42880b77c7bd4710e23560be5c10fb381c7c3e60b2151cb4af3bd02b5dd3e7d",
+    "attack_ordered_a.tsv": "50e72efd660687cc37f438aabdeaf16c0162b8f04cb4063dbf6c62a4f522857e",
     "attack_ordered_a.tsv.meta.json": "7dba715673b1fe2f9ea2da0bae3d6ed68b9b708dfc19f995942228ddee5416ea",
-    "attack_ordered_b.tsv": "87ea75032822651dfbe51276d90b4f72033d80e32ca3e8491adbcf6debf10dea",
+    "attack_ordered_b.tsv": "f36673577bd11380b20f8983e09120766be28fe64f2bd0b6a3a5d58b846689f6",
     "attack_ordered_b.tsv.meta.json": "b8b966b7eacff66dd756e6df4b868ef5df4cf459255ca8f65687529b1cb1b5fc",
-    "attack_random_a.tsv": "593c0067a97e2a01e8bceab3cc94ed87011f87d372125bf53ff93d1760a2e815",
+    "attack_random_a.tsv": "3cfddcfe670692583c354b783ce4c32e7f7d0645d5981a289e6fd398138c2cfa",
     "attack_random_a.tsv.meta.json": "e967abf92e4bb1f4644f6ccc76a9178ecf1239907e7e09477dc2c17db8d74c53",
-    "attack_random_b.tsv": "7f33bb518f74eb46933d4bd073c1a47d5fc650a80575e76b9fae5fb181d38e33",
+    "attack_random_b.tsv": "bb445b97de9ab7a10f69d7ee111c8ae5dd499ed240ec87cf4e914794805919e2",
     "attack_random_b.tsv.meta.json": "bce6e4fadc0dc539cf16ff24dc7e59782fb9e90cfc292964848531bf1676af82",
     "corpus.tsv": "d1c702dba63f6431c0778a1bc55d0403b624d2ecf62404da75101632411fa64a",
-    "discriminator.json": "f783aa10fc23ee63bc15b20d2b6076a57a8029fe0de638379c4422b6f39f6c1e",
+    "discriminator.json": "95a613899a98569d4236bf9bd8f628dfe62e3d68a6cb3ca80e5aba76e0c9deae",
     "gan_history.json": "19a585d89711af6c8f95ff718a501cd149b104ef89b7e6450fdc1f748f6f1115",
-    "generator.json": "dba2ea815887e36c8b9bfe5aefbcb114c0855427bf73089adbd13777f63662ea",
-    "report.json": "a606c9136b6f8d6a36d29aa9aacd1b215aae6ce3798084b3bf6a9d0ebda0bac5",
+    "generator.json": "9b5add456b79075ad2d761de3b09022593e19eef14468bb9f6b9dfcefe428dca",
+    "report.json": "f8d50d21acce1c2d62cb9d047a06de74c90bf4a8c80f7f4b7125260812122197",
     "report.txt": "cd8023a76ee82457762ef31c8e202e167c23f4d5d0d3804223f8354374b51cbc",
     "verifier.json": "99385275b1386811a30f544a995098361d168863d21ef07842ea7b1a143237ba",
 }
@@ -499,7 +500,7 @@ def test_run_all_golden_digests(tmp_path, tiny_config):
 # of tau each distance falls; this pins the distances themselves. Their bits
 # depend on the BLAS thread count, so the run pins one thread in a fresh
 # interpreter.
-DISTANCES_SHA256 = "ab5b3bcd4825d7968084c4c805360e6904a0cd76100447f964eef128e2eb63f9"
+DISTANCES_SHA256 = "1cf4a3274eb6e0d8577df39acc997e3cefb0d54e4c371709ff4af44530466b85"
 
 _DISTANCES_SCRIPT = """
 import hashlib, json, sys, tempfile
@@ -573,10 +574,10 @@ def test_attack_with_generator_of_other_width_is_data_error(tmp_path, corpus_fil
 
 
 def test_attack_with_overflowing_generator_is_data_error(tmp_path, tiny_config, corpus_file, capsys):
-    """Weights scaled by 1e306 load as finite but generate NaN cells; the error names the checkpoint."""
+    """Weights scaled by 1e30 load as finite but generate NaN cells; the error names the checkpoint."""
     gan_dir = tmp_path / "gan"
     bundle = gan_mod.new_bundle(0, gan_mod.GanTrainConfig(g_hidden=32, d_hidden1=32, d_hidden2=16))
-    bundle.generator.flat *= 1e306
+    bundle.generator.flat *= 1e30
     gan_mod.save_bundle(bundle, gan_dir)
     out = tmp_path / "f.tsv"
     code = main(["attack", "--gan-dir", str(gan_dir), "--corpus", str(corpus_file),
@@ -584,6 +585,40 @@ def test_attack_with_overflowing_generator_is_data_error(tmp_path, tiny_config, 
                  "--config", str(tiny_config)])
     assert_data_error(code, capsys, gan_dir / "generator.json", "generator gives non-finite cells for ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [None, 1e300, 0.1], ids=["float64-file", "1e300", "0.1"])
+def test_attack_with_generator_values_float32_does_not_hold_is_data_error(tmp_path, corpus_file, capsys, value):
+    """A float64 generator file, or one value that overflows or rounds in float32: exit 2, naming file and layer."""
+    gan_dir = tmp_path / "gan"
+    gan_mod.save_bundle(gan_mod.new_bundle(0, gan_mod.GanTrainConfig(g_hidden=8, d_hidden1=8, d_hidden2=4)),
+                        gan_dir)
+    g_path, layer = gan_dir / "generator.json", 2
+    if value is None:  # as generator files were written while the generator computed in float64
+        nn.save_params(nn.init_network(gan_mod.generator_specs(8), 0), g_path, "generator", 0, 0, {})
+        layer = 0
+    else:
+        doc = json.loads(g_path.read_text())
+        doc["biases"][2][3] = value
+        g_path.write_text(json.dumps(doc))
+    out = tmp_path / "f.tsv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["attack", "--gan-dir", str(gan_dir), "--corpus", str(corpus_file),
+                     "--user", "u0", "--condition", "ordered", "--out", str(out)])
+    assert not caught
+    assert_data_error(code, capsys, g_path, f"layer {layer} holds values that float32 does not\n")
+    assert not out.exists()
+
+
+def test_attack_over_run_all_checkpoints_reproduces_its_stream(tmp_path, tiny_config, capsys):
+    """The float32 generator read back from generator.json gives run-all's in-memory bundle's bits."""
+    run = tmp_path / "run"
+    assert main(["run-all", "--out-dir", str(run), "--config", str(tiny_config)]) == 0
+    out = tmp_path / "ordered.tsv"
+    assert main(["attack", "--gan-dir", str(run), "--corpus", str(run / "corpus.tsv"), "--user", "u0",
+                 "--condition", "ordered", "--out", str(out), "--config", str(tiny_config)]) == 0
+    assert out.read_bytes() == (run / "attack_ordered_a.tsv").read_bytes()
 
 
 def evaluate_args(verifier, corpus_file, out_json):
@@ -727,13 +762,13 @@ def test_run_all_with_verifier_that_overflows_is_training_error(tmp_path, tiny_c
 
 def test_run_all_with_generator_that_overflows_is_training_error(tmp_path, tiny_config, monkeypatch,
                                                                  capsys):
-    """train_user_gan returns its generator with every weight scaled by 1e306: finite, but it
+    """train_user_gan returns its generator with every weight scaled by 1e30: finite, but it
     generates NaN cells, which the attack phase must name."""
     train = pipeline.train_user_gan
 
     def overflowing(*args, **kwargs):
         bundle = train(*args, **kwargs)
-        bundle.generator.flat *= 1e306
+        bundle.generator.flat *= 1e30
         return bundle
 
     monkeypatch.setattr(pipeline, "train_user_gan", overflowing)

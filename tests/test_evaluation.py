@@ -26,12 +26,6 @@ from keyforge.verifier import NonFiniteDistanceError, VerifierBundle, sequences_
 N = 20  # sequences per set
 
 
-def test_table_one_resolution_is_representable():
-    # 400 cross-product pairs make three-decimal accuracies like 0.945 exact
-    assert 0.945 == 378 / 400
-    assert 0.975 == 390 / 400
-
-
 # ---------------------------------------------------------------------------
 # pair building
 # ---------------------------------------------------------------------------
@@ -164,6 +158,21 @@ def oracle_pairs():
     }
 
 
+def mixed_pairs():
+    """Sets that give each test some wrong decisions at tau=1: 22, 10 and 20 of 400.
+
+    identity_bundle's distance between seq(a) and seq(b) is sqrt(13) * |a - b|, so at
+    tau=1 a pair is accepted iff the values are within 0.277. Test 1 rejects real 0.0
+    against fake 0.3 and 0.4 (2 x 11 pairs), test 2 fake 0.4 against fake_b 0.05
+    (2 x 5), and test 3 accepts fake against others 0.2 (20 x 1).
+    """
+    real = seq_set(0.0, 2) + seq_set(0.2, 18)
+    fake = seq_set(0.1, 9) + seq_set(0.3, 9) + seq_set(0.4, 2)
+    fake_b = seq_set(0.2, 15) + seq_set(0.05, 5)
+    others = seq_set(0.2, 1) + seq_set(5.0, 19)
+    return {test_id: build_test_pairs(test_id, real, fake, fake_b, others, N) for test_id in (1, 2, 3)}
+
+
 def test_run_tests_oracle_verifier_scores_one():
     bundle = identity_bundle(tau=1.0)
     report = run_tests(bundle, {"ordered": oracle_pairs()}, {"seed": 1})
@@ -193,8 +202,9 @@ def test_run_tests_coin_flip_verifier_is_near_chance():
 
 def test_run_tests_accuracy_matches_hand_counter():
     bundle = identity_bundle(tau=1.0)
-    pairs = oracle_pairs()
+    pairs = mixed_pairs()
     report = run_tests(bundle, {"ordered": pairs})
+    hands = []
     for test_id, test_pairs in pairs.items():
         hand = 0
         for a in test_pairs.left:
@@ -202,6 +212,17 @@ def test_run_tests_accuracy_matches_hand_counter():
                 d = np.linalg.norm((a - b).reshape(-1)[:64])
                 hand += (d <= 1.0) == test_pairs.same
         assert report.results["ordered"][f"test{test_id}"]["accuracy"] == hand / 400
+        hands.append(hand)
+    assert hands == [378, 390, 380]
+
+
+def test_table_one_resolution_is_representable():
+    """400 cross-product pairs make three-decimal accuracies like 0.945 exact, in the report and the table."""
+    report = run_tests(identity_bundle(tau=1.0), {"ordered": mixed_pairs()})
+    accuracies = [report.results["ordered"][f"test{test_id}"]["accuracy"] for test_id in (1, 2, 3)]
+    assert accuracies == [0.945, 0.975, 0.95]
+    row = next(line for line in render_table(report).splitlines() if line.startswith("ordered"))
+    assert row.split()[1:] == ["0.945", "0.975", "0.950"]
 
 
 def test_confusion_accumulation_sides():

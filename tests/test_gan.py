@@ -159,6 +159,35 @@ def test_train_epoch_reproducible(corpus_words):
         assert np.array_equal(w1, w2)
 
 
+def test_train_epoch_computes_each_network_in_its_own_dtype(corpus_words, monkeypatch):
+    """The generator's tape activations, dLoss/dz, gradients, moments and scratch are float32; the
+    discriminator's are float64. A Python-float leaky_relu slope would make the generator's dLoss/dz
+    float64, and with it every matmul after it mixed."""
+    bundle = gan.new_bundle(24, gan.GanTrainConfig(g_hidden=8, d_hidden1=8, d_hidden2=4))
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert (bundle.generator.flat.dtype, bundle.discriminator.flat.dtype) == (f32, f64)
+    forward, activation_backward, seen = nn.forward, nn._activation_backward, []
+
+    def recording_forward(params, x):
+        out, tape = forward(params, x)
+        seen.extend((params.flat.dtype, a.dtype) for a in tape.activations)
+        return out, tape
+
+    def recording_activation_backward(name, g, h):
+        dz = activation_backward(name, g, h)
+        seen.append((h.dtype, dz.dtype))
+        return dz
+
+    monkeypatch.setattr(nn, "forward", recording_forward)
+    monkeypatch.setattr(nn, "_activation_backward", recording_activation_backward)
+    d_state, g_state = adam_states(bundle)
+    gan.train_epoch(bundle, *flat_words(*corpus_words), 16, np.random.default_rng(24), d_state, g_state)
+    assert set(seen) == {(f32, f32), (f64, f64)}
+    for params, state in ((bundle.generator, g_state), (bundle.discriminator, d_state)):
+        arrays = [params.flat, state.grad, state.m, state.v, state.scratch, *(a for pair in state.grads for a in pair)]
+        assert {a.dtype for a in arrays} == {params.flat.dtype}
+
+
 def test_train_epoch_single_sample_is_finite(corpus_words, rng):
     b = gan.new_bundle(6, DEFAULT)
     texts, matrices = corpus_words
@@ -209,6 +238,9 @@ def test_gan_step_gradients_match_finite_differences_of_the_stated_losses(corpus
     texts, n = [texts[i] for i in first], len(first)
     flat, tables = flat_words(texts, matrices[first])
     bundle = gan.new_bundle(21, gan.GanTrainConfig(g_hidden=8, d_hidden1=8, d_hidden2=4))
+    # nn computes in each network's dtype, so a float64 generator runs the same code as the
+    # float32 one; central differences need float64 (in float32 they read an error of 2.0)
+    bundle.generator = nn.init_network(gan.generator_specs(8), 21)
     forward, adam_step, calls = nn.forward, nn.adam_step, []
 
     def recording_forward(params, x):
@@ -395,6 +427,7 @@ def test_train_embeds_each_word_sample_once(corpus_words, rng, monkeypatch):
 
 def test_bundle_save_load_round_trip(tmp_path, corpus_words, rng):
     bundle = gan.new_bundle(14, DEFAULT)
+    gan.train_epoch(bundle, *flat_words(*corpus_words), 32, rng, *adam_states(bundle))  # nonzero biases
     bundle.epochs_trained = 5
     bundle.converged = True
     assert gan.save_bundle(bundle, tmp_path) == gan.checkpoint_paths(tmp_path)
@@ -402,8 +435,9 @@ def test_bundle_save_load_round_trip(tmp_path, corpus_words, rng):
     assert loaded.seed == 14
     assert loaded.epochs_trained == 5
     assert loaded.converged
-    for a, b in zip(loaded.generator.weights, bundle.generator.weights):
-        assert np.array_equal(a, b)
+    for a, b in ((loaded.generator, bundle.generator), (loaded.discriminator, bundle.discriminator)):
+        assert a.flat.dtype == b.flat.dtype and np.array_equal(a.flat, b.flat)
+    assert loaded.generator.flat.dtype == gan.GEN_DTYPE
     word_a = gan.generate_word(bundle, gan.word_tables(["same"]), np.random.default_rng(0))
     word_b = gan.generate_word(loaded, gan.word_tables(["same"]), np.random.default_rng(0))
     assert np.array_equal(word_a, word_b)
@@ -450,7 +484,7 @@ def test_bundle_validates_dimensions(tmp_path):
 # 3 epochs at default shapes (600->512->512->75, 175->256->128->1) on the
 # default corpus's u0 words. The float bits depend on the BLAS thread count,
 # so the run pins one thread in a fresh interpreter.
-DEFAULT_SHAPE_GAN_SHA256 = "3c2df56e737e97ab00d38547b24bebf5b9c6a6087db706e223d7c9c712e85e21"
+DEFAULT_SHAPE_GAN_SHA256 = "0ea78c7bc2e9e362614ba2c49ca681866eb849f4e02c3addcb81170e80fd783f"
 
 _DEFAULT_SHAPE_SCRIPT = """
 import hashlib

@@ -108,6 +108,8 @@ def test_init_deterministic_and_shaped():
     assert np.all(a.biases[0] == 0.0)
     bound = math.sqrt(6.0 / 7.0)
     assert np.all(np.abs(a.weights[0]) <= bound)
+    single = init_network(specs, 5, np.float32)  # the same float64 draws, rounded once
+    assert single.flat.dtype == np.float32 and np.array_equal(single.flat, a.flat.astype(np.float32))
 
 
 def test_init_rejects_dim_mismatch():
@@ -405,11 +407,8 @@ def reference_adam_step(params, gradients, m_w, v_w, m_b, v_b, step, lr, b1, b2,
         params.biases[k] -= m_b[k] * alpha / (np.sqrt(v_b[k]) + eps_hat)
 
 
-@pytest.mark.parametrize("chunk", [None, 1000])
-def test_adam_matches_reference_formula_bit_for_bit(monkeypatch, chunk):
-    if chunk is not None:  # many chunks with a ragged tail
-        monkeypatch.setattr(nn, "ADAM_CHUNK", chunk)
-    params = init_network([LayerSpec(300, 130, "leaky_relu"), LayerSpec(130, 7, "sigmoid")], 11)
+def assert_adam_matches_reference(dtype):
+    params = init_network([LayerSpec(300, 130, "leaky_relu"), LayerSpec(130, 7, "sigmoid")], 11, dtype)
     assert params.weights[0].size > nn.ADAM_CHUNK
     ref = copy_of(params)
     state = AdamState.for_params(params, lr=1e-3, beta1=0.5, beta2=0.999)
@@ -420,8 +419,8 @@ def test_adam_matches_reference_formula_bit_for_bit(monkeypatch, chunk):
     rng = np.random.default_rng(12)
     for step in range(1, 51):
         scale = 10.0 ** rng.uniform(-6, 2)
-        grads = [(scale * rng.standard_normal(w.shape), scale * rng.standard_normal(b.shape))
-                 for w, b in zip(ref.weights, ref.biases)]
+        grads = [((scale * rng.standard_normal(w.shape)).astype(dtype),
+                  (scale * rng.standard_normal(b.shape)).astype(dtype)) for w, b in zip(ref.weights, ref.biases)]
         write_grads(state, grads)
         adam_step(params, state)
         reference_adam_step(ref, grads, m_w, v_w, m_b, v_b, step, 1e-3, 0.5, 0.999, 1e-8)
@@ -431,6 +430,20 @@ def test_adam_matches_reference_formula_bit_for_bit(monkeypatch, chunk):
         assert np.array_equal(params.biases[k], ref.biases[k])
     assert np.array_equal(state.m, layout(m_w, m_b))
     assert np.array_equal(state.v, layout(v_w, v_b))
+    assert {a.dtype for a in (params.flat, state.m, state.v, state.scratch)} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+def test_adam_matches_reference_formula_bit_for_bit(monkeypatch, chunk):
+    if chunk is not None:  # many chunks with a ragged tail
+        monkeypatch.setattr(nn, "ADAM_CHUNK", chunk)
+    assert_adam_matches_reference(np.float64)
+
+
+def test_float32_adam_matches_reference_formula_bit_for_bit(monkeypatch):
+    """Python-float alpha and eps_hat keep every operation in float32, in both forms."""
+    monkeypatch.setattr(nn, "ADAM_CHUNK", 1000)
+    assert_adam_matches_reference(np.float32)
 
 
 def test_adam_updates_non_contiguous_params_like_contiguous():
@@ -704,6 +717,22 @@ def test_checkpoint_non_finite_values_are_corrupt_naming_layer(tmp_path, bad):
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptCheckpointError, match="non-finite values in layer 1"):
         load_params(path, "verifier", 3, 2)
+
+
+@pytest.mark.parametrize("bad", [1e300, 0.1])
+def test_checkpoint_values_the_dtype_does_not_hold_are_corrupt_naming_layer(tmp_path, bad):
+    """1e300 overflows float32 and 0.1 rounds in it: either is corrupt in a float32 network, with no warning."""
+    path, doc = saved_doc(tmp_path, init_network([LayerSpec(3, 2, "relu"), LayerSpec(2, 2, "relu")], 14, np.float32))
+    loaded, _ = load_params(path, "verifier", 3, 2, np.float32)
+    assert loaded.flat.dtype == np.float32
+    doc["weights"][1][0][1] = bad
+    path.write_text(json.dumps(doc))
+    assert load_params(path, "verifier", 3, 2)[0].weights[1][0, 1] == bad  # float64 holds either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptCheckpointError,
+                           match=re.escape(f"{path}: layer 1 holds values that float32 does not")):
+            load_params(path, "verifier", 3, 2, np.float32)
 
 
 @pytest.mark.parametrize("metadata", [[], "tau", 1.5, None])
