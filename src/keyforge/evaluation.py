@@ -113,7 +113,7 @@ def _cross_distances(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _test_entry(test_id: int, d: np.ndarray, tau: float, same: bool) -> dict:
-    accepted = int(np.count_nonzero(d <= tau))
+    accepted = int(np.count_nonzero(d <= np.float64(tau)))  # float64: exact for a float32 d, whatever tau is
     rejected = d.size - accepted
     tp, fn, fp, tn = (accepted, rejected, 0, 0) if same else (0, 0, accepted, rejected)
     entry = {

@@ -25,8 +25,9 @@ Inputs are 2-D (batch, in_dim) arrays. `backward` runs in one of two modes:
 given per-layer gradient buffers, it overwrites them with the weight and bias
 gradients and computes no input gradient; given none, it computes no weight
 gradient and returns the input gradient. The buffers belong to the training
-state (`AdamState.grads`, or a second set from `gradient_buffers`), so a
-caller that keeps gradients across two passes passes separate buffers.
+state (`AdamState.grads`): a loss over two inputs, such as a Siamese pair,
+runs one forward and one backward of the two stacked into one batch, so one
+set of buffers holds the summed gradient.
 """
 
 from __future__ import annotations
@@ -258,12 +259,6 @@ def contrastive_loss(distance, same_user, margin: float):
 # ---------------------------------------------------------------------------
 
 
-def gradient_buffers(params: NetworkParams) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """A zeroed buffer laid out like params.flat, in its dtype, and its per-layer (weight, bias) views."""
-    flat = np.zeros_like(params.flat)
-    return flat, list(zip(*_layer_views(flat, params.weights, params.biases)))
-
-
 # Elements per Adam chunk: one chunk of param, gradient, m, v and the two scratch rows
 # (6 x 256 KiB in float64, 6 x 128 KiB in float32) stays in a 2 MiB L2 through all 12
 # passes of the update. On the 609k-parameter generator in float64 (one BLAS thread) a
@@ -288,7 +283,8 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: NetworkParams, lr: float, beta1: float, beta2: float) -> "AdamState":
-        grad, grads = gradient_buffers(params)
+        grad = np.zeros_like(params.flat)
+        grads = list(zip(*_layer_views(grad, params.weights, params.biases)))
         return cls(m=np.zeros_like(grad), v=np.zeros_like(grad), grad=grad, grads=grads,
                    scratch=np.empty((2, ADAM_CHUNK), grad.dtype), lr=lr, beta1=beta1, beta2=beta2)
 

@@ -8,6 +8,11 @@ calibrated to the equal-error-rate point on validation pairs.
 Unlike the word-level generator training, verifier sequences are cut from raw
 sentences: spaces and cross-word latencies stay in. A window set is one
 (n, 15, 5) array; a pair set is one PairSet of two such arrays and a bool one.
+
+The network computes in VERIFIER_DTYPE (float32), so its codes and distances
+are float32; the contrastive loss is summed in float64, and a distance meets
+tau in float64. A training step embeds a batch's a and b sides in one stacked
+forward pass and runs one backward pass of their code gradients.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .nn import AdamState, LayerSpec, NetworkParams, TrainingError
 
 SEQ_DIM = WORD_LEN * N_FEATURES  # 75
 EMBED_OUT_DIM = 64
+VERIFIER_DTYPE = np.float32
 
 
 @dataclass
@@ -239,14 +245,13 @@ def train_verifier(pairs: PairSet, config: VerifierConfig, seed: int) -> Verifie
     """Minimize contrastive loss over the pair set with Adam; deterministic per seed."""
     if pairs.same.all() or not pairs.same.any():
         raise ValueError("training needs both genuine and impostor pairs")
-    net = nn.init_network(embedding_specs(config.hidden), seed)
+    net = nn.init_network(embedding_specs(config.hidden), seed, VERIFIER_DTYPE)
     bundle = VerifierBundle(network=net)
     state = AdamState.for_params(net, lr=config.lr, beta1=config.beta1, beta2=config.beta2)
-    grad_b, grads_b = nn.gradient_buffers(net)  # pass b's gradients, summed into state.grad
     rng = np.random.default_rng(seed)
 
-    a_all = pairs.a.reshape(len(pairs), SEQ_DIM)
-    b_all = pairs.b.reshape(len(pairs), SEQ_DIM)
+    # both sides of every pair, cast once: row [0, i] is pair i's a, row [1, i] its b
+    sides = np.stack((pairs.a, pairs.b), dtype=net.flat.dtype).reshape(2, len(pairs), SEQ_DIM)
 
     loss_curve = []
     with np.errstate(all="ignore"):  # overflow stays silent; the finite checks raise TrainingError
@@ -255,19 +260,18 @@ def train_verifier(pairs: PairSet, config: VerifierConfig, seed: int) -> Verifie
             epoch_loss = 0.0
             for start in range(0, len(order), config.batch_size):
                 idx = order[start : start + config.batch_size]
-                ea, tape_a = nn.forward(net, a_all[idx])
-                eb, tape_b = nn.forward(net, b_all[idx])
-                diff = ea - eb
+                n = len(idx)
+                # one pass over the stacked batch [a; b]
+                e, tape = nn.forward(net, np.take(sides, idx, axis=1).reshape(2 * n, SEQ_DIM))
+                diff = e[:n] - e[n:]
                 d = code_distances(diff)
                 losses, dldd = nn.contrastive_loss(d, pairs.same[idx], config.margin)
                 epoch_loss += float(losses.sum())
-                # unit direction of d wrt ea; zero where d == 0 (valid subgradient)
+                # unit direction of d wrt a's code; zero where d == 0 (valid subgradient)
                 safe = np.where(d > 0, d, 1.0)
                 direction = diff / safe[:, None]
-                ga = (dldd / len(idx))[:, None] * direction
-                nn.backward(net, tape_a, ga, state.grads)
-                nn.backward(net, tape_b, -ga, grads_b)
-                state.grad += grad_b
+                ga = (dldd / n)[:, None] * direction  # float64; backward casts it once
+                nn.backward(net, tape, np.concatenate((ga, -ga)), state.grads)
                 nn.adam_step(net, state)
             if not np.isfinite(epoch_loss):
                 raise TrainingError(f"non-finite verifier loss in epoch {len(loss_curve)}: {epoch_loss}")
@@ -300,7 +304,7 @@ def pair_accuracy(bundle: VerifierBundle, pairs: PairSet) -> float:
     """Fraction of pairs whose threshold decision matches pairs.same."""
     if bundle.tau is None:
         raise ValueError("verifier bundle is not calibrated (tau unset)")
-    decisions = pair_distances(bundle, pairs) <= bundle.tau
+    decisions = pair_distances(bundle, pairs) <= np.float64(bundle.tau)  # as evaluation compares
     return float(np.count_nonzero(decisions == pairs.same)) / len(pairs)
 
 
@@ -312,7 +316,7 @@ def save_verifier(bundle: VerifierBundle, path: str | Path) -> None:
 
 
 def load_verifier(path: str | Path) -> VerifierBundle:
-    net, info = nn.load_params(path, "verifier", SEQ_DIM, EMBED_OUT_DIM)
+    net, info = nn.load_params(path, "verifier", SEQ_DIM, EMBED_OUT_DIM, VERIFIER_DTYPE)
     meta = dict(info["metadata"])
     tau = meta.pop("tau", None)
     # bool is no number here; a JSON integer beyond float range would overflow in a comparison

@@ -477,9 +477,9 @@ GOLDEN_SHA256 = {
     "discriminator.json": "95a613899a98569d4236bf9bd8f628dfe62e3d68a6cb3ca80e5aba76e0c9deae",
     "gan_history.json": "19a585d89711af6c8f95ff718a501cd149b104ef89b7e6450fdc1f748f6f1115",
     "generator.json": "9b5add456b79075ad2d761de3b09022593e19eef14468bb9f6b9dfcefe428dca",
-    "report.json": "f8d50d21acce1c2d62cb9d047a06de74c90bf4a8c80f7f4b7125260812122197",
+    "report.json": "8e968490539096e35885f26887df7a8015305ac42c4a07aeea210ab3eefb7d69",
     "report.txt": "cd8023a76ee82457762ef31c8e202e167c23f4d5d0d3804223f8354374b51cbc",
-    "verifier.json": "99385275b1386811a30f544a995098361d168863d21ef07842ea7b1a143237ba",
+    "verifier.json": "4c0f3c3fc4e8bae6608f070d5e6312f21e0ddc8afd70c8497c0e55bbef636e46",
 }
 
 
@@ -500,7 +500,7 @@ def test_run_all_golden_digests(tmp_path, tiny_config):
 # of tau each distance falls; this pins the distances themselves. Their bits
 # depend on the BLAS thread count, so the run pins one thread in a fresh
 # interpreter.
-DISTANCES_SHA256 = "1cf4a3274eb6e0d8577df39acc997e3cefb0d54e4c371709ff4af44530466b85"
+DISTANCES_SHA256 = "86a9064b0e09c93bb3fc5548760513c0cf5dab6e155ac70c6a9026712595ec3b"
 
 _DISTANCES_SCRIPT = """
 import hashlib, json, sys, tempfile
@@ -629,6 +629,18 @@ def evaluate_args(verifier, corpus_file, out_json):
             *fakes, "--out-json", str(out_json)]
 
 
+def untrained_verifier_file(path, scale=1.0):
+    """Write an untrained 75 -> 8 -> 64 verifier with tau 0.5 to path, its weights times scale.
+
+    It is built in VERIFIER_DTYPE (float32), as train-verifier writes it: a float64
+    file does not load. A scale must stay inside float32's range (1e30, not 1e306).
+    """
+    net = nn.init_network(verifier_mod.embedding_specs(8), 0, verifier_mod.VERIFIER_DTYPE)
+    net.flat *= scale
+    nn.save_params(net, path, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    return path
+
+
 def test_evaluate_with_verifier_of_other_width_is_data_error(tmp_path, corpus_file, capsys):
     path = tmp_path / "verifier.json"
     narrow = nn.init_network([nn.LayerSpec(74, 8, "relu"), nn.LayerSpec(8, 64, "identity")], 0)
@@ -636,6 +648,20 @@ def test_evaluate_with_verifier_of_other_width_is_data_error(tmp_path, corpus_fi
     out_json = tmp_path / "report.json"
     code = main(evaluate_args(path, corpus_file, out_json))
     assert_data_error(code, capsys, path, "verifier maps 74 -> 64, expected 75 -> 64")
+    assert not out_json.exists()
+
+
+def test_evaluate_with_float64_verifier_is_data_error(tmp_path, corpus_file, capsys):
+    """A verifier file as written while the verifier computed in float64: exit 2, naming file and layer 0."""
+    path = tmp_path / "verifier.json"
+    nn.save_params(nn.init_network(verifier_mod.embedding_specs(8), 0), path, "verifier", 0, 0,
+                   {"tau": 0.5, "margin": 1.0})
+    out_json = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(evaluate_args(path, corpus_file, out_json))
+    assert not caught
+    assert_data_error(code, capsys, path, "layer 0 holds values that float32 does not\n")
     assert not out_json.exists()
 
 
@@ -648,9 +674,7 @@ def test_evaluate_with_a_directory_as_verifier_is_data_error(tmp_path, corpus_fi
 
 @pytest.mark.parametrize("tau", [None, "0.5", float("nan")])
 def test_evaluate_with_bad_tau_is_data_error(tmp_path, corpus_file, tau, capsys):
-    path = tmp_path / "verifier.json"
-    net = nn.init_network(verifier_mod.embedding_specs(8), 0)
-    nn.save_params(net, path, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    path = untrained_verifier_file(tmp_path / "verifier.json")
     doc = json.loads(path.read_text())
     doc["metadata"]["tau"] = tau
     path.write_text(json.dumps(doc))  # save_params itself writes no NaN
@@ -663,9 +687,7 @@ def test_evaluate_with_bad_tau_is_data_error(tmp_path, corpus_file, tau, capsys)
 @pytest.mark.parametrize("key, value", [("eer", float("nan")), ("heldout_accuracy", float("inf"))])
 def test_evaluate_with_a_non_finite_verifier_metadata_value_is_data_error(tmp_path, corpus_file, key,
                                                                           value, capsys):
-    path = tmp_path / "verifier.json"
-    net = nn.init_network(verifier_mod.embedding_specs(8), 0)
-    nn.save_params(net, path, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    path = untrained_verifier_file(tmp_path / "verifier.json")
     doc = json.loads(path.read_text())
     doc["metadata"][key] = value
     path.write_text(json.dumps(doc))
@@ -682,9 +704,7 @@ def test_evaluate_with_a_non_finite_verifier_metadata_value_is_data_error(tmp_pa
 ], ids=["malformed", "list", "nan-seed"])
 def test_evaluate_with_bad_attack_side_file_is_data_error(tmp_path, corpus_file, text, message,
                                                           capsys):
-    path = tmp_path / "verifier.json"
-    net = nn.init_network(verifier_mod.embedding_specs(8), 0)
-    nn.save_params(net, path, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    path = untrained_verifier_file(tmp_path / "verifier.json")
     side = Path(f"{corpus_file}.meta.json")
     side.write_text(text)
     out_json = tmp_path / "report.json"
@@ -694,11 +714,8 @@ def test_evaluate_with_bad_attack_side_file_is_data_error(tmp_path, corpus_file,
 
 
 def test_evaluate_with_overflowing_verifier_is_data_error(tmp_path, tiny_config, corpus_file, capsys):
-    """Weights scaled by 1e306 load as finite but embed to inf; no NaN distance reaches a report."""
-    path = tmp_path / "verifier.json"
-    net = nn.init_network(verifier_mod.embedding_specs(8), 0)
-    net.flat *= 1e306
-    nn.save_params(net, path, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    """Weights scaled by 1e30 load as finite but embed to inf; no NaN distance reaches a report."""
+    path = untrained_verifier_file(tmp_path / "verifier.json", scale=1e30)
     corpus = synth_corpus(4, 5, 7)
     fakes = []
     for tag, user_id in (("a", "u1"), ("b", "u2")):
@@ -715,13 +732,13 @@ def test_evaluate_with_overflowing_verifier_is_data_error(tmp_path, tiny_config,
 
 
 def overflowing_verifier(monkeypatch):
-    """Let train_verifier return its network with every weight scaled by 1e306: finite, but every
+    """Let train_verifier return its network with every weight scaled by 1e30: finite, but every
     distance it gives overflows."""
     train = verifier_mod.train_verifier
 
     def overflowing(*args, **kwargs):
         bundle = train(*args, **kwargs)
-        bundle.network.flat *= 1e306
+        bundle.network.flat *= 1e30
         return bundle
 
     monkeypatch.setattr(verifier_mod, "train_verifier", overflowing)
@@ -783,9 +800,7 @@ def evaluate_over(tmp_path, config, corpus):
     """evaluate on corpus with an untrained verifier; the corpus fails before any fake stream."""
     corpus_path = tmp_path / "short.tsv"
     export_log(corpus, corpus_path)
-    verifier = tmp_path / "verifier.json"
-    net = nn.init_network(verifier_mod.embedding_specs(8), 0)
-    nn.save_params(net, verifier, "verifier", 0, 0, {"tau": 0.5, "margin": 1.0})
+    verifier = untrained_verifier_file(tmp_path / "verifier.json")
     out_json = tmp_path / "report.json"
     code = main([*evaluate_args(verifier, corpus_path, out_json), "--config", str(config)])
     assert not out_json.exists()

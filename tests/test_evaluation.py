@@ -236,6 +236,14 @@ def test_confusion_accumulation_sides():
     assert (c3["tp"], c3["fn"]) == (0, 0)
 
 
+def test_test_entry_meets_tau_in_float64():
+    """A float32 distance meets tau as the float64 number it equals: float32 0.1 lies above tau 0.1,
+    and a tau past float32's range accepts every distance with no overflow warning."""
+    d = np.array([0.1, 0.5], dtype=np.float32)
+    assert evaluation._test_entry(1, d, 0.1, True)["same_user_rate"] == 0.0
+    assert evaluation._test_entry(1, d, 3.5e38, True)["same_user_rate"] == 1.0
+
+
 def test_report_rendering_and_dict():
     bundle = identity_bundle(tau=1.0)
     pairs = oracle_pairs()

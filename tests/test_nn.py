@@ -83,7 +83,7 @@ def test_gradients_match_finite_differences(activation):
         x = rng.normal(size=(2, 4))
         dy = rng.normal(size=(2, 3))
         _, tape = forward(params, x)
-        _, analytic = nn.gradient_buffers(params)
+        analytic = AdamState.for_params(params, **ADAM).grads
         assert backward(params, tape, dy, analytic) is None
         adx = backward(params, tape, dy)
         probe = x.copy()
@@ -192,8 +192,9 @@ def test_forward_rejects_input_that_is_not_a_batch(shape):
 def test_backward_zero_gradient_gives_zero_grads():
     params = init_network([LayerSpec(4, 3, "leaky_relu"), LayerSpec(3, 2, "sigmoid")], 1)
     _, tape = forward(params, np.ones((1, 4)))
-    flat, grads = nn.gradient_buffers(params)
-    flat.fill(1.0)
+    state = AdamState.for_params(params, **ADAM)
+    state.grad.fill(1.0)
+    grads = state.grads
     backward(params, tape, np.zeros((1, 2)), grads)
     assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in grads)
     dx = backward(params, tape, np.zeros((1, 2)))
@@ -205,7 +206,7 @@ def test_backward_linear_layer_is_outer_product():
     x = np.array([[1.0, 2.0, -1.0]])
     dy = np.array([[0.5, -1.5]])
     _, tape = forward(params, x)
-    _, grads = nn.gradient_buffers(params)
+    grads = AdamState.for_params(params, **ADAM).grads
     backward(params, tape, dy, grads)
     assert np.allclose(grads[0][0], np.outer(dy, x))
     assert np.allclose(grads[0][1], dy[0])
@@ -214,7 +215,7 @@ def test_backward_linear_layer_is_outer_product():
 def test_backward_rejects_shape_mismatch():
     params = init_network([LayerSpec(3, 2, "identity")], 2)
     _, tape = forward(params, np.ones((1, 3)))
-    _, grads = nn.gradient_buffers(params)
+    grads = AdamState.for_params(params, **ADAM).grads
     for bad in (np.ones((1, 3)), np.ones(2)):
         with pytest.raises(ValueError):
             backward(params, tape, bad)
@@ -488,10 +489,9 @@ def test_params_are_views_into_one_flat_buffer(tmp_path):
         assert np.shares_memory(dw, state.grad) and np.shares_memory(db, state.grad)
         assert dw.shape == w.shape and db.shape == b.shape
     assert state.grad.size == state.m.size == state.v.size == params.flat.size
-    flat, views = nn.gradient_buffers(params)
-    assert np.array_equal(flat, np.zeros_like(params.flat))
-    views[1][0][...] = 3.0  # the last layer's weight lies after w0 and b0 in the layout
-    assert np.array_equal(np.flatnonzero(flat), params.weights[0].size + 3 + np.arange(6))
+    assert np.array_equal(state.grad, np.zeros_like(params.flat))
+    state.grads[1][0][...] = 3.0  # the last layer's weight lies after w0 and b0 in the layout
+    assert np.array_equal(np.flatnonzero(state.grad), params.weights[0].size + 3 + np.arange(6))
 
 
 ACTIVATION_GRADS = {
@@ -529,8 +529,9 @@ def taped_net(activation, seed):
 def test_backward_into_buffers_overwrites_them_and_returns_none(activation):
     params, tape, dy = taped_net(activation, 17)
     reference, _ = reference_backward(params, tape, dy)
-    flat, buffers = nn.gradient_buffers(params)
-    flat.fill(np.nan)  # stale contents must be overwritten, not added to
+    state = AdamState.for_params(params, **ADAM)
+    state.grad.fill(np.nan)  # stale contents must be overwritten, not added to
+    buffers = state.grads
     assert backward(params, tape, dy, buffers) is None
     for (rw, rb), (bw, bb) in zip(reference, buffers):
         assert np.array_equal(rw, bw) and np.array_equal(rb, bb)

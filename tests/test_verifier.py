@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from keyforge.verifier import (
     sequences_from_corpus,
     train_verifier,
 )
+from test_nn import copy_of, max_relative_error, numeric_gradients
 
 
 def fixed_sequence(value):
@@ -258,6 +263,88 @@ def test_training_rejects_single_class(sequence_sets):
         train_verifier(pairs, VerifierConfig(epochs=1), 0)
 
 
+def test_loss_curve_is_the_mean_pair_loss_of_each_epoch(sequence_sets):
+    """At lr 0 the network never moves, so every epoch's entry is the mean contrastive loss over all pairs."""
+    pairs = make_pairs(sequence_sets, 60, np.random.default_rng(6))
+    bundle = train_verifier(pairs, VerifierConfig(epochs=2, batch_size=16, hidden=8, lr=0.0), 6)
+    d = pair_distances(bundle, pairs)
+    expected = float(nn.contrastive_loss(d, pairs.same, 1.0)[0].mean())
+    assert bundle.metadata["loss_curve"] == pytest.approx([expected, expected], rel=1e-12)
+
+
+def test_train_verifier_computes_in_float32(sequence_sets, monkeypatch):
+    """The network, every training forward's activations, every dLoss/dz and embed's codes are
+    float32. A float64 dLoss/dz would make every matmul of the backward mixed."""
+    forward, activation_backward, seen = nn.forward, nn._activation_backward, []
+
+    def recording_forward(params, x):
+        out, tape = forward(params, x)
+        seen.extend((params.flat.dtype, a.dtype) for a in tape.activations)
+        return out, tape
+
+    def recording_activation_backward(name, g, h):
+        dz = activation_backward(name, g, h)
+        seen.append((h.dtype, dz.dtype))
+        return dz
+
+    monkeypatch.setattr(nn, "forward", recording_forward)
+    monkeypatch.setattr(nn, "_activation_backward", recording_activation_backward)
+    pairs = make_pairs(sequence_sets, 40, np.random.default_rng(3))
+    bundle = train_verifier(pairs, VerifierConfig(epochs=1, batch_size=16, hidden=8), 3)
+    f32 = np.dtype(np.float32)
+    assert verifier.VERIFIER_DTYPE == f32 and set(seen) == {(f32, f32)}
+    assert bundle.network.flat.dtype == f32 and verifier.embed(bundle, pairs.a).dtype == f32
+
+
+def test_verifier_step_gradient_matches_finite_differences_of_the_mean_contrastive_loss(sequence_sets,
+                                                                                         monkeypatch):
+    """The gradient of train_verifier's first step is that of its batch's mean contrastive loss.
+
+    One batch holds all 8 pairs. The network sees them as one stacked (16, 75)
+    input, each pair's a in row i and its b in row 8 + i, and one backward
+    fills state.grad. With VERIFIER_DTYPE patched to float64 the same nn code
+    runs, and central differences are exact enough. Pair 0's b is its a, so
+    its distance is 0 and its gradient the zero subgradient. The margin is the
+    median impostor distance at init, so some impostor pairs pay slack and
+    some do not. The loss below embeds a and b in two separate passes.
+    """
+    monkeypatch.setattr(verifier, "VERIFIER_DTYPE", np.float64)
+    drawn = make_pairs(sequence_sets, 8, np.random.default_rng(31))
+    pairs = PairSet(drawn.a, np.concatenate([drawn.a[:1], drawn.b[1:]]), drawn.same)
+    init = nn.init_network(verifier.embedding_specs(8), 31)
+    rows_a, rows_b = (x.reshape(len(x), verifier.SEQ_DIM) for x in (pairs.a, pairs.b))
+    d_init = np.linalg.norm(nn.forward(init, rows_a)[0] - nn.forward(init, rows_b)[0], axis=1)
+    margin = float(np.median(d_init[~pairs.same]))
+    assert (d_init[~pairs.same] < margin).any() and (d_init[~pairs.same] > margin).any()
+    forward, adam_step, calls = nn.forward, nn.adam_step, []
+
+    def recording_forward(params, x):
+        calls.append(np.array(x))
+        return forward(params, x)
+
+    def recording_adam_step(params, state):
+        calls.append((copy_of(params), [(w.copy(), b.copy()) for w, b in state.grads]))
+        adam_step(params, state)
+
+    monkeypatch.setattr(nn, "forward", recording_forward)
+    monkeypatch.setattr(nn, "adam_step", recording_adam_step)
+    train_verifier(pairs, VerifierConfig(epochs=1, batch_size=8, hidden=8, margin=margin), 31)
+    stacked, (params, grads) = calls[:2]
+    assert len(calls) == 2 and stacked.shape == (16, verifier.SEQ_DIM)
+    assert np.array_equal(params.flat, init.flat)
+    order = [next(i for i in range(8) if np.array_equal(stacked[k], rows_a[i])
+                  and np.array_equal(stacked[8 + k], rows_b[i])) for k in range(8)]
+    assert sorted(order) == list(range(8))
+    same = pairs.same[order]
+
+    def loss():
+        d = np.linalg.norm(forward(params, stacked[:8])[0] - forward(params, stacked[8:])[0], axis=1)
+        slack = np.maximum(margin - d, 0.0)
+        return float(np.mean(np.where(same, 0.5 * d * d, 0.5 * slack * slack)))
+
+    assert max_relative_error(grads, numeric_gradients(params, loss)) < 1e-4
+
+
 def test_make_pairs_is_balanced(sequence_sets, rng):
     pairs = make_pairs(sequence_sets, 100, rng)
     assert len(pairs) == 100
@@ -446,6 +533,13 @@ def test_verify_reflexive_symmetric_monotone(trained):
     assert pair_accuracy(bundle, pairs[:50]) == np.mean((d <= bundle.tau) == pairs[:50].same)
 
 
+def test_pair_accuracy_meets_a_tau_past_float32_range_without_warning(sequence_sets):
+    """The float32 distances meet tau in float64, so tau 1e300 accepts every pair: accuracy is the genuine share."""
+    bundle = small_verifier()
+    bundle.tau = 1e300
+    assert pair_accuracy(bundle, make_pairs(sequence_sets, 10, np.random.default_rng(0))) == 0.5
+
+
 def test_verify_requires_calibration(sequence_sets):
     rng = np.random.default_rng(5)
     pairs = make_pairs(sequence_sets, 60, rng)
@@ -467,15 +561,19 @@ def test_verifier_checkpoint_round_trip(tmp_path, trained):
     assert loaded.tau == bundle.tau
     assert loaded.metadata["margin"] == bundle.metadata["margin"] == 1.0
     assert loaded.metadata["eer"] == bundle.metadata["eer"]
-    for a, b in zip(loaded.network.weights, bundle.network.weights):
-        assert np.array_equal(a, b)
+    # float32 values written as the float64 numbers they equal read back bit for bit
+    assert loaded.network.flat.dtype == bundle.network.flat.dtype == verifier.VERIFIER_DTYPE
+    assert loaded.network.flat.tobytes() == bundle.network.flat.tobytes()
     assert np.array_equal(pair_distances(loaded, pairs[:20]), pair_distances(bundle, pairs[:20]))
     assert pair_accuracy(loaded, pairs) == pair_accuracy(bundle, pairs)
 
 
 def small_verifier(specs=None):
-    """An untrained verifier over the given layer specs (default 75 -> 4 -> 64) with tau 0.5."""
-    net = nn.init_network(specs or verifier.embedding_specs(4), 0)
+    """An untrained verifier over the given layer specs (default 75 -> 4 -> 64) with tau 0.5.
+
+    It is built in VERIFIER_DTYPE, as train_verifier builds it: a float64 file does not load.
+    """
+    net = nn.init_network(specs or verifier.embedding_specs(4), 0, verifier.VERIFIER_DTYPE)
     return VerifierBundle(network=net, tau=0.5, metadata={"train_seed": 0, "epochs": 0})
 
 
@@ -559,4 +657,41 @@ def test_edited_checkpoint_loads_and_runs_or_raises_checkpoint_error(tmp_path_fa
     codes, _ = nn.forward(loaded.network, np.zeros((3, verifier.SEQ_DIM)))
     assert codes.shape == (3, verifier.EMBED_OUT_DIM)
     assert math.isfinite(loaded.tau) and loaded.tau >= 0
-    assert (np.linalg.norm(codes - codes[::-1], axis=1) <= loaded.tau).all()
+    # the verifier's own decision: its float32 distances against tau, which may lie past float32's range
+    x = np.zeros((3, 15, 5))
+    assert pair_accuracy(loaded, PairSet(x, x[::-1], np.ones(3, bool))) == 1.0
+
+
+# sha256 of the default-shape verifier's weights (75->128->64, batch 64) after 3
+# epochs on the default corpus's 4,000 training pairs. OpenBLAS takes other
+# small-matrix paths at these shapes than at TINY_CONFIG's, and the float bits
+# depend on the BLAS thread count, so the run pins one thread in a fresh
+# interpreter.
+DEFAULT_SHAPE_VERIFIER_SHA256 = "527a89641267cbc299abcea8925905215fe8ac8d58af2d2361baefb1074fec2a"
+
+_DEFAULT_SHAPE_SCRIPT = """
+import hashlib
+from dataclasses import replace
+import numpy as np
+from keyforge import verifier
+from keyforge.config import RunConfig
+from keyforge.pipeline import build_corpus
+
+cfg = RunConfig()
+sequences = verifier.sequences_from_corpus(build_corpus(cfg))
+pairs = verifier.make_pairs(sequences, cfg.verifier.train_pairs, np.random.default_rng(9))
+bundle = verifier.train_verifier(pairs, replace(cfg.verifier, epochs=3), 9)
+h = hashlib.sha256()
+for array in bundle.network.weights + bundle.network.biases:
+    h.update(array.tobytes())
+print(len(pairs), cfg.verifier.batch_size, *(spec.out_dim for spec in bundle.network.specs), h.hexdigest())
+"""
+
+
+def test_default_shape_verifier_weights_are_pinned():
+    src = str(Path(verifier.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _DEFAULT_SHAPE_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["4000", "64", "128", "64", DEFAULT_SHAPE_VERIFIER_SHA256]
