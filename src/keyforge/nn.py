@@ -13,9 +13,10 @@ in it, casting their input once at entry. `AdamState` keeps m, v and the
 gradient `grad` in the same layout and dtype, and `AdamState.grads` are the
 per-layer (weight, bias) views into `grad`, so one Adam update and one
 finiteness check cover a network.
-An `AdamState` takes lr and betas from the caller's config; epsilon is `ADAM_EPSILON`.
-`adam_step` is Kingma & Ba's efficient form: the bias corrections fold into
-one step size alpha per call, and epsilon is added as `ADAM_EPSILON*sqrt(1-beta2**t)`.
+An `AdamState` takes lr and betas from the caller's config. `adam_step` is Kingma & Ba's
+efficient form (the bias corrections fold into one step size alpha per call, and epsilon is
+added as `ADAM_EPSILON*sqrt(1-beta2**t)`). Every `ADAM_FLUSH_INTERVAL` steps it zeroes the m and
+v entries below the dtype's smallest normal: such an m moves a weight by < lr*1.2e-30, no bit.
 
 `forward` activates each layer's freshly computed pre-activation in place, and
 its `ForwardTape` holds only the activations: the input, then each layer's
@@ -259,13 +260,13 @@ def contrastive_loss(distance, same_user, margin: float):
 # ---------------------------------------------------------------------------
 
 
-# Elements per Adam chunk: one chunk of param, gradient, m, v and the two scratch rows
-# (6 x 256 KiB in float64, 6 x 128 KiB in float32) stays in a 2 MiB L2 through all 12
-# passes of the update. On the 609k-parameter generator in float64 (one BLAS thread) a
-# step took 9.0 ms at 4,096 elements, 6.1 ms at 16,384, 5.2 ms at 32,768 and 6.4 ms
-# unchunked; smaller chunks pay numpy's per-call overhead more often. Not retuned for float32.
+# Elements per Adam chunk: one chunk of param, gradient, m, v and two scratch rows (6 x 256 KiB
+# in float64, 6 x 128 KiB in float32) stays in a 2 MiB L2 through all 12 passes. A float32 step
+# of the 609k-parameter generator took 2.13 / 1.78 / 1.57 / 1.66 / 1.74 / 2.45 ms at 8k / 16k /
+# 32,768 / 64k / 128k / 1M elements (float64: 9.0 / 6.1 / 5.2 ms at 4k / 16k / 32,768, 6.4 unchunked).
 ADAM_CHUNK = 32768
 ADAM_EPSILON = 1e-8
+ADAM_FLUSH_INTERVAL = 64  # steps between adam_step's flushes of subnormal moments, a few passes each
 
 
 @dataclass
@@ -319,6 +320,12 @@ def adam_step(params: NetworkParams, state: AdamState) -> None:
     then m, v and the parameters are updated ADAM_CHUNK elements at a time, each
     operation elementwise in the order m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
     and p -= (m*alpha) / (sqrt(v) + eps_hat), so chunking moves no bit.
+
+    Every ADAM_FLUSH_INTERVAL steps, after the update, each m and v entry below
+    np.finfo(dtype).tiny is set to 0: with beta1 = 0.9 a zero-gradient entry's m sticks
+    at a float32 subnormal, and subnormal operands slow every pass. Such an m moves its
+    weight by alpha*m/(sqrt(v)+eps_hat) < lr*1.2e-30 (b1 <= 0.9, t >= 64), under half an
+    ulp of any weight past lr*1e-22, and a resuming (1-b1)*g swamps it: no bit moves.
     """
     p, g, m, v = params.flat, state.grad, state.m, state.v
     if not p.size == g.size == m.size == v.size:
@@ -332,6 +339,9 @@ def adam_step(params: NetworkParams, state: AdamState) -> None:
     root_corr2 = math.sqrt(1.0 - b2**t)
     alpha, eps_hat = state.lr * root_corr2 / (1.0 - b1**t), ADAM_EPSILON * root_corr2
     _adam_chunks(p, g, m, v, state.scratch, b1, b2, alpha, eps_hat)
+    if t % ADAM_FLUSH_INTERVAL == 0:
+        for moment in (m, v):
+            moment[np.abs(moment) < np.finfo(moment.dtype).tiny] = 0
 
 
 # ---------------------------------------------------------------------------

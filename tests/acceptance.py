@@ -6,6 +6,7 @@ from this checkout's src/:
     python tests/acceptance.py                        # seeds 0-7, two at a time
     python tests/acceptance.py --json rows.json       # also keep the records
     python tests/acceptance.py --gate parent.json     # judge against another checkout's records
+    python tests/acceptance.py --gate parent.json --records change.json   # judge two saved sets, run nothing
 
 Each seed runs the phases of pipeline.run_all at RunConfig() defaults, with
 seeds.global_seed set to the seed, in an interpreter of its own at one BLAS
@@ -13,7 +14,9 @@ thread. gan.stop_check is wrapped so that every check also scores test 1 of
 the attack in both conditions. The streams come from make_attack_events with
 the attack seeds and are scored by evaluate_attack with the eval seed, each
 from an rng of its own, so the GAN trains with run_all's bits. Seed 7 runs
-twice, and its two records must be byte-identical.
+twice, and its two records must be byte-identical. With --records no seed
+runs: the table and the gate read records that --json wrote, and there is no
+repeat to compare.
 
 Per seed the table prints epochs, converged, the verifier's EER and held-out
 accuracy, and per condition test 1's same_user_rate at the stop, then its
@@ -25,7 +28,9 @@ seed converges, the median EER moves by at most 0.005, and per condition the
 median over seeds of the per-seed check-medians lies inside the range of the
 other records' per-seed check-medians. That range counts only the seeds that
 run to epoch 500 or later: a seed that stops earlier scores 0 at every check,
-and a lower bound of 0 would pass any drop.
+and a lower bound of 0 would pass any drop. The gate also prints, without
+judging it, on how many seeds the epochs and the network digest equal the
+other records': a change that must keep the training bits shows it there.
 """
 
 from __future__ import annotations
@@ -128,8 +133,12 @@ def render(records: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def gate(records: list[dict], parent: list[dict]) -> list[tuple[str, bool]]:
-    """The gate's checks, each with whether it holds, for records against the parent's records."""
+def gate(records: list[dict], parent: list[dict]) -> list[tuple[str, bool | None]]:
+    """The gate's lines for records against the parent's records.
+
+    Each check comes with whether it holds; the closing line, on how many seeds
+    the epochs and the sha256 equal the parent's, comes with None: it informs.
+    """
     seeds, parent_seeds = [r["seed"] for r in records], [r["seed"] for r in parent]
     if seeds != parent_seeds:
         raise ValueError(f"records cover seeds {seeds}, the parent's {parent_seeds}")
@@ -148,6 +157,9 @@ def gate(records: list[dict], parent: list[dict]) -> list[tuple[str, bool]]:
         results.append((f"{condition}: median check-median {median:.3f} in the per-seed range "
                         f"[{low:.3f}, {high:.3f}] of the parent's {len(parent_stats)} seeds that run "
                         f"to epoch {EARLY_EPOCH}", low <= median <= high))
+    differ = [r["seed"] for r, p in zip(records, parent) if (r["epochs"], r["sha256"]) != (p["epochs"], p["sha256"])]
+    results.append((f"epochs and sha256 equal the parent's on {len(records) - len(differ)} of {len(records)} seeds"
+                    + (f"; they differ on seeds {', '.join(map(str, differ))}" if differ else ""), None))
     return results
 
 
@@ -155,26 +167,33 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", type=Path, help="write the records here")
     parser.add_argument("--gate", type=Path, help="records of the parent, written by --json")
+    parser.add_argument("--records", type=Path, help="records to judge, written by --json; no seed runs")
     parser.add_argument("--worker", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.records and args.json:
+        parser.error("--json keeps the records of a run, and --records runs no seed")
     if args.worker is not None:
         print(json.dumps(run_seed(args.worker), sort_keys=True))
         return 0
 
-    with ThreadPoolExecutor(JOBS) as pool:
-        lines = list(pool.map(spawn, SEEDS + (REPEATED_SEED,)))
-    repeat = lines.pop()
-    records = [json.loads(line) for line in lines]
-    if args.json:
-        args.json.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    if args.records:
+        records, same = json.loads(args.records.read_text(encoding="utf-8")), None
+    else:
+        with ThreadPoolExecutor(JOBS) as pool:
+            lines = list(pool.map(spawn, SEEDS + (REPEATED_SEED,)))
+        repeat = lines.pop()
+        records = [json.loads(line) for line in lines]
+        if args.json:
+            args.json.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        same = repeat == lines[SEEDS.index(REPEATED_SEED)]
     print(render(records))
-    same = repeat == lines[SEEDS.index(REPEATED_SEED)]
-    print(f"seed {REPEATED_SEED} run twice: {'byte-identical' if same else 'RECORDS DIFFER'}")
-    ok = same
+    if same is not None:
+        print(f"seed {REPEATED_SEED} run twice: {'byte-identical' if same else 'RECORDS DIFFER'}")
+    ok = same is not False
     if args.gate:
         for text, holds in gate(records, json.loads(args.gate.read_text(encoding="utf-8"))):
-            print(f"gate: {'pass' if holds else 'FAIL'}  {text}")
-            ok &= holds
+            print(f"gate: {'info' if holds is None else 'pass' if holds else 'FAIL'}  {text}")
+            ok &= holds is not False
     return 0 if ok else 1
 
 

@@ -394,8 +394,12 @@ def test_adam_rejects_state_of_another_network():
     assert np.array_equal(params.flat, before.flat)
 
 
-def reference_adam_step(params, gradients, m_w, v_w, m_b, v_b, step, lr, b1, b2, eps):
-    """The allocating Adam update, in Kingma & Ba's efficient form, that the chunked one must match bit for bit."""
+def reference_adam_step(params, gradients, m_w, v_w, m_b, v_b, step, lr, b1, b2, eps, flush=True):
+    """The allocating Adam update, in Kingma & Ba's efficient form, that the chunked one must match bit for bit.
+
+    With flush, every nn.ADAM_FLUSH_INTERVAL steps each moment entry below the
+    dtype's smallest normal is then set to 0, as adam_step does.
+    """
     root_corr2 = math.sqrt(1.0 - b2**step)
     alpha = lr * root_corr2 / (1.0 - b1**step)
     eps_hat = eps * root_corr2
@@ -406,6 +410,9 @@ def reference_adam_step(params, gradients, m_w, v_w, m_b, v_b, step, lr, b1, b2,
         v_b[k] = b2 * v_b[k] + (1 - b2) * db * db
         params.weights[k] -= m_w[k] * alpha / (np.sqrt(v_w[k]) + eps_hat)
         params.biases[k] -= m_b[k] * alpha / (np.sqrt(v_b[k]) + eps_hat)
+    if flush and step % nn.ADAM_FLUSH_INTERVAL == 0:
+        for moment in m_w + v_w + m_b + v_b:
+            moment[np.abs(moment) < np.finfo(moment.dtype).tiny] = 0
 
 
 def assert_adam_matches_reference(dtype):
@@ -445,6 +452,46 @@ def test_float32_adam_matches_reference_formula_bit_for_bit(monkeypatch):
     """Python-float alpha and eps_hat keep every operation in float32, in both forms."""
     monkeypatch.setattr(nn, "ADAM_CHUNK", 1000)
     assert_adam_matches_reference(np.float32)
+
+
+def subnormal_count(a):
+    """The number of entries of a that are nonzero and below its dtype's smallest normal."""
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
+def test_adam_flushes_stuck_subnormal_moments_and_moves_no_parameter_bit():
+    """With beta1 = 0.9 a float32 m that stops getting gradient sticks at a subnormal:
+    0.9*m rounds back to m. Gradients down to 1e-20 put some v at subnormals from the
+    first step. adam_step zeroes both at each flush step and at no other, and the
+    parameters keep the bits of the update that never flushes."""
+    params = init_network([LayerSpec(5, 4, "relu"), LayerSpec(4, 3, "identity")], 31, np.float32)
+    ref = copy_of(params)
+    state = AdamState.for_params(params, lr=1e-3, beta1=0.9, beta2=0.999)
+    m_w, v_w = [np.zeros_like(w) for w in ref.weights], [np.zeros_like(w) for w in ref.weights]
+    m_b, v_b = [np.zeros_like(b) for b in ref.biases], [np.zeros_like(b) for b in ref.biases]
+    rng = np.random.default_rng(32)
+    scales = [tuple(10.0 ** rng.uniform(-20, 0, a.shape) for a in (w, b)) for w, b in zip(ref.weights, ref.biases)]
+    for step in range(1, 1025):
+        if step <= 5:
+            grads = [tuple((rng.standard_normal(s.shape) * s).astype(np.float32) for s in pair) for pair in scales]
+        else:
+            grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(ref.weights, ref.biases)]
+        write_grads(state, grads)
+        adam_step(params, state)
+        reference_adam_step(ref, grads, m_w, v_w, m_b, v_b, step, 1e-3, 0.9, 0.999, 1e-8, flush=False)
+        assert np.array_equal(params.flat, ref.flat), step
+        m, v = layout(m_w, m_b), layout(v_w, v_b)
+        if step < nn.ADAM_FLUSH_INTERVAL:  # no flush yet: the same moments, subnormals and all
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v), step
+        elif step % nn.ADAM_FLUSH_INTERVAL == 0:
+            assert subnormal_count(state.m) == subnormal_count(state.v) == 0, step
+            # the flushed moments: the unflushed ones with each subnormal set to 0
+            assert np.array_equal(state.m, np.where(np.abs(m) < np.finfo(np.float32).tiny, 0, m)), step
+            assert np.array_equal(state.v, np.where(np.abs(v) < np.finfo(np.float32).tiny, 0, v)), step
+    # by the last flush step every entry of the unflushed m is stuck at a subnormal, and some of v
+    assert subnormal_count(layout(m_w, m_b)) == params.flat.size
+    assert subnormal_count(layout(v_w, v_b)) > 0
+    assert state.step == 1024 and state.m.dtype == np.float32
 
 
 def test_adam_updates_non_contiguous_params_like_contiguous():

@@ -663,14 +663,19 @@ def test_edited_checkpoint_loads_and_runs_or_raises_checkpoint_error(tmp_path_fa
 
 
 # sha256 of the default-shape verifier's weights (75->128->64, batch 64) after 3
-# epochs on the default corpus's 4,000 training pairs. OpenBLAS takes other
-# small-matrix paths at these shapes than at TINY_CONFIG's, and the float bits
+# epochs (189 steps) on the default corpus's 4,000 training pairs. OpenBLAS takes
+# other small-matrix paths at these shapes than at TINY_CONFIG's, and the float bits
 # depend on the BLAS thread count, so the run pins one thread in a fresh
 # interpreter.
 DEFAULT_SHAPE_VERIFIER_SHA256 = "527a89641267cbc299abcea8925905215fe8ac8d58af2d2361baefb1074fec2a"
+# The same after 15 epochs (945 steps). From step ~625 some zero-gradient entries'
+# first moments sit at float32 subnormals, so this pins the weights through Adam's
+# flushes of subnormal moments (nn.ADAM_FLUSH_INTERVAL), which must move no bit.
+DEFAULT_SHAPE_VERIFIER_15_EPOCHS_SHA256 = "0f7f495867e32d468f1d1ea8fd2ae232c855cab51f29379d01914781687d3026"
 
 _DEFAULT_SHAPE_SCRIPT = """
 import hashlib
+import sys
 from dataclasses import replace
 import numpy as np
 from keyforge import verifier
@@ -680,7 +685,7 @@ from keyforge.pipeline import build_corpus
 cfg = RunConfig()
 sequences = verifier.sequences_from_corpus(build_corpus(cfg))
 pairs = verifier.make_pairs(sequences, cfg.verifier.train_pairs, np.random.default_rng(9))
-bundle = verifier.train_verifier(pairs, replace(cfg.verifier, epochs=3), 9)
+bundle = verifier.train_verifier(pairs, replace(cfg.verifier, epochs=int(sys.argv[1])), 9)
 h = hashlib.sha256()
 for array in bundle.network.weights + bundle.network.biases:
     h.update(array.tobytes())
@@ -688,10 +693,18 @@ print(len(pairs), cfg.verifier.batch_size, *(spec.out_dim for spec in bundle.net
 """
 
 
-def test_default_shape_verifier_weights_are_pinned():
+def default_shape_verifier_run(epochs: int) -> list[str]:
+    """The default-shape script's output fields after epochs, from a fresh interpreter at one BLAS thread."""
     src = str(Path(verifier.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _DEFAULT_SHAPE_SCRIPT], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert out == ["4000", "64", "128", "64", DEFAULT_SHAPE_VERIFIER_SHA256]
+    return subprocess.run([sys.executable, "-c", _DEFAULT_SHAPE_SCRIPT, str(epochs)], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_default_shape_verifier_weights_are_pinned():
+    assert default_shape_verifier_run(3) == ["4000", "64", "128", "64", DEFAULT_SHAPE_VERIFIER_SHA256]
+
+
+def test_default_shape_verifier_weights_past_the_subnormal_onset_are_pinned():
+    assert default_shape_verifier_run(15) == ["4000", "64", "128", "64", DEFAULT_SHAPE_VERIFIER_15_EPOCHS_SHA256]
