@@ -16,9 +16,8 @@ from . import pipeline
 from . import verifier as verifier_mod
 from .attack import CONDITIONS, NonFiniteSampleError
 from .config import ConfigError, RunConfig, check_corpus_size, check_flag, load_config
-from .data import ParseError, ValidationError, export_log, ingest_log
+from .data import DataError, ParseError, ValidationError, export_log, ingest_log
 from .nn import CheckpointError, TrainingError
-from .pipeline import DataError
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -88,24 +88,18 @@ class RunConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
 
-_SECTION_TYPES = {
-    "seeds": Seeds,
-    "data": DataConfig,
-    "verifier": VerifierConfig,
-    "gan": GanTrainConfig,
-    "attack": AttackSection,
-    "eval": EvalSection,
-}
-
-
 def _fill_dataclass(cls, doc: dict, context: str):
+    """cls from doc, unknown keys rejected; a field whose default a dataclass makes is a section, filled likewise."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{context}: expected an object, got {type(doc).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - names)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise ConfigError(f"{context}: unknown keys {unknown}")
-    return cls(**doc)
+    sections = {name: f.default_factory for name, f in fields.items() if dataclasses.is_dataclass(f.default_factory)}
+    # in document order, so the first bad section is the one reported
+    return cls(**{key: _fill_dataclass(sections[key], value, f"{context}.{key}") if key in sections else value
+                  for key, value in doc.items()})
 
 
 def _is_int(value) -> bool:
@@ -178,17 +172,7 @@ _VALUE_CHECKS = {
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    top_names = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(doc) - top_names)
-    if unknown:
-        raise ConfigError(f"config: unknown keys {unknown}")
-    kwargs = {}
-    for key, value in doc.items():
-        if key in _SECTION_TYPES:
-            kwargs[key] = _fill_dataclass(_SECTION_TYPES[key], value, f"config.{key}")
-        else:
-            kwargs[key] = value
-    cfg = RunConfig(**kwargs)
+    cfg = _fill_dataclass(RunConfig, doc, "config")
     if not isinstance(cfg.target_user, str):
         raise ConfigError(f"config.target_user must be a string, got {cfg.target_user!r}")
     if not isinstance(cfg.conditions, list) or not cfg.conditions:
@@ -232,10 +216,6 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(doc)
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def config_hash(cfg: RunConfig) -> str:
-    canonical = json.dumps(config_to_dict(cfg), sort_keys=True)
+    canonical = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -3,7 +3,9 @@
 Three tests probe the calibrated verifier with sets of eval.n_sequences
 sequences, paired by full cross-product (n² pairs each): real-vs-fake and
 fake-vs-fake expect a same-user decision, fake-vs-other-users expects
-different-user. Each test's result is its report entry, a JSON-ready dict.
+different-user. TESTS states that protocol once: each test's name, expected
+decision and two sets, read by build_test_pairs, the report entries and the
+table. Each test's result is its report entry, a JSON-ready dict.
 
 A test's pairs are its two (n, 15, 5) sets, never n² rows: the verifier
 embeds each distinct set once, every set of every test in one forward pass,
@@ -30,9 +32,12 @@ from .verifier import VerifierBundle, code_distances, embed, require_finite
 SAME_USER = "same_user"
 DIFFERENT_USER = "different_user"
 
-TEST_IDS = (1, 2, 3)
-TEST_EXPECTATIONS = {1: SAME_USER, 2: SAME_USER, 3: DIFFERENT_USER}
-TEST_NAMES = {1: "real vs fake", 2: "fake vs fake", 3: "real other vs fake"}
+# The protocol: per test id, its name, the decision all its pairs expect, and its (left, right) sets
+TESTS = {
+    1: ("real vs fake", SAME_USER, ("real_alice", "fake_alice")),
+    2: ("fake vs fake", SAME_USER, ("fake_alice", "fake_alice_b")),
+    3: ("real other vs fake", DIFFERENT_USER, ("fake_alice", "real_others")),
+}
 
 
 @dataclass(frozen=True)
@@ -59,18 +64,15 @@ def build_test_pairs(
     n: int,
 ) -> CrossPairs:
     """Cross-product pairing for one test protocol: n² pairs, pair i*n + j is (left[i], right[j])."""
-    if test_id not in TEST_IDS:
-        raise ValueError(f"test_id must be in {TEST_IDS}, got {test_id}")
-    referenced = {
-        1: (("real_alice", real_alice), ("fake_alice", fake_alice)),
-        2: (("fake_alice", fake_alice), ("fake_alice_b", fake_alice_b)),
-        3: (("fake_alice", fake_alice), ("real_others", real_others)),
-    }[test_id]
-    for name, seqs in referenced:
-        if len(seqs) != n:
-            raise ValueError(f"test {test_id}: set {name} has {len(seqs)} sequences, expected {n}")
-    (_, left), (_, right) = referenced
-    return CrossPairs(np.asarray(left), np.asarray(right), TEST_EXPECTATIONS[test_id] == SAME_USER)
+    if test_id not in TESTS:
+        raise ValueError(f"test_id must be in {tuple(TESTS)}, got {test_id}")
+    _, expected, names = TESTS[test_id]
+    sets = dict(real_alice=real_alice, fake_alice=fake_alice, fake_alice_b=fake_alice_b, real_others=real_others)
+    for name in names:
+        if len(sets[name]) != n:
+            raise ValueError(f"test {test_id}: set {name} has {len(sets[name])} sequences, expected {n}")
+    left, right = (np.asarray(sets[name]) for name in names)
+    return CrossPairs(left, right, expected == SAME_USER)
 
 
 def sample_other_sequences(
@@ -116,9 +118,10 @@ def _test_entry(test_id: int, d: np.ndarray, tau: float, same: bool) -> dict:
     accepted = int(np.count_nonzero(d <= np.float64(tau)))  # float64: exact for a float32 d, whatever tau is
     rejected = d.size - accepted
     tp, fn, fp, tn = (accepted, rejected, 0, 0) if same else (0, 0, accepted, rejected)
+    name, expected, _ = TESTS[test_id]
     entry = {
-        "name": TEST_NAMES[test_id],
-        "expected_decision": TEST_EXPECTATIONS[test_id],
+        "name": name,
+        "expected_decision": expected,
         "n_pairs": d.size,
         "same_user_rate": accepted / d.size,
         "accuracy": (tp + tn) / d.size,
@@ -167,11 +170,11 @@ def report_to_dict(report: EvalReport) -> dict:
 def render_table(report: EvalReport) -> str:
     """Aligned accuracy table, conditions as rows and tests as columns."""
     conditions = sorted(report.results)
-    headers = ["condition"] + [f"test {i}: {TEST_NAMES[i]}" for i in TEST_IDS]
+    headers = ["condition"] + [f"test {i}: {name}" for i, (name, _, _) in TESTS.items()]
     rows = []
     for condition in conditions:
         row = [condition]
-        for test_id in TEST_IDS:
+        for test_id in TESTS:
             entry = report.results[condition].get(f"test{test_id}")
             row.append("-" if entry is None else f"{entry['accuracy']:.3f}")
         rows.append(row)

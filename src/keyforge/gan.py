@@ -288,11 +288,10 @@ def train(
     g_state = AdamState.for_params(
         bundle.generator, lr=config.g_lr, beta1=config.beta1, beta2=config.beta2
     )
-    epochs = 0
     with np.errstate(all="ignore"):
         for epoch in range(1, config.max_epochs + 1):
             train_epoch(bundle, flat, tables, config.batch_size, rng, d_state, g_state)
-            epochs = epoch
+            bundle.epochs_trained = epoch
             if epoch % config.check_interval == 0:
                 stop, details = stop_check(bundle, flat, tables, rng, config.stop_threshold)
                 bundle.history.append({"epoch": epoch, "stop": stop, **details})
@@ -308,7 +307,6 @@ def train(
             bad += int(np.count_nonzero(~np.isfinite(sample).all(axis=1)))
     if bad:
         raise TrainingError(f"trained generator gives non-finite cells for {bad} of {len(flat)} word samples")
-    bundle.epochs_trained = epochs
     return bundle
 
 

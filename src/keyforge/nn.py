@@ -115,10 +115,6 @@ class NetworkParams:
     def in_dim(self) -> int:
         return self.specs[0].in_dim
 
-    @property
-    def out_dim(self) -> int:
-        return self.specs[-1].out_dim
-
 
 @dataclass
 class ForwardTape:

@@ -19,26 +19,15 @@ from . import gan as gan_mod
 from . import verifier as verifier_mod
 from .attack import ATTACKER_ID
 from .config import RunConfig, config_hash
-from .data import WORD_LEN, Corpus, KeyEvent, Sentence, UserLog, export_log, synth_corpus, words_from_corpus
-from .evaluation import EvalReport, build_test_pairs, render_table, report_to_dict, run_tests, sample_other_sequences
+from .data import WORD_LEN, Corpus, DataError, KeyEvent, Sentence, UserLog, export_log, synth_corpus, words_from_corpus
+from .evaluation import (TESTS, EvalReport, build_test_pairs, render_table, report_to_dict, run_tests,
+                         sample_other_sequences)
 from .nn import TrainingError
 from .verifier import VerifierBundle
 
 
-class DataError(ValueError):
-    """Input data cannot support the requested phase (missing user, short sets...)."""
-
-
 def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
-def _get_user(corpus: Corpus, user_id: str) -> UserLog:
-    """corpus.get(user_id), with an unknown id raised as DataError."""
-    try:
-        return corpus.get(user_id)
-    except KeyError as exc:
-        raise DataError(exc.args[0]) from None
 
 
 def build_corpus(cfg: RunConfig) -> Corpus:
@@ -93,7 +82,7 @@ def prepare_verifier(corpus: Corpus, cfg: RunConfig) -> tuple[VerifierBundle, di
 
 def train_user_gan(corpus: Corpus, user_id: str, cfg: RunConfig) -> gan_mod.GanBundle:
     seeds = cfg.seeds.resolved()
-    texts, matrices = words_from_corpus(_get_user(corpus, user_id))
+    texts, matrices = words_from_corpus(corpus.get(user_id))
     if not texts:
         raise DataError(f"user {user_id!r} has no word samples")
     bundle = gan_mod.new_bundle(seeds.gan, cfg.gan)
@@ -119,7 +108,7 @@ def make_attack_events(
     cfg: RunConfig,
 ) -> Sentence:
     """One attack stream: plan the user's words, generate, and stitch."""
-    user = _get_user(corpus, user_id)
+    user = corpus.get(user_id)
     texts, _ = words_from_corpus(user)
     if not texts:
         raise DataError(f"user {user_id!r} has no words to plan an attack over")
@@ -236,7 +225,7 @@ def evaluate_attack(
     """
     seeds = cfg.seeds.resolved()
     n = cfg.eval.n_sequences
-    target_windows = verifier_mod.window_count(_get_user(corpus, target_user))
+    target_windows = verifier_mod.window_count(corpus.get(target_user))
     _require_windows(target_windows, n, f"real sequences of {target_user}")
     counts = {user.user_id: verifier_mod.window_count(user) for user in corpus.users}
     others = [count for user_id, count in counts.items() if user_id != target_user]
@@ -249,7 +238,7 @@ def evaluate_attack(
         for tag, fake_corpus in zip("ab", fake_corpora):
             try:
                 attacker = fake_corpus.get(ATTACKER_ID)
-            except KeyError:
+            except DataError:
                 raise DataError(
                     f"fake corpus {condition}/{tag} has no {ATTACKER_ID!r} sequences") from None
             _require_windows(verifier_mod.window_count(attacker), n, f"fake {condition}/{tag}")
@@ -263,7 +252,7 @@ def evaluate_attack(
         fake_b = _first_windows(fake_b_corpus, ATTACKER_ID, n)
         pairs_by_condition[condition] = {
             test_id: build_test_pairs(test_id, real_alice, fake_a, fake_b, real_others, n)
-            for test_id in (1, 2, 3)
+            for test_id in TESTS
         }
     return run_tests(bundle, pairs_by_condition, metadata)
 
@@ -288,7 +277,7 @@ def run_all(cfg: RunConfig, out_dir: str | Path, log=print) -> tuple[EvalReport,
     timings["corpus"] = time.perf_counter() - t_start
     # fail before the verifier trains; the corpus is synthetic, so name both keys
     n, per_user = cfg.eval.n_sequences, cfg.data.sentences_per_user
-    _require_windows(verifier_mod.window_count(_get_user(corpus, cfg.target_user)), n,
+    _require_windows(verifier_mod.window_count(corpus.get(cfg.target_user)), n,
                      f"real sequences of {cfg.target_user}",
                      f" (eval.n_sequences); data.sentences_per_user {per_user} guarantees {per_user}")
 

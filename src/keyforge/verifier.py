@@ -100,15 +100,14 @@ def sequences_from_corpus(corpus: Corpus) -> dict[str, np.ndarray]:
     over every window of every user, with the picks built as arrays rather
     than as one (user, k) tuple per window, cut into one slice per user.
     """
-    users = list({user.user_id: user for user in corpus.users}.values())
-    counts = np.array([window_count(user) for user in users], dtype=np.int64)
+    counts = np.array([window_count(user) for user in corpus.users], dtype=np.int64)
     if not counts.any():
         raise ValueError("corpus yields no 15-row sequences")
     firsts = np.cumsum(counts) - counts
-    user = np.repeat(np.arange(len(users)), counts)
-    windows = _windows(users, user, np.arange(user.size) - firsts[user])
+    user = np.repeat(np.arange(len(corpus.users)), counts)
+    windows = _windows(corpus.users, user, np.arange(user.size) - firsts[user])
     return {u.user_id: windows[first : first + count]
-            for u, first, count in zip(users, firsts.tolist(), counts.tolist()) if count}
+            for u, first, count in zip(corpus.users, firsts.tolist(), counts.tolist()) if count}
 
 
 def window_count(user: UserLog) -> int:
@@ -195,8 +194,8 @@ def code_distances(diff: np.ndarray) -> np.ndarray:
 
 def require_finite(d: np.ndarray) -> np.ndarray:
     """d itself, or NonFiniteDistanceError naming how many distances are NaN or infinite and the first."""
-    if not np.isfinite(d).all():
-        bad = np.flatnonzero(~np.isfinite(d))
+    bad = np.flatnonzero(~np.isfinite(d))
+    if bad.size:
         raise NonFiniteDistanceError(
             f"verifier gives {bad.size} non-finite distances of {d.size}, first at pair {bad[0]}")
     return d

@@ -41,7 +41,8 @@ TARGETS = {
     "gan": (("subset_accuracies", "stop_decision", "stop_check"), "tests/test_gan.py"),
     "verifier": (("calibrate_threshold", "make_pairs", "train_verifier"), "tests/test_verifier.py"),
     "attack": (("fit_space_model", "build_attack_stream"), "tests/test_attack.py"),
-    "evaluation": (("_test_entry",), "tests/test_evaluation.py"),
+    "evaluation": (("build_test_pairs", "_test_entry"), "tests/test_evaluation.py"),
+    "config": (("_fill_dataclass", "config_from_dict"), "tests/test_config.py"),
 }
 
 SWAPS = {

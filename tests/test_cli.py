@@ -17,7 +17,7 @@ from keyforge import nn, pipeline
 from keyforge import verifier as verifier_mod
 from keyforge.cli import main
 from keyforge.config import RunConfig, config_hash, load_config
-from keyforge.data import WORD_LEN, Corpus, UserLog, export_log, synth_corpus
+from keyforge.data import WORD_LEN, Corpus, DataError, UserLog, export_log, synth_corpus
 
 TINY_CONFIG = {
     "target_user": "u0",
@@ -285,6 +285,21 @@ def test_attack_writes_tsv_and_metadata(tmp_path, tiny_config, corpus_file, trai
     assert "seed=10" in stdout
     events, windows = re.search(r": (\d+) events \((\d+) windows available", stdout).groups()
     assert int(windows) == int(events) // WORD_LEN > 0
+
+
+@pytest.mark.parametrize("command", ["attack", "evaluate"])
+def test_unknown_user_is_data_error(tmp_path, tiny_config, corpus_file, trained_artifacts, capsys, command):
+    gan_dir, verifier = trained_artifacts
+    capsys.readouterr()
+    if command == "attack":
+        args = ["attack", "--gan-dir", str(gan_dir), "--condition", "ordered", "--out", str(tmp_path / "f.tsv")]
+    else:
+        args = ["evaluate", "--verifier", str(verifier),
+                *(arg for c in ("ordered", "random") for t in "ab" for arg in (f"--fake-{c}-{t}", str(corpus_file)))]
+    code = main([*args, "--corpus", str(corpus_file), "--user", "nobody", "--config", str(tiny_config)])
+    assert code == 2
+    assert capsys.readouterr().err == "data error: unknown user id 'nobody'\n"
+    assert pipeline.DataError is DataError  # one class, at home in keyforge.data
 
 
 def test_attack_invalid_condition_is_usage_error(tmp_path, corpus_file, trained_artifacts, capsys):

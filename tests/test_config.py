@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -10,7 +11,6 @@ from keyforge.config import (
     RunConfig,
     config_from_dict,
     config_hash,
-    config_to_dict,
     load_config,
 )
 from keyforge.data import synth_corpus
@@ -50,9 +50,30 @@ def test_unknown_top_level_key_rejected():
         config_from_dict({"tarrget_user": "u0"})
 
 
+def test_config_root_of_another_type_rejected():
+    with pytest.raises(ConfigError, match="^config root must be a JSON object$"):
+        config_from_dict(["u0"])
+
+
 def test_unknown_nested_key_rejected():
     with pytest.raises(ConfigError, match="config.gan"):
         config_from_dict({"gan": {"max_epoch": 100}})
+
+
+@pytest.mark.parametrize("doc", [
+    {"gan": {"max_epochs": "many"}, "tarrget_user": "u0"},
+    {"gan": {"max_epoch": 100}, "tarrget_user": "u0", "seeds": []},
+])
+def test_unknown_top_level_key_is_reported_before_any_section(doc):
+    with pytest.raises(ConfigError, match=re.escape("config: unknown keys ['tarrget_user']")):
+        config_from_dict(doc)
+
+
+def test_sections_are_checked_in_document_order():
+    with pytest.raises(ConfigError, match=re.escape("config.seeds: expected an object, got list")):
+        config_from_dict({"seeds": [], "gan": {"max_epoch": 100}})
+    with pytest.raises(ConfigError, match=re.escape("config.gan: unknown keys ['max_epoch']")):
+        config_from_dict({"gan": {"max_epoch": 100}, "seeds": []})
 
 
 def test_unknown_condition_rejected():
@@ -92,8 +113,8 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) != config_hash(b)
 
 
-def test_config_to_dict_is_json_serializable():
-    doc = config_to_dict(RunConfig())
+def test_config_is_json_serializable():
+    doc = dataclasses.asdict(RunConfig())
     json.dumps(doc)
     assert doc["gan"]["stop_threshold"] == 0.85
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from keyforge.data import (
     COL_PL,
     COL_RL,
     Corpus,
+    DataError,
     INGEST_BLOCK_LINES,
     KeyEvent,
     N_FEATURES,
@@ -170,6 +172,40 @@ def test_ingest_inverts_export(tmp_path_factory, corpus):
     path = tmp_path_factory.getbasetemp() / "round_trip.tsv"
     export_log(corpus, path)
     assert ingest_log(path) == corpus
+
+
+def test_corpus_rejects_a_repeated_user_id():
+    users = synth_corpus(4, 15, 1).users
+    # with a second u1, get() and the readers that index users by id would each take another u1
+    with pytest.raises(ValidationError, match=re.escape("corpus: repeated user id 'u1'")):
+        Corpus(users=[*users, UserLog("u1", users[2].sentences[:2])])
+    with pytest.raises(ValidationError, match=re.escape("corpus: repeated user id 'u0'")):
+        Corpus(users=[users[0], users[1], users[0]])
+
+
+def test_corpus_get_of_an_unknown_id_is_data_error():
+    corpus = synth_corpus(2, 1, 0)
+    assert corpus.get("u1") is corpus.users[1]
+    with pytest.raises(DataError, match=re.escape("unknown user id 'nobody'")) as caught:
+        corpus.get("nobody")
+    assert isinstance(caught.value, ValueError) and str(caught.value) == "unknown user id 'nobody'"
+
+
+@pytest.mark.parametrize("empty_first", [False, True])
+def test_export_log_rejects_a_sentence_with_no_keys_before_writing(tmp_path, empty_first):
+    # the TSV has one row per key, so an empty sentence, and a user of only empty
+    # sentences, would vanish from the log and ingest_log(export_log(c)) != c
+    key = Sentence([(72, 0.0, 80.0)])
+    sentences = [Sentence([]), key] if empty_first else [key, key, Sentence([])]
+    corpus = Corpus(users=[UserLog("u0", [key]), UserLog("u1", sentences)])
+    path = tmp_path / "corpus.tsv"
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{path}: user 'u1' sentence 's{0 if empty_first else 2}' has no keys")):
+        export_log(corpus, path)
+    assert not path.exists()
+    with pytest.raises(ValidationError, match="user 'u2' sentence 's0' has no keys"):
+        export_log(Corpus(users=[UserLog("u2", [Sentence([])])]), path)
+    assert not path.exists()
 
 
 def ingest_reference(path) -> Corpus:
